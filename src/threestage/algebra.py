@@ -27,12 +27,21 @@ def _as_mat2(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def rotation(theta: float) -> np.ndarray:
-    """Real rotation [[cos t, -sin t], [sin t, cos t]] by angle ``theta`` (radians)."""
-    if not np.isfinite(theta):
+def rotation(theta) -> np.ndarray:
+    """Real rotation [[cos t, -sin t], [sin t, cos t]] by angle ``theta`` (radians).
+
+    An array of angles gives the stack of rotations, shape ``theta.shape + (2, 2)``.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
         raise ValueError("rotation angle must be finite")
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    out = np.empty(theta.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    out[..., 1, 1] = c
+    return out
 
 
 def phase_gate(phi: float) -> np.ndarray:

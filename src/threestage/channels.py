@@ -18,10 +18,9 @@ import numpy as np
 
 from . import algebra
 
-# Completeness (sum E_i^dag E_i = I) must hold to 1e-12 at construction;
-# application re-checks with one product of slack.
+# Completeness (sum E_i^dag E_i = I) must hold to 1e-12 at construction.
+# Operators are frozen there, so application trusts it.
 COMPLETENESS_ATOL = 1e-12
-APPLY_ATOL = 1e-10
 
 
 class ChannelError(ValueError):
@@ -58,14 +57,26 @@ class QuantumChannel:
 
     ``operators`` holds the Kraus operators explicitly (two for the damping
     channels, one for the unitary ones) so completeness can be validated once
-    at construction. ``parameter`` is eta for AD/PD (a probability), the
-    phase angle Phi for CD, and the rotation angle Theta for CR, in radians.
-    Instances are immutable; the stored arrays are marked read-only.
+    at construction, direct construction included: a set that misses it by
+    more than 1e-12 raises ChannelError. ``parameter`` is eta for AD/PD (a
+    probability), the phase angle Phi for CD, and the rotation angle Theta
+    for CR, in radians. Instances are immutable; the stored arrays are
+    read-only copies.
     """
 
     kind: NoiseKind
     operators: tuple[np.ndarray, ...]
     parameter: float
+
+    def __post_init__(self):
+        operators = tuple(_freeze(op) for op in self.operators)
+        defect = completeness_defect(operators)
+        if defect > COMPLETENESS_ATOL:
+            raise ChannelError(
+                f"Kraus completeness defect {defect:.3e} exceeds {COMPLETENESS_ATOL:g}"
+            )
+        object.__setattr__(self, "operators", operators)
+        object.__setattr__(self, "parameter", float(self.parameter))
 
 
 def completeness_defect(operators) -> float:
@@ -81,16 +92,6 @@ def _freeze(op: np.ndarray) -> np.ndarray:
     out = np.array(op, dtype=complex)
     out.flags.writeable = False
     return out
-
-
-def _build(kind: NoiseKind, operators, parameter: float) -> QuantumChannel:
-    operators = tuple(_freeze(op) for op in operators)
-    defect = completeness_defect(operators)
-    if defect > COMPLETENESS_ATOL:
-        raise ChannelError(
-            f"Kraus completeness defect {defect:.3e} exceeds {COMPLETENESS_ATOL:g}"
-        )
-    return QuantumChannel(kind=kind, operators=operators, parameter=float(parameter))
 
 
 def _check_probability(value: float, name: str) -> None:
@@ -109,7 +110,7 @@ def amplitude_damping(eta: float) -> QuantumChannel:
     _check_probability(eta, "eta")
     e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], dtype=complex)
     e1 = np.array([[0.0, np.sqrt(eta)], [0.0, 0.0]], dtype=complex)
-    return _build(NoiseKind.AMPLITUDE_DAMPING, (e0, e1), eta)
+    return QuantumChannel(NoiseKind.AMPLITUDE_DAMPING, (e0, e1), eta)
 
 
 def phase_damping(eta: float) -> QuantumChannel:
@@ -123,26 +124,26 @@ def phase_damping(eta: float) -> QuantumChannel:
     _check_probability(eta, "eta")
     e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], dtype=complex)
     e1 = np.array([[0.0, 0.0], [0.0, np.sqrt(eta)]], dtype=complex)
-    return _build(NoiseKind.PHASE_DAMPING, (e0, e1), eta)
+    return QuantumChannel(NoiseKind.PHASE_DAMPING, (e0, e1), eta)
 
 
 def collective_dephasing(phi: float) -> QuantumChannel:
     """Unitary phase kick diag(1, e^{i Phi}) applied to every travel qubit."""
     if not np.isfinite(phi):
         raise ValueError(f"Phi must be finite, got {phi!r}")
-    return _build(NoiseKind.COLLECTIVE_DEPHASING, (algebra.phase_gate(phi),), phi)
+    return QuantumChannel(NoiseKind.COLLECTIVE_DEPHASING, (algebra.phase_gate(phi),), phi)
 
 
 def collective_rotation(theta: float) -> QuantumChannel:
     """Unitary rotation by Theta applied to every travel qubit."""
     if not np.isfinite(theta):
         raise ValueError(f"Theta must be finite, got {theta!r}")
-    return _build(NoiseKind.COLLECTIVE_ROTATION, (algebra.rotation(theta),), theta)
+    return QuantumChannel(NoiseKind.COLLECTIVE_ROTATION, (algebra.rotation(theta),), theta)
 
 
 def identity_channel() -> QuantumChannel:
     """Noiseless channel."""
-    return _build(NoiseKind.IDENTITY, (np.eye(2, dtype=complex),), 0.0)
+    return QuantumChannel(NoiseKind.IDENTITY, (np.eye(2, dtype=complex),), 0.0)
 
 
 def from_kind(kind: NoiseKind, parameter: float) -> QuantumChannel:
@@ -166,15 +167,9 @@ def from_kind(kind: NoiseKind, parameter: float) -> QuantumChannel:
 def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     """Kraus sum sum_i E_i rho E_i^dagger, re-symmetrized.
 
-    ``rho`` is assumed to be a valid density matrix (validated where it was
-    constructed). Raises ChannelError when the operators' completeness defect
-    exceeds 1e-10.
+    ``rho`` is assumed to be a valid density matrix and ``channel`` complete;
+    both were validated where they were constructed.
     """
-    defect = completeness_defect(channel.operators)
-    if defect > APPLY_ATOL:
-        raise ChannelError(
-            f"channel completeness defect {defect:.3e} exceeds {APPLY_ATOL:g}"
-        )
     rho = np.asarray(rho, dtype=complex)
     out = np.zeros((2, 2), dtype=complex)
     for op in channel.operators:

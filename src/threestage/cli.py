@@ -22,7 +22,7 @@ from . import channels, fidelity, harness, protocol
 from ._version import __version__
 from .channels import NoiseKind
 from .fidelity import QuadratureSpec
-from .harness import RunManifest, SweepMode, SweepSpec
+from .harness import RunManifest, SweepMode, SweepSpec, run_manifest
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -87,22 +87,13 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def _emit_manifest(
-    start: float,
-    seed: int | None = None,
-    rotation_points: int | None = None,
-    xi_points: int | None = None,
-    max_abs_deviation: float | None = None,
-) -> None:
-    manifest = RunManifest(
-        version=__version__,
-        seed=seed,
-        rotation_points=rotation_points,
-        xi_points=xi_points,
-        duration_ms=(time.perf_counter() - start) * 1000.0,
-        max_abs_deviation=max_abs_deviation,
-    )
-    print(json.dumps({"manifest": manifest.to_dict()}), file=sys.stderr)
+def _print_json(document, file=None) -> None:
+    """One strict JSON document per line: NaN and infinities raise ValueError."""
+    print(json.dumps(document, allow_nan=False), file=file)
+
+
+def _emit_manifest(manifest: RunManifest) -> None:
+    _print_json({"manifest": manifest.to_dict()}, file=sys.stderr)
 
 
 def _matrix_json(matrix) -> list:
@@ -133,8 +124,8 @@ def _cmd_run(args, start: float) -> int:
     final, _ = protocol.run_protocol(config, args.bit)
     p0, p1 = protocol.decode_bit(final, config.xi)
     value = p0 if args.bit == 0 else p1
-    print(json.dumps({"fidelity": value, "p0": p0, "p1": p1}))
-    _emit_manifest(start)
+    _print_json({"fidelity": value, "p0": p0, "p1": p1})
+    _emit_manifest(run_manifest(start))
     return EXIT_OK
 
 
@@ -170,13 +161,7 @@ def _cmd_sweep(args, start: float) -> int:
         raise UsageError(_spec_error_to_flag(str(exc))) from exc
     rows, manifest = harness.sweep(spec)
     harness.export(rows, args.format, args.out, manifest)
-    _emit_manifest(
-        start,
-        seed=spec.seed,
-        rotation_points=spec.quadrature.rotation_points,
-        xi_points=spec.quadrature.xi_points,
-        max_abs_deviation=manifest.max_abs_deviation,
-    )
+    _emit_manifest(manifest)
     return EXIT_OK
 
 
@@ -199,6 +184,10 @@ def _spec_error_to_flag(message: str) -> str:
 
 
 def _cmd_verify(args, start: float) -> int:
+    if not np.isfinite(args.tolerance) or args.tolerance < 0.0:
+        raise UsageError(
+            f"--tolerance: must be finite and non-negative, got {args.tolerance!r}"
+        )
     kinds = []
     for token in args.kinds.split(","):
         token = token.strip()
@@ -237,14 +226,9 @@ def _cmd_verify(args, start: float) -> int:
             f"tolerance {args.tolerance:.3e}: {_status(passed)}",
             file=sys.stderr,
         )
-    print(json.dumps({"tolerance": args.tolerance, "passed": all_passed, "reports": entries}))
+    _print_json({"tolerance": args.tolerance, "passed": all_passed, "reports": entries})
     worst = max((r.max_abs_deviation for r in reports), default=None)
-    _emit_manifest(
-        start,
-        rotation_points=quad.rotation_points,
-        xi_points=quad.xi_points,
-        max_abs_deviation=worst,
-    )
+    _emit_manifest(run_manifest(start, quad=quad, max_abs_deviation=worst))
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 
@@ -263,8 +247,8 @@ def _cmd_commutators(args, start: float) -> int:
                 "closed_form_residual": float(np.max(np.abs(computed - expected))),
             }
         )
-    print(json.dumps({"eta": args.eta, "theta": theta, "commutators": entries}))
-    _emit_manifest(start)
+    _print_json({"eta": args.eta, "theta": theta, "commutators": entries})
+    _emit_manifest(run_manifest(start))
     return EXIT_OK
 
 
@@ -276,8 +260,8 @@ def _cmd_message(args, start: float) -> int:
     config = _protocol_config(args)
     bits = [int(c) for c in args.bits]
     decoded, qber = protocol.transmit_message(bits, config, args.seed)
-    print(json.dumps({"decoded": "".join(str(b) for b in decoded), "qber": qber}))
-    _emit_manifest(start, seed=args.seed)
+    _print_json({"decoded": "".join(str(b) for b in decoded), "qber": qber})
+    _emit_manifest(run_manifest(start, seed=args.seed))
     return EXIT_OK
 
 

@@ -98,7 +98,7 @@ def _check_formula_param(kind: NoiseKind, param) -> None:
 
 def _assert_and_clamp(values):
     values = np.asarray(values, dtype=float)
-    worst = max(float(np.max(values)) - 1.0, -float(np.min(values)), 0.0)
+    worst = max(float(np.max(values, initial=1.0)) - 1.0, -float(np.min(values, initial=0.0)))
     if worst > CLAMP_ATOL:
         raise ValueError(f"fidelity leaves [0, 1] by {worst:.3e}, beyond {CLAMP_ATOL:g}")
     out = np.clip(values, 0.0, 1.0)
@@ -196,27 +196,6 @@ def numeric_fidelity(
     return algebra.fidelity(protocol.encode_bit(bit, xi), final)
 
 
-def _rotation_batch(angles: np.ndarray) -> np.ndarray:
-    c, s = np.cos(angles), np.sin(angles)
-    out = np.empty(angles.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = c
-    return out
-
-
-def _encode_batch(bit: int, xis: np.ndarray) -> np.ndarray:
-    out = np.empty(xis.shape + (2,), dtype=complex)
-    if bit == 0:
-        out[..., 0] = np.cos(xis)
-        out[..., 1] = np.sin(xis)
-    else:
-        out[..., 0] = np.sin(xis)
-        out[..., 1] = -np.cos(xis)
-    return out
-
-
 class RotationAveragedOracle:
     """Rotation-averaged numeric fidelity for one channel, evaluated fast.
 
@@ -231,11 +210,6 @@ class RotationAveragedOracle:
     """
 
     def __init__(self, channel: QuantumChannel, quad: QuadratureSpec = QuadratureSpec()):
-        defect = channels.completeness_defect(channel.operators)
-        if defect > channels.APPLY_ATOL:
-            raise channels.ChannelError(
-                f"channel completeness defect {defect:.3e} exceeds {channels.APPLY_ATOL:g}"
-            )
         self.channel = channel
         self.quad = quad
         self._form = self._averaged_form(channel.operators, quad.rotation_points)
@@ -243,7 +217,7 @@ class RotationAveragedOracle:
     @staticmethod
     def _averaged_form(ops, n: int) -> np.ndarray:
         grid = midpoint_grid(n)
-        rot = _rotation_batch(grid)
+        rot = algebra.rotation(grid)
         rot_dag = rot.conj().swapaxes(-1, -2)
         # theta varies along axis 0, phi along axis 1
         r_theta = rot[:, None]
@@ -266,11 +240,9 @@ class RotationAveragedOracle:
     def fidelity_at(self, xis) -> np.ndarray:
         """Bit-averaged, rotation-averaged fidelity at each encoding angle."""
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
-        if not np.all(np.isfinite(xis)):
-            raise ValueError("xi must be finite")
         values = np.zeros(xis.shape)
         for bit in (0, 1):
-            psi = _encode_batch(bit, xis)
+            psi = protocol.encode_bit(bit, xis)
             w = (psi[..., :, None].conj() * psi[..., None, :]).reshape(len(xis), 4)
             values += 0.5 * np.real(np.einsum("xa,ab,xb->x", w.conj(), self._form, w))
         return np.asarray(_assert_and_clamp(values))
@@ -289,21 +261,16 @@ def rotation_averaged_fidelity(
 
 
 def state_averaged_fidelity(
-    target, param: float | None = None, quad: QuadratureSpec = QuadratureSpec()
+    kind: NoiseKind, param: float | None = None, quad: QuadratureSpec = QuadratureSpec()
 ) -> float:
-    """Mean fidelity over the encoding angle xi, uniformly on [0, 2pi).
+    """Closed-form fidelity averaged over the encoding angle xi on [0, 2pi).
 
-    ``target`` selects the integrand: a NoiseKind averages its closed form
-    (``param`` required), a QuantumChannel averages the rotation-averaged
-    numeric oracle (``param`` must be omitted).
+    The midpoint rule with ``quad.xi_points`` cells integrates it exactly; the
+    oracle's counterpart is ``RotationAveragedOracle(channel, quad).state_average()``.
     """
-    if isinstance(target, QuantumChannel):
-        if param is not None:
-            raise ValueError("param must be None when averaging a channel oracle")
-        return RotationAveragedOracle(target, quad).state_average()
     if param is None:
         raise ValueError("param is required when averaging a closed form")
-    values = closed_form_fidelity(target, param, midpoint_grid(quad.xi_points))
+    values = closed_form_fidelity(kind, param, midpoint_grid(quad.xi_points))
     return float(np.clip(np.mean(values), 0.0, 1.0))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -106,14 +106,7 @@ class RunManifest:
     max_abs_deviation: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "seed": self.seed,
-            "rotation_points": self.rotation_points,
-            "xi_points": self.xi_points,
-            "duration_ms": self.duration_ms,
-            "max_abs_deviation": self.max_abs_deviation,
-        }
+        return asdict(self)
 
 
 def _make_row(kind, param, xi, closed, oracle) -> ResultRow:
@@ -130,6 +123,57 @@ def _make_row(kind, param, xi, closed, oracle) -> ResultRow:
     )
 
 
+def run_manifest(
+    start: float,
+    seed: int | None = None,
+    quad: QuadratureSpec | None = None,
+    max_abs_deviation: float | None = None,
+) -> RunManifest:
+    """Manifest of a run that began at ``time.perf_counter()`` value ``start``.
+
+    ``quad`` is the quadrature of the oracle the run built, None when it
+    built none; the manifest reports its resolutions only then.
+    """
+    return RunManifest(
+        version=__version__,
+        seed=seed,
+        rotation_points=None if quad is None else quad.rotation_points,
+        xi_points=None if quad is None else quad.xi_points,
+        duration_ms=(time.perf_counter() - start) * 1000.0,
+        max_abs_deviation=max_abs_deviation,
+    )
+
+
+def _evaluate_grid(kind, params, xis, average: bool, closed: bool, quad):
+    """Closed form and oracle over the params x xis grid.
+
+    Returns (closed, oracle), each of shape (len(params), len(xis) + average)
+    with the state average in the last column when ``average`` is set. The
+    closed form, when ``closed``, takes one broadcast call per grid; the
+    oracle, when ``quad`` is given, one build per parameter. An array not
+    asked for is None.
+    """
+    params = np.asarray(params, dtype=float)
+    xis = np.asarray(xis, dtype=float)
+    shape = (len(params), len(xis) + int(average))
+    closed_values = oracle_values = None
+    if closed:
+        closed_values = np.empty(shape)
+        closed_values[:, : len(xis)] = fidelity.closed_form_fidelity(
+            kind, params[:, None], xis[None, :]
+        )
+        if average:
+            closed_values[:, -1] = fidelity.closed_form_average_fidelity(kind, params)
+    if quad is not None:
+        oracle_values = np.empty(shape)
+        for i, param in enumerate(params):
+            oracle = RotationAveragedOracle(channels.from_kind(kind, param), quad)
+            oracle_values[i, : len(xis)] = oracle.fidelity_at(xis)
+            if average:
+                oracle_values[i, -1] = oracle.state_average()
+    return closed_values, oracle_values
+
+
 def sweep(spec: SweepSpec) -> tuple[list[ResultRow], RunManifest]:
     """Evaluate the grid and return rows in param-major order plus a manifest.
 
@@ -137,41 +181,22 @@ def sweep(spec: SweepSpec) -> tuple[list[ResultRow], RunManifest]:
     state-averaged row.
     """
     start = time.perf_counter()
-    want_closed = spec.mode in (SweepMode.CLOSED_FORM, SweepMode.BOTH)
-    want_oracle = spec.mode in (SweepMode.ORACLE, SweepMode.BOTH)
-    rows: list[ResultRow] = []
-    for param in spec.param_grid:
-        oracle_eval = None
-        if want_oracle:
-            channel = channels.from_kind(spec.kind, param)
-            oracle_eval = RotationAveragedOracle(channel, spec.quadrature)
-            xi_values = oracle_eval.fidelity_at(spec.xi_grid) if spec.xi_grid else ()
-        for index, xi in enumerate(spec.xi_grid):
-            closed = (
-                float(fidelity.closed_form_fidelity(spec.kind, param, xi))
-                if want_closed
-                else None
-            )
-            oracle = float(xi_values[index]) if want_oracle else None
-            rows.append(_make_row(spec.kind, param, xi, closed, oracle))
-        if spec.include_state_average:
-            closed = (
-                float(fidelity.closed_form_average_fidelity(spec.kind, param))
-                if want_closed
-                else None
-            )
-            oracle = oracle_eval.state_average() if want_oracle else None
-            rows.append(_make_row(spec.kind, param, None, closed, oracle))
-    deviations = [row.deviation for row in rows if row.deviation is not None]
-    manifest = RunManifest(
-        version=__version__,
-        seed=spec.seed,
-        rotation_points=spec.quadrature.rotation_points,
-        xi_points=spec.quadrature.xi_points,
-        duration_ms=(time.perf_counter() - start) * 1000.0,
-        max_abs_deviation=max(deviations) if deviations else None,
+    quad = None if spec.mode is SweepMode.CLOSED_FORM else spec.quadrature
+    closed, oracle = _evaluate_grid(
+        spec.kind, spec.param_grid, spec.xi_grid, spec.include_state_average,
+        closed=spec.mode is not SweepMode.ORACLE, quad=quad,
     )
-    return rows, manifest
+    xi_column = list(spec.xi_grid) + [None] * spec.include_state_average
+    missing = [[None] * len(xi_column)] * len(spec.param_grid)
+    closed = missing if closed is None else closed.tolist()
+    oracle = missing if oracle is None else oracle.tolist()
+    rows = [
+        _make_row(spec.kind, param, xi, closed_value, oracle_value)
+        for param, closed_row, oracle_row in zip(spec.param_grid, closed, oracle)
+        for xi, closed_value, oracle_value in zip(xi_column, closed_row, oracle_row)
+    ]
+    deviations = [row.deviation for row in rows if row.deviation is not None]
+    return rows, run_manifest(start, spec.seed, quad, max(deviations) if deviations else None)
 
 
 def default_verification_grids(kind: NoiseKind) -> tuple[np.ndarray, np.ndarray]:
@@ -206,13 +231,7 @@ def verify_formulas(
         if param_grids is not None and kind in param_grids:
             params = np.asarray(param_grids[kind], dtype=float)
         xis = default_xis if xi_grid is None else np.asarray(xi_grid, dtype=float)
-        closed = np.asarray(
-            fidelity.closed_form_fidelity(kind, params[:, None], xis[None, :])
-        )
-        oracle = np.empty_like(closed)
-        for i, param in enumerate(params):
-            channel = channels.from_kind(kind, param)
-            oracle[i] = RotationAveragedOracle(channel, quad).fidelity_at(xis)
+        closed, oracle = _evaluate_grid(kind, params, xis, False, closed=True, quad=quad)
         deviation = np.abs(closed - oracle)
         worst_flat = int(np.argmax(deviation))
         worst_i, worst_j = np.unravel_index(worst_flat, deviation.shape)
@@ -283,7 +302,7 @@ def export(rows, fmt: str, path, manifest: RunManifest | None = None) -> None:
             "manifest": None if manifest is None else manifest.to_dict(),
             "rows": [_row_to_dict(row) for row in rows],
         }
-        payload = json.dumps(document, indent=2) + "\n"
+        payload = json.dumps(document, indent=2, allow_nan=False) + "\n"
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -295,39 +314,49 @@ def _parse_optional_float(text: str) -> float | None:
 
 
 def load_rows(path, fmt: str) -> list[ResultRow]:
-    """Read rows back from an exported file; inverse of ``export``."""
+    """Read rows back from an exported file; inverse of ``export``.
+
+    A malformed CSV line or a JSON row missing a key raises ValueError naming
+    the file and the line number or the key.
+    """
     rows: list[ResultRow] = []
     if fmt == "csv":
         with open(path, "r", encoding="utf-8", newline="") as handle:
             lines = handle.read().splitlines()
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError(f"{path}: missing expected CSV header")
-        for line in lines[1:]:
-            kind, param, xi, closed, oracle, deviation = line.split(",")
-            rows.append(
-                ResultRow(
-                    kind=NoiseKind(kind),
-                    param=float(param),
-                    xi=None if xi == XI_AVERAGE else float(xi),
-                    closed_form=_parse_optional_float(closed),
-                    oracle=_parse_optional_float(oracle),
-                    deviation=_parse_optional_float(deviation),
+        for number, line in enumerate(lines[1:], start=2):
+            try:
+                kind, param, xi, closed, oracle, deviation = line.split(",")
+                rows.append(
+                    ResultRow(
+                        kind=NoiseKind(kind),
+                        param=float(param),
+                        xi=None if xi == XI_AVERAGE else float(xi),
+                        closed_form=_parse_optional_float(closed),
+                        oracle=_parse_optional_float(oracle),
+                        deviation=_parse_optional_float(deviation),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {number}: malformed row: {exc}") from None
         return rows
     if fmt == "json":
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-        for item in document["rows"]:
-            rows.append(
-                ResultRow(
-                    kind=NoiseKind(item["kind"]),
-                    param=float(item["param"]),
-                    xi=None if item["xi"] == XI_AVERAGE else float(item["xi"]),
-                    closed_form=item["closed_form"],
-                    oracle=item["oracle"],
-                    deviation=item["deviation"],
+        try:
+            for item in document["rows"]:
+                rows.append(
+                    ResultRow(
+                        kind=NoiseKind(item["kind"]),
+                        param=float(item["param"]),
+                        xi=None if item["xi"] == XI_AVERAGE else float(item["xi"]),
+                        closed_form=item["closed_form"],
+                        oracle=item["oracle"],
+                        deviation=item["deviation"],
+                    )
                 )
-            )
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
         return rows
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")

@@ -79,19 +79,22 @@ class Transcript:
     bit_sent: int
 
 
-def encode_bit(bit: int, xi: float) -> np.ndarray:
+def encode_bit(bit: int, xi) -> np.ndarray:
     """State carrying ``bit`` in the basis fixed by ``xi``.
 
     Bit 0 maps to cos(xi)|0> + sin(xi)|1>, bit 1 to the orthogonal state
-    sin(xi)|0> - cos(xi)|1>.
+    sin(xi)|0> - cos(xi)|1>. An array of angles gives the stack of states,
+    shape ``xi.shape + (2,)``.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    if not np.isfinite(xi):
+    angles = np.asarray(xi, dtype=float)
+    if not np.all(np.isfinite(angles)):
         raise ValueError(f"xi must be finite, got {xi!r}")
-    if bit == 0:
-        return np.array([np.cos(xi), np.sin(xi)], dtype=complex)
-    return np.array([np.sin(xi), -np.cos(xi)], dtype=complex)
+    c, s = np.cos(angles), np.sin(angles)
+    out = np.empty(angles.shape + (2,), dtype=complex)
+    out[..., 0], out[..., 1] = (c, s) if bit == 0 else (s, -c)
+    return out
 
 
 def _stage_channels(config: ProtocolConfig, message_index):
@@ -141,12 +144,16 @@ def run_protocol(
 def decode_bit(rho_final: np.ndarray, xi: float) -> tuple[float, float]:
     """Outcome probabilities of the projective measurement in the encoding basis.
 
-    Returns (p0, p1) with p_b = <state_b|rho|state_b>. The two encoded states
-    form an orthonormal basis, so p0 + p1 = 1 up to rounding.
+    Returns (p0, p1) with p_b = <state_b|rho|state_b>, each clamped to [0, 1].
+    The two encoded states form an orthonormal basis, so p0 + p1 = 1 up to
+    rounding. ``rho_final`` is validated here, once; the basis states are
+    normalized by construction.
     """
     rho = algebra.validate_density(rho_final)
-    p0 = algebra.fidelity(encode_bit(0, xi), rho)
-    p1 = algebra.fidelity(encode_bit(1, xi), rho)
+    p0, p1 = (
+        min(max(float(np.real(psi.conj() @ rho @ psi)), 0.0), 1.0)
+        for psi in (encode_bit(0, xi), encode_bit(1, xi))
+    )
     return p0, p1
 
 

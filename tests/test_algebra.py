@@ -61,6 +61,19 @@ class TestRotation:
         with pytest.raises(ValueError):
             algebra.rotation(bad)
 
+    def test_array_of_angles_stacks_the_scalar_rotations_exactly(self):
+        angles = np.random.default_rng(12).uniform(-50, 50, size=(3, 40))
+        stacked = np.array([[algebra.rotation(float(t)) for t in row] for row in angles])
+        assert algebra.rotation(angles).shape == (3, 40, 2, 2)
+        np.testing.assert_array_equal(algebra.rotation(angles), stacked)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_array_with_one_non_finite_angle_rejected(self, bad):
+        angles = np.linspace(0.0, 1.0, 9)
+        angles[4] = bad
+        with pytest.raises(ValueError):
+            algebra.rotation(angles)
+
 
 class TestPhaseGate:
     def test_zero_is_identity(self):

@@ -151,14 +151,21 @@ class TestApplication:
         op = channels.collective_rotation(0.5).operators[0]
         np.testing.assert_allclose(algebra.commutator(op, algebra.rotation(1.3)), 0.0, atol=1e-15)
 
-    def test_bad_channel_rejected_at_application(self):
-        broken = channels.QuantumChannel(
-            kind=NoiseKind.AMPLITUDE_DAMPING,
-            operators=(np.diag([1.0, 0.5]).astype(complex),),
-            parameter=0.5,
-        )
+    def test_bad_channel_rejected_at_construction(self):
         with pytest.raises(ChannelError):
-            channels.apply_channel(broken, np.eye(2, dtype=complex) / 2)
+            channels.QuantumChannel(
+                kind=NoiseKind.AMPLITUDE_DAMPING,
+                operators=(np.diag([1.0, 0.5]).astype(complex),),
+                parameter=0.5,
+            )
+
+    def test_direct_construction_freezes_a_copy(self):
+        op = np.eye(2, dtype=complex)
+        ch = channels.QuantumChannel(kind=NoiseKind.IDENTITY, operators=(op,), parameter=0)
+        op[0, 0] = 5.0
+        assert ch.operators[0][0, 0] == 1.0
+        assert not ch.operators[0].flags.writeable
+        assert isinstance(ch.parameter, float)
 
 
 class TestChannelProperties:

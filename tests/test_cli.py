@@ -77,6 +77,18 @@ class TestSweep:
         assert len(lines) == 102
         assert manifest_of(err)["seed"] == 0
 
+    @pytest.mark.parametrize("mode, ran", [("closed_form", False), ("oracle", True)])
+    def test_manifest_quadrature_is_null_unless_an_oracle_ran(self, capsys, tmp_path, mode, ran):
+        code, _, err = run_cli(
+            capsys, "sweep", "--noise", "ad", "--grid", "0:1:3", "--xi-grid", "0,1",
+            "--mode", mode, "--rotation-points", "8", "--xi-points", "16",
+            "--out", str(tmp_path / "f.csv"),
+        )
+        assert code == 0
+        manifest = manifest_of(err)
+        assert manifest["rotation_points"] == (8 if ran else None)
+        assert manifest["xi_points"] == (16 if ran else None)
+
     def test_explicit_grid_row_count(self, capsys, tmp_path):
         path = tmp_path / "f.csv"
         code, _, _ = run_cli(
@@ -195,6 +207,16 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["passed"] is False
         assert "FAIL" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_usage_error(self, capsys, bad):
+        code, out, err = run_cli(
+            capsys, "verify", "--kinds", "cr", "--resolution", "8", "--xi-points", "8",
+            "--tolerance", bad,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tolerance" in err
 
     def test_unknown_kind_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--kinds", "xx")

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from threestage import harness
+from threestage import fidelity, harness
 from threestage.channels import NoiseKind
 from threestage.fidelity import QuadratureSpec
 from threestage.harness import ResultRow, SweepMode, SweepSpec
@@ -118,11 +120,33 @@ class TestSweep:
         assert manifest.max_abs_deviation is None
 
     def test_manifest_carries_spec_settings(self):
-        _, manifest = harness.sweep(spec_with(seed=17))
+        _, manifest = harness.sweep(spec_with(seed=17, mode=SweepMode.ORACLE))
         assert manifest.seed == 17
         assert manifest.rotation_points == FAST_QUAD.rotation_points
         assert manifest.xi_points == FAST_QUAD.xi_points
         assert manifest.duration_ms >= 0.0
+
+    @pytest.mark.parametrize("mode", list(SweepMode))
+    def test_manifest_reports_quadrature_only_when_an_oracle_ran(self, mode):
+        _, manifest = harness.sweep(spec_with(mode=mode))
+        ran = mode is not SweepMode.CLOSED_FORM
+        assert manifest.rotation_points == (FAST_QUAD.rotation_points if ran else None)
+        assert manifest.xi_points == (FAST_QUAD.xi_points if ran else None)
+
+    def test_closed_form_rows_equal_scalar_calls(self):
+        spec = spec_with(
+            kind=NoiseKind.COLLECTIVE_DEPHASING,
+            param_grid=tuple(np.linspace(0.1, 6.0, 7)),
+            xi_grid=tuple(np.linspace(0.0, 3.0, 5)),
+            include_state_average=True,
+        )
+        rows, _ = harness.sweep(spec)
+        for row in rows:
+            if row.xi is None:
+                want = fidelity.closed_form_average_fidelity(spec.kind, row.param)
+            else:
+                want = fidelity.closed_form_fidelity(spec.kind, row.param, row.xi)
+            assert row.closed_form == want
 
 
 class TestVerifyFormulas:
@@ -206,6 +230,19 @@ class TestExport:
         harness.export(rows, "csv", first)
         harness.export(rows, "csv", second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_short_csv_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text(harness.CSV_HEADER + "\npd,1.0,avg,0.5625,,\npd,0.5,avg\n")
+        with pytest.raises(ValueError, match=r"rows\.csv: line 3"):
+            harness.load_rows(path, "csv")
+
+    def test_json_row_without_param_names_file_and_key(self, tmp_path):
+        path = tmp_path / "rows.json"
+        row = {"kind": "pd", "xi": "avg", "closed_form": 0.5625, "oracle": None, "deviation": None}
+        path.write_text(json.dumps({"manifest": None, "rows": [row]}))
+        with pytest.raises(ValueError, match=r"rows\.json: missing key 'param'"):
+            harness.load_rows(path, "json")
 
     def test_repeated_sweep_is_byte_identical(self, tmp_path):
         spec = spec_with(mode=SweepMode.BOTH, include_state_average=True, seed=5)

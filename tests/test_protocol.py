@@ -31,6 +31,20 @@ class TestEncodeBit:
         with pytest.raises(ValueError):
             protocol.encode_bit(2, 0.0)
 
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_array_of_angles_stacks_the_scalar_states_exactly(self, bit):
+        xis = np.random.default_rng(32).uniform(-50, 50, size=(4, 25))
+        stacked = np.array([[protocol.encode_bit(bit, float(x)) for x in row] for row in xis])
+        assert protocol.encode_bit(bit, xis).shape == (4, 25, 2)
+        np.testing.assert_array_equal(protocol.encode_bit(bit, xis), stacked)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_array_with_one_non_finite_angle_rejected(self, bad):
+        xis = np.linspace(0.0, 1.0, 9)
+        xis[4] = bad
+        with pytest.raises(ValueError, match="xi must be finite"):
+            protocol.encode_bit(0, xis)
+
 
 class TestRunProtocol:
     def test_noiseless_round_trip_is_exact(self):
