@@ -41,6 +41,16 @@ class NoiseKind(Enum):
         """Conventional name of the noise parameter in serialized output."""
         return _PARAMETER_SYMBOLS[self]
 
+    @property
+    def is_probability(self) -> bool:
+        """True when the parameter is a decoherence probability eta, not an angle."""
+        return self in (NoiseKind.AMPLITUDE_DAMPING, NoiseKind.PHASE_DAMPING)
+
+    @property
+    def natural_range(self) -> tuple[float, float]:
+        """[0, 1] for a probability, one full turn [0, 2pi] for an angle."""
+        return (0.0, 1.0) if self.is_probability else (0.0, 2.0 * np.pi)
+
 
 _PARAMETER_SYMBOLS = {
     NoiseKind.AMPLITUDE_DAMPING: "eta",
@@ -94,9 +104,22 @@ def _freeze(op: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_probability(value: float, name: str) -> None:
-    if not np.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+def check_parameter(kind: NoiseKind, values) -> None:
+    """Raise ValueError unless every entry of ``values`` is a valid ``kind`` parameter.
+
+    Every parameter must be finite; a probability must also lie in [0, 1]. The
+    message names the parameter symbol and the first bad value.
+    """
+    values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values)
+    if kind.is_probability:
+        bad |= (values < 0.0) | (values > 1.0)
+    if np.any(bad):
+        domain = "lie in [0, 1]" if kind.is_probability else "be finite"
+        raise ValueError(
+            f"{kind.parameter_symbol or 'parameter'} must {domain}, "
+            f"got {float(values[bad][0])!r}"
+        )
 
 
 def amplitude_damping(eta: float) -> QuantumChannel:
@@ -107,7 +130,7 @@ def amplitude_damping(eta: float) -> QuantumChannel:
         E0 = [[1, 0], [0, sqrt(1 - eta)]]
         E1 = [[0, sqrt(eta)], [0, 0]]
     """
-    _check_probability(eta, "eta")
+    check_parameter(NoiseKind.AMPLITUDE_DAMPING, eta)
     e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], dtype=complex)
     e1 = np.array([[0.0, np.sqrt(eta)], [0.0, 0.0]], dtype=complex)
     return QuantumChannel(NoiseKind.AMPLITUDE_DAMPING, (e0, e1), eta)
@@ -121,7 +144,7 @@ def phase_damping(eta: float) -> QuantumChannel:
         E0 = [[1, 0], [0, sqrt(1 - eta)]]
         E1 = [[0, 0], [0, sqrt(eta)]]
     """
-    _check_probability(eta, "eta")
+    check_parameter(NoiseKind.PHASE_DAMPING, eta)
     e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], dtype=complex)
     e1 = np.array([[0.0, 0.0], [0.0, np.sqrt(eta)]], dtype=complex)
     return QuantumChannel(NoiseKind.PHASE_DAMPING, (e0, e1), eta)
@@ -129,15 +152,13 @@ def phase_damping(eta: float) -> QuantumChannel:
 
 def collective_dephasing(phi: float) -> QuantumChannel:
     """Unitary phase kick diag(1, e^{i Phi}) applied to every travel qubit."""
-    if not np.isfinite(phi):
-        raise ValueError(f"Phi must be finite, got {phi!r}")
+    check_parameter(NoiseKind.COLLECTIVE_DEPHASING, phi)
     return QuantumChannel(NoiseKind.COLLECTIVE_DEPHASING, (algebra.phase_gate(phi),), phi)
 
 
 def collective_rotation(theta: float) -> QuantumChannel:
     """Unitary rotation by Theta applied to every travel qubit."""
-    if not np.isfinite(theta):
-        raise ValueError(f"Theta must be finite, got {theta!r}")
+    check_parameter(NoiseKind.COLLECTIVE_ROTATION, theta)
     return QuantumChannel(NoiseKind.COLLECTIVE_ROTATION, (algebra.rotation(theta),), theta)
 
 
@@ -149,7 +170,7 @@ def identity_channel() -> QuantumChannel:
 def from_kind(kind: NoiseKind, parameter: float) -> QuantumChannel:
     """Construct the channel named by ``kind`` with the given parameter.
 
-    The identity kind ignores the parameter.
+    The identity kind ignores the parameter's value, which must still be finite.
     """
     if kind is NoiseKind.AMPLITUDE_DAMPING:
         return amplitude_damping(parameter)
@@ -160,6 +181,7 @@ def from_kind(kind: NoiseKind, parameter: float) -> QuantumChannel:
     if kind is NoiseKind.COLLECTIVE_ROTATION:
         return collective_rotation(parameter)
     if kind is NoiseKind.IDENTITY:
+        check_parameter(kind, parameter)
         return identity_channel()
     raise ValueError(f"unknown noise kind {kind!r}")
 

@@ -29,20 +29,20 @@ EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
-_NOISE_CHOICES = ("ad", "pd", "cd", "cr", "none")
-_ANGLE_KINDS = (NoiseKind.COLLECTIVE_DEPHASING, NoiseKind.COLLECTIVE_ROTATION)
-
-# Default sweep grids: 101 uniform points over the parameter's natural range.
-_DEFAULT_PARAM_GRIDS = {
-    NoiseKind.AMPLITUDE_DAMPING: (0.0, 1.0),
-    NoiseKind.PHASE_DAMPING: (0.0, 1.0),
-    NoiseKind.COLLECTIVE_DEPHASING: (0.0, 2.0 * np.pi),
-    NoiseKind.COLLECTIVE_ROTATION: (0.0, 2.0 * np.pi),
-}
+_QUADRATURE = QuadratureSpec()
 
 
 class UsageError(ValueError):
     """Bad flag value; the message names the offending flag."""
+
+
+def _usage(exc: ValueError, flags: dict[str, str]) -> UsageError:
+    """``exc`` as a usage error, the library field it starts with named by its flag."""
+    message = str(exc)
+    for field, flag in flags.items():
+        if message.startswith(field):
+            return UsageError(flag + message[len(field):])
+    return UsageError(message)
 
 
 def _angle(value: float, args, flag: str) -> float:
@@ -51,21 +51,11 @@ def _angle(value: float, args, flag: str) -> float:
     return float(np.deg2rad(value)) if args.degrees else float(value)
 
 
-def _noise_kind(args) -> NoiseKind:
-    return NoiseKind(args.noise)
-
-
-def _channel_param(kind: NoiseKind, args) -> float:
-    param = args.param
-    if kind in _ANGLE_KINDS:
-        param = _angle(param, args, "--param")
-    return param
-
-
 def _channel_from_args(args) -> channels.QuantumChannel:
-    kind = _noise_kind(args)
+    kind = NoiseKind(args.noise)
+    param = args.param if kind.is_probability else _angle(args.param, args, "--param")
     try:
-        return channels.from_kind(kind, _channel_param(kind, args))
+        return channels.from_kind(kind, param)
     except ValueError as exc:
         raise UsageError(f"--param: {exc}") from exc
 
@@ -130,14 +120,13 @@ def _cmd_run(args, start: float) -> int:
 
 
 def _cmd_sweep(args, start: float) -> int:
-    kind = _noise_kind(args)
+    kind = NoiseKind(args.noise)
     if args.grid is not None:
         grid = _parse_grid(args.grid, "--grid")
-        if kind in _ANGLE_KINDS and args.degrees:
+        if not kind.is_probability and args.degrees:
             grid = tuple(float(np.deg2rad(v)) for v in grid)
     else:
-        lo, hi = _DEFAULT_PARAM_GRIDS.get(kind, (0.0, 1.0))
-        grid = tuple(float(v) for v in np.linspace(lo, hi, 101))
+        grid = tuple(float(v) for v in np.linspace(*kind.natural_range, 101))
     xi_grid: tuple[float, ...] = ()
     if args.xi_grid is not None:
         xi_grid = tuple(
@@ -158,29 +147,16 @@ def _cmd_sweep(args, start: float) -> int:
             seed=args.seed,
         )
     except ValueError as exc:
-        raise UsageError(_spec_error_to_flag(str(exc))) from exc
+        raise _usage(exc, {
+            "param_grid": "--grid",
+            "xi_grid": "--xi-grid",
+            "rotation_points": "--rotation-points",
+            "xi_points": "--xi-points",
+        }) from exc
     rows, manifest = harness.sweep(spec)
     harness.export(rows, args.format, args.out, manifest)
     _emit_manifest(manifest)
     return EXIT_OK
-
-
-_SPEC_FIELD_FLAGS = {
-    "param_grid": "--grid",
-    "xi_grid": "--xi-grid",
-    "kind": "--noise",
-    "rotation_points": "--rotation-points",
-    "xi_points": "--xi-points",
-}
-
-
-def _spec_error_to_flag(message: str) -> str:
-    for field, flag in _SPEC_FIELD_FLAGS.items():
-        if message.startswith(field):
-            return flag + message[len(field):]
-        if message.startswith(flag):
-            return message
-    return message
 
 
 def _cmd_verify(args, start: float) -> int:
@@ -188,28 +164,22 @@ def _cmd_verify(args, start: float) -> int:
         raise UsageError(
             f"--tolerance: must be finite and non-negative, got {args.tolerance!r}"
         )
+    known = {kind.value: kind for kind in fidelity.CLOSED_FORM_KINDS}
     kinds = []
     for token in args.kinds.split(","):
         token = token.strip()
-        try:
-            kind = NoiseKind(token)
-        except ValueError:
-            raise UsageError(f"--kinds: unknown noise kind {token!r}") from None
-        if kind is NoiseKind.IDENTITY:
-            raise UsageError("--kinds: 'none' has no closed form to verify")
-        kinds.append(kind)
+        if token not in known:
+            raise UsageError(f"--kinds: {token!r} is not one of {', '.join(known)}")
+        kinds.append(known[token])
     try:
         quad = QuadratureSpec(rotation_points=args.resolution, xi_points=args.xi_points)
     except ValueError as exc:
-        message = str(exc)
-        message = message.replace("rotation_points", "--resolution")
-        message = message.replace("xi_points", "--xi-points")
-        raise UsageError(message) from exc
+        raise _usage(exc, {"rotation_points": "--resolution", "xi_points": "--xi-points"}) from exc
     reports = harness.verify_formulas(kinds, quad=quad)
     entries = []
     all_passed = True
     for report in reports:
-        passed = report.max_abs_deviation <= args.tolerance
+        passed = max(report.max_abs_deviation, report.average_deviation) <= args.tolerance
         all_passed = all_passed and passed
         entries.append(
             {
@@ -217,12 +187,14 @@ def _cmd_verify(args, start: float) -> int:
                 "max_abs_deviation": report.max_abs_deviation,
                 "worst_param": report.worst_point[0],
                 "worst_xi": report.worst_point[1],
+                "max_abs_average_deviation": report.average_deviation,
                 "passed": passed,
             }
         )
         print(
             f"{report.kind.value}: max deviation {report.max_abs_deviation:.3e} "
             f"at (param={report.worst_point[0]:.6g}, xi={report.worst_point[1]:.6g}), "
+            f"state average {report.average_deviation:.3e}, "
             f"tolerance {args.tolerance:.3e}: {_status(passed)}",
             file=sys.stderr,
         )
@@ -233,8 +205,10 @@ def _cmd_verify(args, start: float) -> int:
 
 
 def _cmd_commutators(args, start: float) -> int:
-    if not 0.0 <= args.eta <= 1.0:
-        raise UsageError(f"--eta: must lie in [0, 1], got {args.eta!r}")
+    try:
+        channels.check_parameter(NoiseKind.AMPLITUDE_DAMPING, args.eta)
+    except ValueError as exc:
+        raise UsageError(f"--eta: {exc}") from exc
     theta = _angle(args.theta, args, "--theta")
     entries = []
     for index in (0, 1):
@@ -266,7 +240,7 @@ def _cmd_message(args, start: float) -> int:
 
 
 def _add_protocol_flags(sub) -> None:
-    sub.add_argument("--noise", required=True, choices=_NOISE_CHOICES)
+    sub.add_argument("--noise", required=True, choices=[kind.value for kind in NoiseKind])
     sub.add_argument("--param", type=float, default=0.0,
                      help="noise parameter: eta in [0,1] for ad/pd, angle Phi/Theta for cd/cr")
     sub.add_argument("--xi", type=float, default=0.0, help="encoding basis angle")
@@ -289,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(handler=_cmd_run)
 
     sweep = subparsers.add_parser("sweep", help="evaluate fidelity over a grid")
-    sweep.add_argument("--noise", required=True, choices=_NOISE_CHOICES)
+    sweep.add_argument("--noise", required=True,
+                       choices=[kind.value for kind in fidelity.CLOSED_FORM_KINDS])
     sweep.add_argument("--grid", help="parameter grid, 'lo:hi:n' or comma list "
                                       "(default: 101 points over the natural range)")
     sweep.add_argument("--xi-grid", help="encoding angles, 'lo:hi:n' or comma list")
@@ -300,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True, help="output file path")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--rotation-points", type=int, default=256)
-    sweep.add_argument("--xi-points", type=int, default=1024)
+    sweep.add_argument("--rotation-points", type=int, default=_QUADRATURE.rotation_points)
+    sweep.add_argument("--xi-points", type=int, default=_QUADRATURE.xi_points)
     sweep.add_argument("--degrees", action="store_true")
     sweep.set_defaults(handler=_cmd_sweep)
 
@@ -309,9 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--kinds", default="ad,pd,cd,cr",
                         help="comma-separated subset of ad,pd,cd,cr")
     verify.add_argument("--tolerance", type=float, default=1e-6)
-    verify.add_argument("--resolution", type=int, default=256,
+    verify.add_argument("--resolution", type=int, default=_QUADRATURE.rotation_points,
                         help="rotation-average quadrature points per axis")
-    verify.add_argument("--xi-points", type=int, default=1024)
+    verify.add_argument("--xi-points", type=int, default=_QUADRATURE.xi_points,
+                        help="state-average quadrature points")
     verify.set_defaults(handler=_cmd_verify)
 
     comm = subparsers.add_parser("commutators",
@@ -339,9 +315,6 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         return args.handler(args, start)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

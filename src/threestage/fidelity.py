@@ -32,13 +32,6 @@ CLAMP_ATOL = 1e-9
 # essentially exactly.
 COMMUTATOR_ATOL = 1e-12
 
-_FORMULA_KINDS = (
-    NoiseKind.AMPLITUDE_DAMPING,
-    NoiseKind.PHASE_DAMPING,
-    NoiseKind.COLLECTIVE_DEPHASING,
-    NoiseKind.COLLECTIVE_ROTATION,
-)
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -63,7 +56,11 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Closed form vs oracle on one grid, with the worst point singled out."""
+    """Closed form vs oracle on one grid, with the worst point singled out.
+
+    ``average_deviation`` is the largest gap between the closed-form state
+    average and the oracle's ``state_average`` over the parameter grid.
+    """
 
     kind: NoiseKind
     param_grid: tuple[float, ...]
@@ -72,6 +69,7 @@ class FidelityReport:
     oracle: np.ndarray
     max_abs_deviation: float
     worst_point: tuple[float, float]
+    average_deviation: float
 
 
 def midpoint_grid(n: int, period: float = 2.0 * np.pi) -> np.ndarray:
@@ -80,20 +78,11 @@ def midpoint_grid(n: int, period: float = 2.0 * np.pi) -> np.ndarray:
 
 
 def _check_formula_kind(kind: NoiseKind) -> None:
-    if kind not in _FORMULA_KINDS:
+    if kind not in CLOSED_FORM_KINDS:
         raise ValueError(
             f"no closed form for kind {kind!r}; use parameter 0 of any noisy kind "
             "for the noiseless case"
         )
-
-
-def _check_formula_param(kind: NoiseKind, param) -> None:
-    values = np.asarray(param, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"noise parameter must be finite, got {param!r}")
-    if kind in (NoiseKind.AMPLITUDE_DAMPING, NoiseKind.PHASE_DAMPING):
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            raise ValueError(f"eta must lie in [0, 1], got {param!r}")
 
 
 def _assert_and_clamp(values):
@@ -143,6 +132,9 @@ _CLOSED_FORMS = {
     NoiseKind.COLLECTIVE_ROTATION: _fidelity_collective_rotation,
 }
 
+# The kinds with a closed form: every kind but the noiseless one.
+CLOSED_FORM_KINDS = tuple(_CLOSED_FORMS)
+
 
 def closed_form_fidelity(kind: NoiseKind, param, xi):
     """Closed-form round-trip fidelity at encoding angle ``xi``.
@@ -151,7 +143,7 @@ def closed_form_fidelity(kind: NoiseKind, param, xi):
     Scalars broadcast against arrays; outputs are clamped to [0, 1].
     """
     _check_formula_kind(kind)
-    _check_formula_param(kind, param)
+    channels.check_parameter(kind, param)
     param = np.asarray(param, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
@@ -162,7 +154,7 @@ def closed_form_fidelity(kind: NoiseKind, param, xi):
 def closed_form_average_fidelity(kind: NoiseKind, param):
     """Closed-form fidelity averaged over the encoding angle xi on [0, 2pi)."""
     _check_formula_kind(kind)
-    _check_formula_param(kind, param)
+    channels.check_parameter(kind, param)
     param = np.asarray(param, dtype=float)
     if kind is NoiseKind.AMPLITUDE_DAMPING:
         root = np.sqrt(1.0 - param)
@@ -287,7 +279,7 @@ def commutator_closed_form(kraus_index: int, eta: float, theta: float) -> np.nda
         raise ValueError(f"kraus_index must be 0 or 1, got {kraus_index!r}")
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    channels._check_probability(eta, "eta")
+    channels.check_parameter(NoiseKind.AMPLITUDE_DAMPING, eta)
     if kraus_index == 0:
         scale = -(1.0 - np.sqrt(1.0 - eta)) * np.sin(theta)
         return scale * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -9,6 +9,7 @@ are byte-identical; floats are written in their shortest round-trip form.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -24,13 +25,7 @@ from .fidelity import FidelityReport, QuadratureSpec, RotationAveragedOracle
 XI_AVERAGE = "avg"
 
 CSV_HEADER = "kind,param,xi,closed_form,oracle,deviation"
-
-_SWEEP_KINDS = (
-    NoiseKind.AMPLITUDE_DAMPING,
-    NoiseKind.PHASE_DAMPING,
-    NoiseKind.COLLECTIVE_DEPHASING,
-    NoiseKind.COLLECTIVE_ROTATION,
-)
+_CSV_COLUMNS = CSV_HEADER.split(",")
 
 
 class SweepMode(Enum):
@@ -56,16 +51,13 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _SWEEP_KINDS:
-            raise ValueError(f"kind: {self.kind!r} is not a sweepable noise kind")
+        if self.kind not in fidelity.CLOSED_FORM_KINDS:
+            raise ValueError(f"kind: {self.kind!r} has no closed form to sweep")
         _check_grid("param_grid", self.param_grid)
-        if self.kind in (NoiseKind.AMPLITUDE_DAMPING, NoiseKind.PHASE_DAMPING):
-            bad = [p for p in self.param_grid if not 0.0 <= p <= 1.0]
-            if bad:
-                raise ValueError(
-                    f"param_grid: value {bad[0]!r} outside [0, 1] for kind "
-                    f"{self.kind.value!r}"
-                )
+        try:
+            channels.check_parameter(self.kind, self.param_grid)
+        except ValueError as exc:
+            raise ValueError(f"param_grid: {exc}") from None
         if self.xi_grid:
             _check_grid("xi_grid", self.xi_grid)
         elif not self.include_state_average:
@@ -202,13 +194,13 @@ def sweep(spec: SweepSpec) -> tuple[list[ResultRow], RunManifest]:
 def default_verification_grids(kind: NoiseKind) -> tuple[np.ndarray, np.ndarray]:
     """Grids the formula-vs-oracle check runs on when none are given.
 
-    Damping parameters cover [0, 1] in steps of 0.05; collective-noise angles
-    and the encoding angle cover [0, 2pi] in steps of pi/16.
+    Parameters cover the kind's natural range, a probability in steps of 0.05
+    and an angle in steps of pi/16; the encoding angle covers [0, 2pi] in
+    steps of pi/16.
     """
-    angle_grid = np.linspace(0.0, 2.0 * np.pi, 33)
-    if kind in (NoiseKind.AMPLITUDE_DAMPING, NoiseKind.PHASE_DAMPING):
-        return np.linspace(0.0, 1.0, 21), angle_grid
-    return angle_grid, angle_grid
+    lo, hi = kind.natural_range
+    params = np.linspace(lo, hi, 21 if kind.is_probability else 33)
+    return params, np.linspace(0.0, 2.0 * np.pi, 33)
 
 
 def verify_formulas(
@@ -221,17 +213,21 @@ def verify_formulas(
 
     ``param_grids`` optionally maps a kind to its parameter grid; ``xi_grid``
     optionally replaces the default encoding-angle grid. Returns one report
-    per kind, in canonical kind order, each carrying the worst grid point.
+    per kind, in canonical kind order, each carrying the worst grid point and
+    the largest state-average deviation, the oracle's taken with
+    ``quad.xi_points`` cells.
     """
     reports = []
-    for kind in _SWEEP_KINDS:
+    for kind in fidelity.CLOSED_FORM_KINDS:
         if kind not in kinds:
             continue
         params, default_xis = default_verification_grids(kind)
         if param_grids is not None and kind in param_grids:
             params = np.asarray(param_grids[kind], dtype=float)
         xis = default_xis if xi_grid is None else np.asarray(xi_grid, dtype=float)
-        closed, oracle = _evaluate_grid(kind, params, xis, False, closed=True, quad=quad)
+        closed, oracle = _evaluate_grid(kind, params, xis, True, closed=True, quad=quad)
+        average_deviation = float(np.max(np.abs(closed[:, -1] - oracle[:, -1])))
+        closed, oracle = closed[:, :-1], oracle[:, :-1]
         deviation = np.abs(closed - oracle)
         worst_flat = int(np.argmax(deviation))
         worst_i, worst_j = np.unravel_index(worst_flat, deviation.shape)
@@ -244,6 +240,7 @@ def verify_formulas(
                 oracle=oracle,
                 max_abs_deviation=float(deviation[worst_i, worst_j]),
                 worst_point=(float(params[worst_i]), float(xis[worst_j])),
+                average_deviation=average_deviation,
             )
         )
     return reports
@@ -309,54 +306,52 @@ def export(rows, fmt: str, path, manifest: RunManifest | None = None) -> None:
         handle.write(payload)
 
 
-def _parse_optional_float(text: str) -> float | None:
-    return None if text == "" else float(text)
+def _optional_float(value) -> float | None:
+    return None if value is None or value == "" else float(value)
+
+
+def _decode_row(kind, param, xi, closed_form, oracle, deviation) -> ResultRow:
+    """A row from its fields in CSV column order, as CSV text or JSON values."""
+    return ResultRow(
+        kind=NoiseKind(kind),
+        param=float(param),
+        xi=None if xi == XI_AVERAGE else float(xi),
+        closed_form=_optional_float(closed_form),
+        oracle=_optional_float(oracle),
+        deviation=_optional_float(deviation),
+    )
 
 
 def load_rows(path, fmt: str) -> list[ResultRow]:
     """Read rows back from an exported file; inverse of ``export``.
 
-    A malformed CSV line or a JSON row missing a key raises ValueError naming
-    the file and the line number or the key.
+    A malformed row (a wrong field count, a missing key, a non-numeric value
+    or an unknown kind) raises ValueError naming the file and the CSV line
+    number or the JSON row index; so does a JSON document that is not an
+    object with a ``rows`` list.
     """
-    rows: list[ResultRow] = []
     if fmt == "csv":
         with open(path, "r", encoding="utf-8", newline="") as handle:
             lines = handle.read().splitlines()
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError(f"{path}: missing expected CSV header")
-        for number, line in enumerate(lines[1:], start=2):
-            try:
-                kind, param, xi, closed, oracle, deviation = line.split(",")
-                rows.append(
-                    ResultRow(
-                        kind=NoiseKind(kind),
-                        param=float(param),
-                        xi=None if xi == XI_AVERAGE else float(xi),
-                        closed_form=_parse_optional_float(closed),
-                        oracle=_parse_optional_float(oracle),
-                        deviation=_parse_optional_float(deviation),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {number}: malformed row: {exc}") from None
-        return rows
-    if fmt == "json":
+        records, label, first = (line.split(",") for line in lines[1:]), "line", 2
+    elif fmt == "json":
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-        try:
-            for item in document["rows"]:
-                rows.append(
-                    ResultRow(
-                        kind=NoiseKind(item["kind"]),
-                        param=float(item["param"]),
-                        xi=None if item["xi"] == XI_AVERAGE else float(item["xi"]),
-                        closed_form=item["closed_form"],
-                        oracle=item["oracle"],
-                        deviation=item["deviation"],
-                    )
-                )
-        except KeyError as exc:
-            raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
-        return rows
-    raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+        if not isinstance(document, dict) or not isinstance(document.get("rows"), list):
+            raise ValueError(f"{path}: expected a JSON object with a 'rows' list")
+        columns = operator.itemgetter(*_CSV_COLUMNS)
+        records, label, first = (columns(item) for item in document["rows"]), "row", 0
+    else:
+        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    rows: list[ResultRow] = []
+    # The row being decoded when an error is raised is the next one: len(rows).
+    try:
+        for fields in records:
+            rows.append(_decode_row(*fields))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r} in row {len(rows)}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {label} {first + len(rows)}: malformed row: {exc}") from None
+    return rows

@@ -121,7 +121,8 @@ def run_protocol(
     rounds see independent noise. It has no effect under FIXED.
     """
     psi = encode_bit(bit, config.xi)
-    rho = algebra.density_from_pure(psi)
+    # encode_bit's states are normalized by construction: no re-validation.
+    rho = np.outer(psi, psi.conj())
     stages = _stage_channels(config, message_index)
     r_alice = algebra.rotation(config.alice_angle)
     r_bob = algebra.rotation(config.bob_angle)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,19 @@ def random_density(rng):
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
 
+
+PROBABILITY_BAD = (np.nan, np.inf, -np.inf, -0.1, 1.1)
+ANGLE_BAD = (np.nan, np.inf, -np.inf)
+DOMAIN_VIOLATIONS = [
+    (kind, bad)
+    for kind, bads in [
+        (NoiseKind.AMPLITUDE_DAMPING, PROBABILITY_BAD),
+        (NoiseKind.PHASE_DAMPING, PROBABILITY_BAD),
+        (NoiseKind.COLLECTIVE_DEPHASING, ANGLE_BAD),
+        (NoiseKind.COLLECTIVE_ROTATION, ANGLE_BAD),
+    ]
+    for bad in bads
+]
 
 ALL_CONSTRUCTORS = [
     (channels.amplitude_damping, 1.0),
@@ -53,7 +68,7 @@ class TestConstruction:
             assert algebra.is_unitary(ch.operators[0])
 
     @pytest.mark.parametrize("constructor", [channels.amplitude_damping, channels.phase_damping])
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan])
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan, np.inf, -np.inf])
     def test_probability_range_enforced(self, constructor, bad):
         with pytest.raises(ValueError):
             constructor(bad)
@@ -62,6 +77,30 @@ class TestConstruction:
     def test_angle_must_be_finite(self, constructor):
         with pytest.raises(ValueError):
             constructor(np.inf)
+
+    @pytest.mark.parametrize("kind, bad", DOMAIN_VIOLATIONS)
+    def test_check_parameter_names_the_symbol_and_the_first_bad_value(self, kind, bad):
+        message = f"^{kind.parameter_symbol} must .*, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            channels.check_parameter(kind, bad)
+        with pytest.raises(ValueError, match=message):
+            channels.check_parameter(kind, [0.0, 0.5, bad, np.nan])
+        with pytest.raises(ValueError, match=message):
+            channels.from_kind(kind, bad)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_check_parameter_accepts_the_natural_range(self, kind):
+        lo, hi = kind.natural_range
+        channels.check_parameter(kind, np.linspace(lo, hi, 11))
+
+    def test_natural_range_follows_the_parameter_kind(self):
+        assert [kind.is_probability for kind in NoiseKind] == [True, True, False, False, False]
+        assert NoiseKind.PHASE_DAMPING.natural_range == (0.0, 1.0)
+        assert NoiseKind.COLLECTIVE_ROTATION.natural_range == (0.0, 2.0 * np.pi)
+
+    def test_identity_parameter_must_be_finite(self):
+        with pytest.raises(ValueError, match="parameter must be finite"):
+            channels.from_kind(NoiseKind.IDENTITY, np.nan)
 
     def test_completeness_for_random_parameters(self):
         rng = np.random.default_rng(21)

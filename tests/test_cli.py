@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from threestage import cli, harness
+from threestage.fidelity import QuadratureSpec, RotationAveragedOracle
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +53,13 @@ class TestRun:
     def test_out_of_range_param_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--noise", "ad", "--param", "2.0", "--bit", "0")
         assert code == 2
+        assert "--param" in err
+
+    @pytest.mark.parametrize("noise, param", [("none", "nan"), ("none", "inf"), ("cd", "nan"), ("pd", "-inf")])
+    def test_non_finite_param_is_usage_error(self, capsys, noise, param):
+        code, out, err = run_cli(capsys, "run", "--noise", noise, "--param", param)
+        assert code == 2
+        assert out == ""
         assert "--param" in err
 
     def test_unknown_flag_rejected(self, capsys):
@@ -162,11 +170,25 @@ class TestSweep:
         assert "--grid" in err
 
     def test_identity_kind_rejected(self, capsys, tmp_path):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "sweep", "--noise", "none", "--xi-avg",
             "--out", str(tmp_path / "f.csv"),
         )
         assert code == 2
+        assert "invalid choice: 'none'" in err
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--rotation-points", "rotation_points"), ("--xi-points", "xi_points"),
+    ])
+    def test_bad_quadrature_flag_is_named(self, capsys, tmp_path, flag, field):
+        code, _, err = run_cli(
+            capsys, "sweep", "--noise", "pd", "--grid", "0:1:3", "--xi-avg", "--mode", "both",
+            flag, "4", "--out", str(tmp_path / "f.csv"),
+        )
+        assert code == 2
+        assert f"error: {flag} must be >= 8, got 4" in err
+        assert field not in err
 
     def test_unwritable_path_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -223,12 +245,58 @@ class TestVerify:
         assert code == 2
         assert "--kinds" in err
 
+    def test_identity_kind_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--kinds", "ad,none")
+        assert code == 2
+        assert out == ""
+        assert "--kinds: 'none'" in err
+
+    def test_reports_the_state_average_deviation(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--kinds", "pd,cr", "--resolution", "8", "--xi-points", "8",
+        )
+        assert code == 0
+        for entry in json.loads(out)["reports"]:
+            assert entry["max_abs_average_deviation"] < 1e-12
+        assert "state average" in err
+
+    def test_state_average_miss_fails_with_exit_3(self, capsys, monkeypatch):
+        state_average = RotationAveragedOracle.state_average
+        monkeypatch.setattr(
+            RotationAveragedOracle, "state_average", lambda self: state_average(self) + 1e-3
+        )
+        code, out, _ = run_cli(
+            capsys, "verify", "--kinds", "cr", "--resolution", "8", "--xi-points", "8",
+        )
+        assert code == 3
+        report = json.loads(out)["reports"][0]
+        assert report["max_abs_deviation"] < 1e-12
+        assert report["max_abs_average_deviation"] == pytest.approx(1e-3, abs=1e-12)
+        assert report["passed"] is False
+
+    @pytest.mark.parametrize("flag", ["--resolution", "--xi-points"])
+    def test_bad_quadrature_flag_is_named(self, capsys, flag):
+        code, _, err = run_cli(capsys, "verify", "--kinds", "cr", flag, "4")
+        assert code == 2
+        assert f"error: {flag} must be >= 8, got 4" in err
+
     def test_no_ansi_color_when_not_a_tty(self, capsys):
         _, _, err = run_cli(
             capsys, "verify", "--kinds", "cr", "--tolerance", "1e-6",
             "--resolution", "16",
         )
         assert "\x1b[" not in err
+
+
+@pytest.mark.parametrize("argv, dest, field", [
+    (["sweep", "--noise", "ad", "--out", "f.csv"], "rotation_points", "rotation_points"),
+    (["sweep", "--noise", "ad", "--out", "f.csv"], "xi_points", "xi_points"),
+    (["verify"], "resolution", "rotation_points"),
+    (["verify"], "xi_points", "xi_points"),
+])
+def test_quadrature_flag_defaults_are_the_spec_defaults(argv, dest, field):
+    args = cli.build_parser().parse_args(argv)
+    assert getattr(args, dest) == getattr(QuadratureSpec(), field)
 
 
 class TestCommutators:

@@ -5,7 +5,7 @@ import pytest
 
 from threestage import fidelity, harness
 from threestage.channels import NoiseKind
-from threestage.fidelity import QuadratureSpec
+from threestage.fidelity import QuadratureSpec, RotationAveragedOracle
 from threestage.harness import ResultRow, SweepMode, SweepSpec
 
 
@@ -38,6 +38,8 @@ class TestSweepSpecValidation:
     def test_rejects_out_of_range_damping_parameter(self):
         with pytest.raises(ValueError, match="param_grid"):
             spec_with(param_grid=(0.0, 2.0))
+        with pytest.raises(ValueError, match=r"^param_grid: eta must lie in \[0, 1\], got 1\.5$"):
+            spec_with(param_grid=(0.0, 1.5, 2.0))
 
     def test_rejects_empty_xi_grid_without_average(self):
         with pytest.raises(ValueError, match="xi_grid"):
@@ -192,6 +194,30 @@ class TestVerifyFormulas:
         assert report.worst_point == (report.param_grid[i], report.xi_grid[j])
 
 
+    def test_average_deviation_compares_the_state_averages(self, monkeypatch):
+        kind = NoiseKind.PHASE_DAMPING
+        clean = harness.verify_formulas({kind}, quad=FAST_QUAD)[0]
+        assert clean.average_deviation < 1e-12
+        state_average = RotationAveragedOracle.state_average
+        monkeypatch.setattr(
+            RotationAveragedOracle, "state_average", lambda self: state_average(self) + 1e-3
+        )
+        skewed = harness.verify_formulas({kind}, quad=FAST_QUAD)[0]
+        assert skewed.average_deviation == pytest.approx(1e-3, abs=1e-12)
+        assert skewed.max_abs_deviation == clean.max_abs_deviation
+        assert skewed.worst_point == clean.worst_point
+
+
+def write_json_rows(tmp_path, document):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(document))
+    return path
+
+
+GOOD_ROW = {"kind": "pd", "param": 1.0, "xi": "avg", "closed_form": 0.5625,
+            "oracle": None, "deviation": None}
+
+
 class TestExport:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -242,6 +268,22 @@ class TestExport:
         row = {"kind": "pd", "xi": "avg", "closed_form": 0.5625, "oracle": None, "deviation": None}
         path.write_text(json.dumps({"manifest": None, "rows": [row]}))
         with pytest.raises(ValueError, match=r"rows\.json: missing key 'param'"):
+            harness.load_rows(path, "json")
+
+    def test_json_non_numeric_value_names_file_and_row(self, tmp_path):
+        path = write_json_rows(tmp_path, {"rows": [GOOD_ROW, dict(GOOD_ROW, closed_form="abc")]})
+        with pytest.raises(ValueError, match=r"rows\.json: row 1: malformed row"):
+            harness.load_rows(path, "json")
+
+    def test_json_unknown_kind_names_file_and_row(self, tmp_path):
+        path = write_json_rows(tmp_path, {"rows": [dict(GOOD_ROW, kind="zz")]})
+        with pytest.raises(ValueError, match=r"rows\.json: row 0: malformed row: 'zz'"):
+            harness.load_rows(path, "json")
+
+    @pytest.mark.parametrize("document", [[GOOD_ROW], {"manifest": None}, {"rows": GOOD_ROW}])
+    def test_json_document_without_a_rows_list_names_file(self, tmp_path, document):
+        path = write_json_rows(tmp_path, document)
+        with pytest.raises(ValueError, match=r"rows\.json: expected a JSON object"):
             harness.load_rows(path, "json")
 
     def test_repeated_sweep_is_byte_identical(self, tmp_path):
