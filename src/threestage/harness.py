@@ -215,12 +215,14 @@ def verify_formulas(
     optionally replaces the default encoding-angle grid. Returns one report
     per kind, in canonical kind order, each carrying the worst grid point and
     the largest state-average deviation, the oracle's taken with
-    ``quad.xi_points`` cells.
+    ``quad.xi_points`` cells. A kind with no closed form raises ValueError.
     """
+    kinds = list(kinds)
+    unknown = [kind for kind in kinds if kind not in fidelity.CLOSED_FORM_KINDS]
+    if unknown:
+        raise ValueError(f"kinds: {unknown[0]!r} has no closed form to verify")
     reports = []
-    for kind in fidelity.CLOSED_FORM_KINDS:
-        if kind not in kinds:
-            continue
+    for kind in (known for known in fidelity.CLOSED_FORM_KINDS if known in kinds):
         params, default_xis = default_verification_grids(kind)
         if param_grids is not None and kind in param_grids:
             params = np.asarray(param_grids[kind], dtype=float)
@@ -286,8 +288,8 @@ def _row_to_dict(row: ResultRow) -> dict:
 def export(rows, fmt: str, path, manifest: RunManifest | None = None) -> None:
     """Write rows to ``path`` as csv or json.
 
-    The JSON form wraps the rows with the run manifest; CSV is rows only, so
-    identical rows re-export byte-identically.
+    CSV is rows only; JSON wraps them with the run manifest less its
+    ``duration_ms``, so identical sweeps re-export byte-identically in both.
     """
     rows = list(rows)
     if not rows:
@@ -295,8 +297,11 @@ def export(rows, fmt: str, path, manifest: RunManifest | None = None) -> None:
     if fmt == "csv":
         payload = _rows_to_csv(rows)
     elif fmt == "json":
+        # Wall time differs run to run; the stderr manifest keeps it.
+        fields = {} if manifest is None else manifest.to_dict()
+        fields.pop("duration_ms", None)
         document = {
-            "manifest": None if manifest is None else manifest.to_dict(),
+            "manifest": fields or None,
             "rows": [_row_to_dict(row) for row in rows],
         }
         payload = json.dumps(document, indent=2, allow_nan=False) + "\n"

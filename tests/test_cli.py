@@ -131,13 +131,15 @@ class TestSweep:
         assert last.param == 1.0 and last.xi is None
         assert last.closed_form == pytest.approx(0.5625, abs=1e-12)
 
-    def test_repeat_runs_are_byte_identical(self, capsys, tmp_path):
-        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeat_runs_are_byte_identical(self, capsys, tmp_path, fmt):
+        paths = [tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"]
         for path in paths:
             code, _, _ = run_cli(
                 capsys, "sweep", "--noise", "ad", "--grid", "0:1:5",
                 "--xi-grid", "0,0.5,1.0", "--mode", "both",
-                "--rotation-points", "16", "--seed", "3", "--out", str(path),
+                "--rotation-points", "16", "--seed", "3",
+                "--format", fmt, "--out", str(path),
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -151,6 +153,7 @@ class TestSweep:
         assert code == 0
         document = json.loads(path.read_text())
         assert document["manifest"]["version"]
+        assert "duration_ms" not in document["manifest"]
         assert len(document["rows"]) == 3
 
     def test_missing_xi_selection_is_usage_error(self, capsys, tmp_path):

@@ -17,6 +17,14 @@ def naive_rotation_average(channel, xi, points):
     return total / points**2
 
 
+def random_channel(rng, count):
+    """A channel of ``count`` Kraus operators cut from a random 2*count x 2 isometry."""
+    gaussian = rng.normal(size=(2 * count, 2)) + 1j * rng.normal(size=(2 * count, 2))
+    isometry, _ = np.linalg.qr(gaussian)
+    operators = tuple(isometry[2 * i : 2 * i + 2] for i in range(count))
+    return channels.QuantumChannel(kind=NoiseKind.IDENTITY, operators=operators, parameter=0.0)
+
+
 class TestClosedForms:
     def test_noiseless_limits(self):
         for kind in (NoiseKind.AMPLITUDE_DAMPING, NoiseKind.PHASE_DAMPING):
@@ -130,12 +138,23 @@ class TestRotationAverage:
             channels.phase_damping(0.81),
             channels.collective_dephasing(2.2),
             channels.collective_rotation(0.6),
+            random_channel(rng, 3),
         ]
         for ch in cases:
             xi = rng.uniform(0, 2 * np.pi)
             fast = fidelity.rotation_averaged_fidelity(ch, xi, quad)
             slow = naive_rotation_average(ch, xi, 8)
             assert fast == pytest.approx(slow, abs=1e-12)
+
+    def test_exact_rule_is_resolution_independent(self):
+        # degree <= 4 in each angle: 8 points are already exact
+        rng = np.random.default_rng(44)
+        xis = np.linspace(0.0, 2 * np.pi, 17)
+        for count in (1, 2, 3, 4):
+            ch = random_channel(rng, count)
+            low = RotationAveragedOracle(ch, QuadratureSpec(rotation_points=8, xi_points=8))
+            high = RotationAveragedOracle(ch, QuadratureSpec(rotation_points=256, xi_points=8))
+            np.testing.assert_allclose(low.fidelity_at(xis), high.fidelity_at(xis), rtol=0, atol=1e-13)
 
     def test_phase_damping_anchor(self):
         value = fidelity.rotation_averaged_fidelity(channels.phase_damping(1.0), 0.0)
@@ -185,7 +204,7 @@ class TestStateAverage:
         assert fidelity.state_averaged_fidelity(NoiseKind.AMPLITUDE_DAMPING, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_param_argument_discipline(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             fidelity.state_averaged_fidelity(NoiseKind.AMPLITUDE_DAMPING)
 
 

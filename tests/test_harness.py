@@ -193,6 +193,10 @@ class TestVerifyFormulas:
         i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
         assert report.worst_point == (report.param_grid[i], report.xi_grid[j])
 
+    @pytest.mark.parametrize("kinds, named", [(["ad"], "'ad'"), ({NoiseKind.IDENTITY}, "IDENTITY")])
+    def test_kind_without_closed_form_is_rejected(self, kinds, named):
+        with pytest.raises(ValueError, match=named):
+            harness.verify_formulas(kinds, quad=FAST_QUAD)
 
     def test_average_deviation_compares_the_state_averages(self, monkeypatch):
         kind = NoiseKind.PHASE_DAMPING
