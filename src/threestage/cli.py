@@ -37,11 +37,10 @@ class UsageError(ValueError):
 
 
 def _usage(exc: ValueError, flags: dict[str, str]) -> UsageError:
-    """``exc`` as a usage error, the library field it starts with named by its flag."""
+    """``exc`` as a usage error, each library field it names replaced by its flag."""
     message = str(exc)
     for field, flag in flags.items():
-        if message.startswith(field):
-            return UsageError(flag + message[len(field):])
+        message = message.replace(field, flag)
     return UsageError(message)
 
 
@@ -62,19 +61,17 @@ def _channel_from_args(args) -> channels.QuantumChannel:
 
 def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
     try:
-        if ":" in text:
-            lo_raw, hi_raw, count_raw = text.split(":")
-            lo, hi, count = float(lo_raw), float(hi_raw), int(count_raw)
-            if count < 1:
-                raise ValueError
-            values = np.linspace(lo, hi, count)
-        else:
-            values = np.array([float(token) for token in text.split(",")])
+        if ":" not in text:
+            return tuple(float(token) for token in text.split(","))
+        lo_raw, hi_raw, count_raw = text.split(":")
+        lo, hi, count = float(lo_raw), float(hi_raw), int(count_raw)
     except ValueError:
         raise UsageError(
             f"{flag}: expected 'lo:hi:n' or comma-separated numbers, got {text!r}"
         ) from None
-    return tuple(float(v) for v in values)
+    if not 1 <= count <= harness.MAX_SWEEP_ROWS:
+        raise UsageError(f"{flag}: n must be in [1, {harness.MAX_SWEEP_ROWS}], got {count}")
+    return tuple(float(v) for v in np.linspace(lo, hi, count))
 
 
 def _print_json(document, file=None) -> None:
@@ -154,7 +151,10 @@ def _cmd_sweep(args, start: float) -> int:
             "xi_points": "--xi-points",
         }) from exc
     rows, manifest = harness.sweep(spec)
-    harness.export(rows, args.format, args.out, manifest)
+    if args.out == "-":
+        sys.stdout.write(harness.format_rows(rows, args.format, manifest))
+    else:
+        harness.export(rows, args.format, args.out, manifest)
     _emit_manifest(manifest)
     return EXIT_OK
 
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="add a state-averaged row per parameter")
     sweep.add_argument("--mode", choices=[m.value for m in SweepMode],
                        default=SweepMode.CLOSED_FORM.value)
-    sweep.add_argument("--out", required=True, help="output file path")
+    sweep.add_argument("--out", required=True, help="output file path, '-' for stdout")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--rotation-points", type=int, default=_QUADRATURE.rotation_points)

@@ -8,6 +8,12 @@ secret rotation angles, uniformly on [0, 2pi)^2, and over the two bit values;
 from the Kraus evolution itself, with no reference to the formulas, and serve
 as the independent check that keeps the formulas honest.
 
+Every law is F = mean(param) + swing(param) cos 4xi, so its average over xi
+is ``mean`` and the sign of ``swing`` names the preferred encoding states:
+xi = pi/4 (mod pi/2) for AD (swing < 0), xi = 0 (mod pi/2) for PD and CD
+(swing > 0), none for CR (swing 0). sin^2 2xi = (1 - cos 4xi)/2 and
+cos^2 2xi = (1 + cos 4xi)/2 map the printed PD and CD laws to this form.
+
 Collective rotation is special: every operator in the pipeline is a rotation,
 rotations commute, and the whole round collapses to a single rotation by three
 times the noise angle. Its fidelity cos^2(3 Theta) therefore holds pointwise,
@@ -31,6 +37,8 @@ CLAMP_ATOL = 1e-9
 # essentially exactly.
 COMMUTATOR_ATOL = 1e-12
 
+MAX_QUADRATURE_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -40,7 +48,8 @@ class QuadratureSpec:
     polynomial of degree below n exactly (Trefethen & Weideman, SIAM Review
     56(3), 2014). Each secret angle enters a round through two lifts of its
     rotation, each of degree 2, so the integrand has degree at most 4 in each
-    angle; so has the fidelity in the encoding angle. Any n >= 5 is exact.
+    angle; so has the fidelity in the encoding angle. Any n >= 5 is exact, so
+    more than ``MAX_QUADRATURE_POINTS`` buys nothing but memory and is refused.
     ``rotation_points`` is used per rotation axis, ``xi_points`` for the
     average over the encoding angle.
     """
@@ -49,10 +58,11 @@ class QuadratureSpec:
     xi_points: int = 1024
 
     def __post_init__(self):
-        if self.rotation_points < 8:
-            raise ValueError(f"rotation_points must be >= 8, got {self.rotation_points}")
-        if self.xi_points < 8:
-            raise ValueError(f"xi_points must be >= 8, got {self.xi_points}")
+        for field in ("rotation_points", "xi_points"):
+            points = getattr(self, field)
+            if not 8 <= points <= MAX_QUADRATURE_POINTS:
+                bound = ">= 8" if points < 8 else f"<= {MAX_QUADRATURE_POINTS}"
+                raise ValueError(f"{field} must be {bound}, got {points}")
 
 
 @dataclass(frozen=True)
@@ -78,14 +88,6 @@ def midpoint_grid(n: int, period: float = 2.0 * np.pi) -> np.ndarray:
     return (np.arange(n) + 0.5) * (period / n)
 
 
-def _check_formula_kind(kind: NoiseKind) -> None:
-    if kind not in CLOSED_FORM_KINDS:
-        raise ValueError(
-            f"no closed form for kind {kind!r}; use parameter 0 of any noisy kind "
-            "for the noiseless case"
-        )
-
-
 def _assert_and_clamp(values):
     values = np.asarray(values, dtype=float)
     worst = max(float(np.max(values, initial=1.0)) - 1.0, -float(np.min(values, initial=0.0)))
@@ -95,46 +97,53 @@ def _assert_and_clamp(values):
     return float(out) if out.ndim == 0 else out
 
 
-def _fidelity_amplitude_damping(eta, xi):
+def _coefficients_amplitude_damping(eta):
     root = np.sqrt(1.0 - eta)
-    return (
-        -eta * (eta**2 - 3.0 * (root + 2.0) * eta + 7.0 * root + 9.0)
-        + 4.0 * (root + 3.0)
-        - (eta - 1.0) * (eta * (eta + 3.0 * root - 5.0) - 4.0 * root + 4.0) * np.cos(4.0 * xi)
+    mean = (
+        4.0 * (root + 3.0)
+        - eta * (eta**2 - 3.0 * (root + 2.0) * eta + 7.0 * root + 9.0)
     ) / 16.0
+    swing = (1.0 - eta) * (eta * (eta + 3.0 * root - 5.0) - 4.0 * root + 4.0) / 16.0
+    return mean, swing
 
 
-def _fidelity_phase_damping(eta, xi):
+def _coefficients_phase_damping(eta):
     root = np.sqrt(1.0 - eta)
-    return (
-        (-root * eta + 3.0 * eta + 4.0 * root - 4.0) * np.sin(2.0 * xi) ** 2
-        - 3.0 * eta
-        + 8.0
-    ) / 8.0
+    mean = (root + 3.0) * (4.0 - eta) / 16.0
+    swing = (root * eta - 3.0 * eta - 4.0 * root + 4.0) / 16.0
+    return mean, swing
 
 
-def _fidelity_collective_dephasing(phi, xi):
-    return (
-        6.0 * np.cos(2.0 * xi) ** 2 * np.cos(2.0 * phi)
-        + np.sin(2.0 * xi) ** 2 * (15.0 * np.cos(phi) + np.cos(3.0 * phi))
-        + 5.0 * np.cos(4.0 * xi)
-        + 21.0
-    ) / 32.0
+def _coefficients_collective_dephasing(phi):
+    mean = (15.0 * np.cos(phi) + 6.0 * np.cos(2.0 * phi) + np.cos(3.0 * phi) + 42.0) / 64.0
+    swing = (6.0 * np.cos(2.0 * phi) - 15.0 * np.cos(phi) - np.cos(3.0 * phi) + 10.0) / 64.0
+    return mean, swing
 
 
-def _fidelity_collective_rotation(theta, xi):
-    return np.cos(3.0 * theta) ** 2 + 0.0 * np.asarray(xi, dtype=float)
+def _coefficients_collective_rotation(theta):
+    return np.cos(3.0 * theta) ** 2, np.zeros_like(theta)
 
 
 _CLOSED_FORMS = {
-    NoiseKind.AMPLITUDE_DAMPING: _fidelity_amplitude_damping,
-    NoiseKind.PHASE_DAMPING: _fidelity_phase_damping,
-    NoiseKind.COLLECTIVE_DEPHASING: _fidelity_collective_dephasing,
-    NoiseKind.COLLECTIVE_ROTATION: _fidelity_collective_rotation,
+    NoiseKind.AMPLITUDE_DAMPING: _coefficients_amplitude_damping,
+    NoiseKind.PHASE_DAMPING: _coefficients_phase_damping,
+    NoiseKind.COLLECTIVE_DEPHASING: _coefficients_collective_dephasing,
+    NoiseKind.COLLECTIVE_ROTATION: _coefficients_collective_rotation,
 }
 
 # The kinds with a closed form: every kind but the noiseless one.
 CLOSED_FORM_KINDS = tuple(_CLOSED_FORMS)
+
+
+def _coefficients(kind: NoiseKind, param):
+    """(mean, swing) of the kind's law F = mean + swing cos 4xi, inputs checked."""
+    if kind not in CLOSED_FORM_KINDS:
+        raise ValueError(
+            f"no closed form for kind {kind!r}; use parameter 0 of any noisy kind "
+            "for the noiseless case"
+        )
+    channels.check_parameter(kind, param)
+    return _CLOSED_FORMS[kind](np.asarray(param, dtype=float))
 
 
 def closed_form_fidelity(kind: NoiseKind, param, xi):
@@ -143,35 +152,16 @@ def closed_form_fidelity(kind: NoiseKind, param, xi):
     ``param`` is eta for AD/PD, Phi for CD, Theta for CR; CR ignores ``xi``.
     Scalars broadcast against arrays; outputs are clamped to [0, 1].
     """
-    _check_formula_kind(kind)
-    channels.check_parameter(kind, param)
-    param = np.asarray(param, dtype=float)
+    mean, swing = _coefficients(kind, param)
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
         raise ValueError("xi must be finite")
-    return _assert_and_clamp(_CLOSED_FORMS[kind](param, xi))
+    return _assert_and_clamp(mean + swing * np.cos(4.0 * xi))
 
 
 def closed_form_average_fidelity(kind: NoiseKind, param):
     """Closed-form fidelity averaged over the encoding angle xi on [0, 2pi)."""
-    _check_formula_kind(kind)
-    channels.check_parameter(kind, param)
-    param = np.asarray(param, dtype=float)
-    if kind is NoiseKind.AMPLITUDE_DAMPING:
-        root = np.sqrt(1.0 - param)
-        value = (
-            4.0 * (root + 3.0)
-            - param * (param**2 - 3.0 * (root + 2.0) * param + 7.0 * root + 9.0)
-        ) / 16.0
-    elif kind is NoiseKind.PHASE_DAMPING:
-        value = (np.sqrt(1.0 - param) + 3.0) * (4.0 - param) / 16.0
-    elif kind is NoiseKind.COLLECTIVE_DEPHASING:
-        value = (
-            15.0 * np.cos(param) + 6.0 * np.cos(2.0 * param) + np.cos(3.0 * param) + 42.0
-        ) / 64.0
-    else:
-        value = np.cos(3.0 * param) ** 2
-    return _assert_and_clamp(value)
+    return _assert_and_clamp(_coefficients(kind, param)[0])
 
 
 def numeric_fidelity(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 import time
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -26,6 +27,8 @@ XI_AVERAGE = "avg"
 
 CSV_HEADER = "kind,param,xi,closed_form,oracle,deviation"
 _CSV_COLUMNS = CSV_HEADER.split(",")
+
+MAX_SWEEP_ROWS = 10**6
 
 
 class SweepMode(Enum):
@@ -53,6 +56,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in fidelity.CLOSED_FORM_KINDS:
             raise ValueError(f"kind: {self.kind!r} has no closed form to sweep")
+        rows = len(self.param_grid) * (len(self.xi_grid) + int(self.include_state_average))
+        if rows > MAX_SWEEP_ROWS:
+            raise ValueError(f"param_grid, xi_grid: {rows} rows, over the cap of {MAX_SWEEP_ROWS}")
         _check_grid("param_grid", self.param_grid)
         try:
             channels.check_parameter(self.kind, self.param_grid)
@@ -248,45 +254,25 @@ def verify_formulas(
     return reports
 
 
-def _float_str(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+def _encode_columns(rows) -> list[list]:
+    """The rows' fields as JSON values, a list per column; ``_decode_row`` inverts a row."""
+    return [
+        [row.kind.value for row in rows],
+        [row.param for row in rows],
+        [XI_AVERAGE if row.xi is None else row.xi for row in rows],
+        [row.closed_form for row in rows],
+        [row.oracle for row in rows],
+        [row.deviation for row in rows],
+    ]
 
 
-def _xi_str(xi: float | None) -> str:
-    return XI_AVERAGE if xi is None else repr(float(xi))
+def _csv_texts(column) -> list[str]:
+    """One column's JSON values as CSV fields, numbers in shortest round-trip form."""
+    return ["" if v is None else v if isinstance(v, str) else repr(float(v)) for v in column]
 
 
-def _rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    row.kind.value,
-                    _float_str(row.param),
-                    _xi_str(row.xi),
-                    _float_str(row.closed_form),
-                    _float_str(row.oracle),
-                    _float_str(row.deviation),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _row_to_dict(row: ResultRow) -> dict:
-    return {
-        "kind": row.kind.value,
-        "param": row.param,
-        "xi": XI_AVERAGE if row.xi is None else row.xi,
-        "closed_form": row.closed_form,
-        "oracle": row.oracle,
-        "deviation": row.deviation,
-    }
-
-
-def export(rows, fmt: str, path, manifest: RunManifest | None = None) -> None:
-    """Write rows to ``path`` as csv or json.
+def format_rows(rows, fmt: str, manifest: RunManifest | None = None) -> str:
+    """The text ``export`` writes: rows as csv or json.
 
     CSV is rows only; JSON wraps them with the run manifest less its
     ``duration_ms``, so identical sweeps re-export byte-identically in both.
@@ -294,21 +280,44 @@ def export(rows, fmt: str, path, manifest: RunManifest | None = None) -> None:
     rows = list(rows)
     if not rows:
         raise ValueError("rows must be nonempty")
+    columns = _encode_columns(rows)
     if fmt == "csv":
-        payload = _rows_to_csv(rows)
-    elif fmt == "json":
-        # Wall time differs run to run; the stderr manifest keeps it.
-        fields = {} if manifest is None else manifest.to_dict()
-        fields.pop("duration_ms", None)
-        document = {
-            "manifest": fields or None,
-            "rows": [_row_to_dict(row) for row in rows],
-        }
-        payload = json.dumps(document, indent=2, allow_nan=False) + "\n"
-    else:
+        # Column by column, so that no field costs a call or a container.
+        lines = map(",".join, zip(*map(_csv_texts, columns)))
+        return "\n".join([CSV_HEADER, *lines]) + "\n"
+    if fmt != "json":
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(payload)
+    # Wall time differs run to run; the stderr manifest keeps it.
+    fields = {} if manifest is None else manifest.to_dict()
+    fields.pop("duration_ms", None)
+    document = {
+        "manifest": fields or None,
+        "rows": [dict(zip(_CSV_COLUMNS, values)) for values in zip(*columns)],
+    }
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+
+def export(rows, fmt: str, path, manifest: RunManifest | None = None) -> None:
+    """Write ``format_rows(rows, fmt, manifest)`` to ``path``, all or nothing.
+
+    A new or regular file is written beside itself, then renamed into place; a
+    device or pipe, such as /dev/null, is written through.
+    """
+    payload = format_rows(rows, fmt, manifest)
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            handle.write(payload)
+        return
+    temp = f"{target}.{os.urandom(8).hex()}.tmp"
+    handle = open(temp, "x", encoding="utf-8", newline="")
+    try:
+        with handle:
+            handle.write(payload)
+        os.replace(temp, target)
+    except BaseException:
+        os.remove(temp)
+        raise
 
 
 def _optional_float(value) -> float | None:

@@ -193,6 +193,81 @@ class TestSweep:
         assert f"error: {flag} must be >= 8, got 4" in err
         assert field not in err
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--rotation-points", "rotation_points"), ("--xi-points", "xi_points"),
+    ])
+    def test_quadrature_flag_over_the_cap_is_named(self, capsys, tmp_path, flag, field):
+        code, _, err = run_cli(
+            capsys, "sweep", "--noise", "pd", "--grid", "0:1:3", "--xi-avg", "--mode", "both",
+            flag, "4097", "--out", str(tmp_path / "f.csv"),
+        )
+        assert code == 2
+        assert f"error: {flag} must be <= 4096, got 4097" in err
+        assert field not in err
+
+    @pytest.mark.parametrize("flag", ["--grid", "--xi-grid"])
+    def test_grid_over_the_row_cap_is_usage_error(self, capsys, tmp_path, flag):
+        grids = {"--grid": "0:1:3", "--xi-grid": "0:1:3", flag: "0:1:1000001"}
+        code, _, err = run_cli(
+            capsys, "sweep", "--noise", "pd", *(item for pair in grids.items() for item in pair),
+            "--out", str(tmp_path / "f.csv"),
+        )
+        assert code == 2
+        assert f"error: {flag}: n must be in [1, 1000000], got 1000001" in err
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_sweep_over_the_row_cap_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "sweep", "--noise", "pd", "--grid", "0:1:1000", "--xi-grid", "0:1:1000",
+            "--xi-avg", "--out", str(tmp_path / "f.csv"),
+        )
+        assert code == 2
+        assert "error: --grid, --xi-grid: 1001000 rows" in err
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dash_out_writes_stdout(self, capsys, tmp_path, monkeypatch, fmt):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / f"f.{fmt}"
+        argv = ["sweep", "--noise", "pd", "--grid", "0:1:3", "--xi-avg", "--format", fmt]
+        assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+        code, out, _ = run_cli(capsys, *argv, "--out", "-")
+        assert code == 0
+        assert out == path.read_text()
+        if fmt == "json":
+            assert len(json.loads(out)["rows"]) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def test_failed_write_keeps_the_previous_file(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "f.csv"
+        argv = ["sweep", "--noise", "pd", "--xi-avg", "--out", str(path)]
+        assert run_cli(capsys, *argv, "--grid", "0:1:3")[0] == 0
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness.os, "replace", fail)
+        code, _, err = run_cli(capsys, *argv, "--grid", "0:1:5")
+        assert code == 1
+        assert "disk full" in err
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+
+    def test_degrees_converts_the_angle_grids(self, capsys, tmp_path):
+        degrees, radians = tmp_path / "d.csv", tmp_path / "r.csv"
+        common = ["sweep", "--noise", "cd", "--xi-avg"]
+        assert run_cli(capsys, *common, "--grid", "0:360:3", "--xi-grid", "0:90:3",
+                       "--degrees", "--out", str(degrees))[0] == 0
+        assert run_cli(capsys, *common, "--grid", f"0:{2 * np.pi!r}:3",
+                       "--xi-grid", f"0:{np.pi / 2!r}:3", "--out", str(radians))[0] == 0
+        got, want = harness.load_rows(degrees, "csv"), harness.load_rows(radians, "csv")
+        assert len(got) == len(want) == 12
+        for a, b in zip(got, want):
+            assert a.param == pytest.approx(b.param, abs=1e-12)
+            assert a.xi == (None if b.xi is None else pytest.approx(b.xi, abs=1e-12))
+            assert a.closed_form == pytest.approx(b.closed_form, abs=1e-12)
+
     def test_unwritable_path_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--noise", "pd", "--grid", "0:1:3", "--xi-avg",
@@ -282,6 +357,20 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--kinds", "cr", flag, "4")
         assert code == 2
         assert f"error: {flag} must be >= 8, got 4" in err
+
+    @pytest.mark.parametrize("flag", ["--resolution", "--xi-points"])
+    def test_quadrature_flag_over_the_cap_is_named(self, capsys, flag):
+        code, _, err = run_cli(capsys, "verify", "--kinds", "cr", flag, "4097")
+        assert code == 2
+        assert f"error: {flag} must be <= 4096, got 4097" in err
+
+    def test_eight_point_quadrature_is_exact(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--kinds", "ad,pd,cd,cr", "--resolution", "8",
+            "--xi-points", "8", "--tolerance", "1e-13",
+        )
+        assert code == 0
+        assert json.loads(out)["passed"] is True
 
     def test_no_ansi_color_when_not_a_tty(self, capsys):
         _, _, err = run_cli(

@@ -72,6 +72,35 @@ class TestClosedForms:
             )
             assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
+    @pytest.mark.parametrize("kind", fidelity.CLOSED_FORM_KINDS)
+    def test_law_is_mean_plus_cos_4xi_swing(self, kind):
+        lo, hi = kind.natural_range
+        params = np.linspace(lo, hi, 33)[:, None]
+        xis = np.linspace(0.0, 2 * np.pi, 17)[None, :]
+        opposite = fidelity.closed_form_fidelity(kind, params, xis) + fidelity.closed_form_fidelity(
+            kind, params, xis + np.pi / 4
+        )
+        mean = fidelity.closed_form_average_fidelity(kind, params)
+        assert np.max(np.abs(opposite - 2 * mean)) <= 1e-14
+
+    @pytest.mark.parametrize("kind, preferred", [
+        (NoiseKind.AMPLITUDE_DAMPING, "pi/4"),
+        (NoiseKind.PHASE_DAMPING, "0"),
+        (NoiseKind.COLLECTIVE_DEPHASING, "0"),
+        (NoiseKind.COLLECTIVE_ROTATION, None),
+    ])
+    def test_preferred_encoding_states(self, kind, preferred):
+        lo, hi = kind.natural_range
+        interior = np.linspace(lo, hi, 33)[1:-1]
+        at_zero = fidelity.closed_form_fidelity(kind, interior, 0.0)
+        at_quarter = fidelity.closed_form_fidelity(kind, interior, np.pi / 4)
+        if preferred == "pi/4":
+            assert np.all(at_quarter > at_zero)
+        elif preferred == "0":
+            assert np.all(at_zero > at_quarter)
+        else:
+            assert np.array_equal(at_zero, at_quarter)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             fidelity.closed_form_fidelity(NoiseKind.AMPLITUDE_DAMPING, 1.5, 0.0)
@@ -252,6 +281,13 @@ class TestQuadratureSpec:
             QuadratureSpec(rotation_points=4)
         with pytest.raises(ValueError):
             QuadratureSpec(xi_points=7)
+
+    def test_resolution_cap(self):
+        with pytest.raises(ValueError, match="rotation_points must be <= 4096, got 4097"):
+            QuadratureSpec(rotation_points=4097)
+        with pytest.raises(ValueError, match="xi_points must be <= 4096, got 4097"):
+            QuadratureSpec(xi_points=4097)
+        QuadratureSpec(rotation_points=4096, xi_points=4096)
 
     def test_midpoint_grid_covers_period(self):
         grid = fidelity.midpoint_grid(8)

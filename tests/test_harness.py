@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -51,6 +53,12 @@ class TestSweepSpecValidation:
     def test_rejects_identity_kind(self):
         with pytest.raises(ValueError, match="kind"):
             spec_with(kind=NoiseKind.IDENTITY)
+
+    def test_rejects_more_rows_than_the_cap(self):
+        grid = tuple(np.linspace(0.0, 1.0, 1000))
+        spec_with(param_grid=grid, xi_grid=grid)
+        with pytest.raises(ValueError, match=r"^param_grid, xi_grid: 1001000 rows"):
+            spec_with(param_grid=grid, xi_grid=grid, include_state_average=True)
 
 
 class TestSweep:
@@ -241,6 +249,36 @@ class TestExport:
         harness.export([row], "csv", path)
         text = path.read_text()
         assert text == "kind,param,xi,closed_form,oracle,deviation\npd,1.0,avg,0.5625,,\n"
+
+    def test_csv_fields_do_not_depend_on_the_number_type(self, tmp_path):
+        floats = ResultRow(NoiseKind.PHASE_DAMPING, 1.0, 0.0, 0.5, 0.5, 0.0)
+        mixed = ResultRow(NoiseKind.PHASE_DAMPING, 1, np.float64(0.0), np.float64(0.5), 0.5, 0)
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        harness.export([floats], "csv", first)
+        harness.export([mixed], "csv", second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_symlink_keeps_pointing_at_the_replaced_file(self, tmp_path):
+        rows, _ = harness.sweep(spec_with())
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        harness.export(rows, "csv", link)
+        assert link.is_symlink() and harness.load_rows(target, "csv") == rows
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    def test_pipe_is_written_through(self, tmp_path):
+        rows, _ = harness.sweep(spec_with())
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+        reader.start()
+        harness.export(rows, "csv", pipe)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received[0].startswith(harness.CSV_HEADER + "\n")
+        assert pipe.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
     def test_csv_round_trip(self, tmp_path):
         rows, _ = harness.sweep(spec_with(mode=SweepMode.BOTH, include_state_average=True))
