@@ -11,6 +11,7 @@ and the run manifest go to stderr. Exit codes: 0 success, 1 I/O failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,6 +31,11 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
 _QUADRATURE = QuadratureSpec()
+
+MAX_MESSAGE_BITS = 10**6
+# verify names its worst point only above this deviation; below it the
+# argmax picks out rounding noise.
+WORST_POINT_FLOOR = 1e-13
 
 
 class UsageError(ValueError):
@@ -181,19 +187,25 @@ def _cmd_verify(args, start: float) -> int:
     for report in reports:
         passed = max(report.max_abs_deviation, report.average_deviation) <= args.tolerance
         all_passed = all_passed and passed
+        worst_param, worst_xi = (
+            (None, None) if report.max_abs_deviation <= WORST_POINT_FLOOR else report.worst_point
+        )
         entries.append(
             {
                 "kind": report.kind.value,
                 "max_abs_deviation": report.max_abs_deviation,
-                "worst_param": report.worst_point[0],
-                "worst_xi": report.worst_point[1],
+                "worst_param": worst_param,
+                "worst_xi": worst_xi,
                 "max_abs_average_deviation": report.average_deviation,
                 "passed": passed,
             }
         )
+        where = (
+            f"below {WORST_POINT_FLOOR:g}" if worst_param is None
+            else f"at (param={worst_param:.6g}, xi={worst_xi:.6g})"
+        )
         print(
-            f"{report.kind.value}: max deviation {report.max_abs_deviation:.3e} "
-            f"at (param={report.worst_point[0]:.6g}, xi={report.worst_point[1]:.6g}), "
+            f"{report.kind.value}: max deviation {report.max_abs_deviation:.3e} {where}, "
             f"state average {report.average_deviation:.3e}, "
             f"tolerance {args.tolerance:.3e}: {_status(passed)}",
             file=sys.stderr,
@@ -227,6 +239,8 @@ def _cmd_commutators(args, start: float) -> int:
 
 
 def _cmd_message(args, start: float) -> int:
+    if len(args.bits) > MAX_MESSAGE_BITS:
+        raise UsageError(f"--bits: {len(args.bits)} bits, over the cap of {MAX_MESSAGE_BITS}")
     if not args.bits or any(c not in "01" for c in args.bits):
         raise UsageError(f"--bits: must be a nonempty string of 0s and 1s, got {args.bits!r}")
     if args.seed < 0:
@@ -306,10 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and reused after."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     start = time.perf_counter()

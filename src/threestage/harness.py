@@ -290,11 +290,17 @@ def format_rows(rows, fmt: str, manifest: RunManifest | None = None) -> str:
     # Wall time differs run to run; the stderr manifest keeps it.
     fields = {} if manifest is None else manifest.to_dict()
     fields.pop("duration_ms", None)
-    document = {
-        "manifest": fields or None,
-        "rows": [dict(zip(_CSV_COLUMNS, values)) for values in zip(*columns)],
-    }
-    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    # One dumps call over all rows keeps to the C encoder, which `indent`
+    # would bypass. A row holds no nested object or free text, so "}, {"
+    # occurs only between rows, where a newline puts one row per line.
+    rows_text = json.dumps(
+        [dict(zip(_CSV_COLUMNS, values)) for values in zip(*columns)], allow_nan=False
+    )
+    return (
+        f'{{"manifest": {json.dumps(fields or None, allow_nan=False)}, "rows": [\n'
+        + rows_text[1:-1].replace("}, {", "},\n{")
+        + "\n]}\n"
+    )
 
 
 def export(rows, fmt: str, path, manifest: RunManifest | None = None) -> None:

@@ -161,22 +161,33 @@ def decode_bit(rho_final: np.ndarray, xi: float) -> tuple[float, float]:
 def transmit_message(
     bits, config: ProtocolConfig, seed: int
 ) -> tuple[list[int], float]:
-    """Send a bit sequence one round at a time and decode each outcome.
+    """Send a bit sequence and decode each outcome.
 
-    Each round's measurement outcome is sampled from its (p0, p1) using a
-    generator seeded by (seed, bit index), so results are independent of
-    evaluation order and identical inputs reproduce identical outputs.
+    Every bit is checked before any round runs. Under FIXED a round depends
+    on the bit sent alone, so the message runs one round per distinct bit
+    value; under RESAMPLE the stage parameters depend on the bit's index, so
+    each bit runs its own round. The per-bit randomness is the measurement:
+    each outcome is sampled from its (p0, p1) using a generator seeded by
+    (seed, bit index), so results are independent of evaluation order and
+    identical inputs reproduce identical outputs.
     Returns (decoded bits, QBER), QBER being the fraction of flipped bits.
     """
     bit_list = list(bits)
     if not bit_list:
         raise ValueError("message must contain at least one bit")
-    decoded = []
     for index, bit in enumerate(bit_list):
         if bit not in (0, 1):
             raise ValueError(f"message bits must be 0 or 1, got {bit!r} at index {index}")
-        final, _ = run_protocol(config, bit, message_index=index)
-        p0, _ = decode_bit(final, config.xi)
+
+    def round_p0(bit, message_index):
+        final, _ = run_protocol(config, bit, message_index=message_index)
+        return decode_bit(final, config.xi)[0]
+
+    fixed = config.stage_policy is StagePolicy.FIXED
+    p0_of_bit = {bit: round_p0(bit, None) for bit in dict.fromkeys(bit_list)} if fixed else {}
+    decoded = []
+    for index, bit in enumerate(bit_list):
+        p0 = p0_of_bit[bit] if fixed else round_p0(bit, index)
         draw = float(np.random.default_rng((seed, index)).random())
         decoded.append(0 if draw < p0 else 1)
     errors = sum(1 for sent, got in zip(bit_list, decoded) if sent != got)

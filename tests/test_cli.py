@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from threestage import cli, harness
+from threestage import cli, fidelity, harness
 from threestage.fidelity import QuadratureSpec, RotationAveragedOracle
 
 
@@ -372,6 +372,28 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_worst_point_is_null_at_rounding_level(self, capsys):
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 0
+        for entry in json.loads(out)["reports"]:
+            assert entry["max_abs_deviation"] <= cli.WORST_POINT_FLOOR
+            assert entry["worst_param"] is None and entry["worst_xi"] is None
+        assert err.count("below 1e-13") == 4
+
+    def test_worst_point_is_named_above_the_floor(self, capsys, monkeypatch):
+        closed_form = fidelity.closed_form_fidelity
+        monkeypatch.setattr(
+            fidelity, "closed_form_fidelity", lambda *a: closed_form(*a) + 1e-9
+        )
+        code, out, err = run_cli(
+            capsys, "verify", "--kinds", "cr", "--resolution", "8", "--xi-points", "8",
+        )
+        assert code == 0
+        entry = json.loads(out)["reports"][0]
+        assert entry["max_abs_deviation"] == pytest.approx(1e-9, abs=1e-12)
+        assert isinstance(entry["worst_param"], float) and isinstance(entry["worst_xi"], float)
+        assert "at (param=" in err and "below" not in err
+
     def test_no_ansi_color_when_not_a_tty(self, capsys):
         _, _, err = run_cli(
             capsys, "verify", "--kinds", "cr", "--tolerance", "1e-6",
@@ -451,6 +473,14 @@ class TestMessage:
         assert code == 2
         assert "--bits" in err
 
+    def test_bits_over_the_cap_are_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "message", "--noise", "none", "--bits", "0" * (cli.MAX_MESSAGE_BITS + 1),
+        )
+        assert code == 2
+        assert out == ""
+        assert "--bits: 1000001 bits, over the cap of 1000000" in err
+
     def test_negative_seed_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "message", "--noise", "none", "--bits", "01", "--seed", "-1",
@@ -459,31 +489,61 @@ class TestMessage:
         assert "--seed" in err
 
 
+def fresh_process(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "threestage", *argv], capture_output=True, text=True,
+    )
+
+
+class TestRepeatedMain:
+    """One process reuses the parser; each call must answer as a fresh process would."""
+
+    ROUND = ("run", "--noise", "cd", "--param", "30", "--xi", "10",
+             "--alice-angle", "20", "--bob-angle", "40", "--bit", "1")
+
+    @pytest.mark.parametrize("first, first_code", [
+        (ROUND + ("--degrees",), 0),
+        (("run", "--frequency", "1"), 2),
+        (("run", "--noise", "ad", "--param", "2"), 2),
+    ], ids=["degrees", "argparse-error", "usage-error"])
+    def test_next_call_answers_as_a_fresh_process(self, capsys, first, first_code):
+        assert run_cli(capsys, *first)[0] == first_code
+        code, out, _ = run_cli(capsys, *self.ROUND)
+        fresh = fresh_process(*self.ROUND)
+        assert code == fresh.returncode == 0
+        assert out == fresh.stdout
+
+    def test_quadrature_flag_does_not_carry_over(self, capsys):
+        sweep = ("sweep", "--noise", "pd", "--grid", "0:1:3", "--xi-avg", "--mode", "both",
+                 "--out", "-")
+        code, _, err = run_cli(capsys, *sweep, "--rotation-points", "16")
+        assert code == 0 and manifest_of(err)["rotation_points"] == 16
+        code, _, err = run_cli(capsys, *sweep)
+        assert code == 0
+        manifest = manifest_of(err)
+        assert manifest["rotation_points"] == QuadratureSpec().rotation_points
+        assert manifest["xi_points"] == QuadratureSpec().xi_points
+
+
 class TestEndToEnd:
     """Exit-code contract through the real interpreter."""
 
-    def invoke(self, *argv):
-        return subprocess.run(
-            [sys.executable, "-m", "threestage", *argv],
-            capture_output=True, text=True,
-        )
-
     def test_success_is_zero(self):
-        result = self.invoke("run", "--noise", "none", "--bit", "0")
+        result = fresh_process("run", "--noise", "none", "--bit", "0")
         assert result.returncode == 0
         assert json.loads(result.stdout)["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
     def test_usage_error_is_two(self):
-        assert self.invoke("run", "--noise", "ad", "--param", "2.0").returncode == 2
+        assert fresh_process("run", "--noise", "ad", "--param", "2.0").returncode == 2
 
     def test_verification_failure_is_three(self):
-        result = self.invoke(
+        result = fresh_process(
             "verify", "--kinds", "cr", "--tolerance", "1e-30", "--resolution", "16",
         )
         assert result.returncode == 3
 
     def test_io_failure_is_one(self, tmp_path):
-        result = self.invoke(
+        result = fresh_process(
             "sweep", "--noise", "pd", "--grid", "0:1:3", "--xi-avg",
             "--out", str(tmp_path / "no_dir" / "f.csv"),
         )

@@ -292,6 +292,29 @@ class TestExport:
         harness.export(rows, "json", path, manifest)
         assert harness.load_rows(path, "json") == rows
 
+    def test_json_is_the_indented_document_with_one_row_per_line(self):
+        rows, manifest = harness.sweep(
+            spec_with(mode=SweepMode.BOTH, include_state_average=True)
+        )
+        text = harness.format_rows(rows, "json", manifest)
+        fields = manifest.to_dict()
+        del fields["duration_ms"]
+        reference = {"manifest": fields, "rows": [
+            {"kind": r.kind.value, "param": r.param, "xi": "avg" if r.xi is None else r.xi,
+             "closed_form": r.closed_form, "oracle": r.oracle, "deviation": r.deviation}
+            for r in rows
+        ]}
+        assert json.loads(text) == json.loads(json.dumps(reference, indent=2))
+        assert text == harness.format_rows(rows, "json", manifest)
+        lines = text.splitlines()
+        assert len(lines) == len(rows) + 2
+        assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == reference["rows"]
+
+    def test_json_rejects_non_finite_values(self):
+        row = ResultRow(NoiseKind.PHASE_DAMPING, 0.5, 0.0, float("nan"), None, None)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            harness.format_rows([row], "json")
+
     def test_reexport_is_byte_identical(self, tmp_path):
         rows, _ = harness.sweep(spec_with(mode=SweepMode.BOTH))
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"

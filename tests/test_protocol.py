@@ -197,6 +197,44 @@ class TestTransmitMessage:
         with pytest.raises(ValueError):
             protocol.transmit_message([0, 2], config_with(channels.identity_channel()), seed=0)
 
+    @pytest.mark.parametrize("kind, param", [
+        ("ad", 0.37), ("pd", 0.61), ("cd", 1.3), ("cr", 0.41), ("none", 0.0),
+    ])
+    def test_fixed_message_equals_one_round_per_bit(self, kind, param):
+        config = config_with(channels.from_kind(channels.NoiseKind(kind), param))
+        bits = [int(b) for b in np.random.default_rng(38).integers(0, 2, 200)]
+        seed = 17
+        expected = []
+        for index, bit in enumerate(bits):
+            final, _ = protocol.run_protocol(config, bit, message_index=index)
+            p0, _ = protocol.decode_bit(final, config.xi)
+            draw = float(np.random.default_rng((seed, index)).random())
+            expected.append(0 if draw < p0 else 1)
+        flips = sum(sent != got for sent, got in zip(bits, expected))
+        assert protocol.transmit_message(bits, config, seed) == (expected, flips / len(bits))
+
+    @pytest.mark.parametrize("bits, policy, rounds", [
+        ([0, 1, 1, 0, 1], StagePolicy.FIXED, 2),
+        ([0, 0, 0, 0], StagePolicy.FIXED, 1),
+        ([0, 1, 1, 0, 1], StagePolicy.RESAMPLE, 5),
+    ])
+    def test_rounds_run_per_message(self, monkeypatch, bits, policy, rounds):
+        calls = []
+        run_protocol = protocol.run_protocol
+        monkeypatch.setattr(
+            protocol, "run_protocol", lambda *a, **k: calls.append(a) or run_protocol(*a, **k)
+        )
+        config = config_with(channels.phase_damping(0.5), stage_policy=policy)
+        protocol.transmit_message(bits, config, seed=1)
+        assert len(calls) == rounds
+
+    def test_bad_bit_raises_before_any_round(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(protocol, "run_protocol", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=r"^message bits must be 0 or 1, got 2 at index 3$"):
+            protocol.transmit_message([0, 1, 0, 2, 1], config_with(channels.identity_channel()), 0)
+        assert calls == []
+
 
 class TestStagePolicy:
     def test_fixed_policy_uses_one_parameter(self):
