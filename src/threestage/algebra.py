@@ -5,7 +5,9 @@ matrices are complex arrays of shape (2, 2), pure states are complex arrays of
 shape (2,). This module builds the protocol's unitaries, enforces the state
 and density-matrix invariants, and provides the handful of algebraic
 operations the rest of the package is assembled from. All functions are pure
-and all values are treated as immutable.
+and all values are treated as immutable. The matrix functions also take
+stacks of shape (..., 2, 2) and broadcast over the leading axes, checking
+every member; a stacked check fails with the message of its first bad member.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ UNITARY_ATOL = 1e-10
 
 def _as_mat2(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.shape != (2, 2):
-        raise ValueError(f"{name} must have shape (2, 2), got {a.shape}")
+    if a.shape[-2:] != (2, 2):
+        raise ValueError(f"{name} must have shape (..., 2, 2), got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     return a
@@ -44,11 +46,18 @@ def rotation(theta) -> np.ndarray:
     return out
 
 
-def phase_gate(phi: float) -> np.ndarray:
-    """Phase gate diag(1, e^{i phi}) for angle ``phi`` (radians)."""
-    if not np.isfinite(phi):
+def phase_gate(phi) -> np.ndarray:
+    """Phase gate diag(1, e^{i phi}) for angle ``phi`` (radians).
+
+    An array of angles gives the stack of gates, shape ``phi.shape + (2, 2)``.
+    """
+    phi = np.asarray(phi, dtype=float)
+    if not np.isfinite(phi).all():
         raise ValueError("phase angle must be finite")
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]], dtype=complex)
+    out = np.zeros(phi.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = 1.0
+    out[..., 1, 1] = np.exp(1j * phi)
+    return out
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -65,12 +74,12 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def is_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     u = np.asarray(u, dtype=complex)
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(2))) <= atol)
+    return bool(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2))) <= atol)
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """(M + M^dagger) / 2, scrubbing the Hermiticity drift of a product chain."""
-    return (m + m.conj().T) / 2.0
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def validate_state(psi) -> np.ndarray:
@@ -90,21 +99,23 @@ def validate_state(psi) -> np.ndarray:
 
 
 def validate_density(rho) -> np.ndarray:
-    """Return ``rho`` as a complex (2, 2) array, checking density-matrix invariants.
+    """Return ``rho`` as a complex (..., 2, 2) array, checking density-matrix invariants.
 
     Hermitian within 1e-12, unit trace within 1e-12, eigenvalues >= -1e-12.
     Validation runs here, at construction boundaries; operations downstream
     assume a valid input and re-symmetrize their outputs.
     """
     a = _as_mat2(rho, "density matrix")
-    if np.max(np.abs(a - a.conj().T)) > ATOL:
+    if np.max(np.abs(a - a.conj().swapaxes(-1, -2))) > ATOL:
         raise ValueError("density matrix is not Hermitian within 1e-12")
-    trace = complex(a[0, 0] + a[1, 1])
-    if abs(trace - 1.0) > ATOL:
-        raise ValueError(f"density matrix trace is {trace!r}, expected 1")
-    lowest = float(np.linalg.eigvalsh(a)[0])
-    if lowest < -ATOL:
-        raise ValueError(f"density matrix has negative eigenvalue {lowest!r}")
+    trace = a[..., 0, 0] + a[..., 1, 1]
+    bad = np.abs(trace - 1.0) > ATOL
+    if np.count_nonzero(bad):
+        raise ValueError(f"density matrix trace is {complex(trace[bad][0])!r}, expected 1")
+    lowest = np.linalg.eigvalsh(a)[..., 0]
+    bad = lowest < -ATOL
+    if np.count_nonzero(bad):
+        raise ValueError(f"density matrix has negative eigenvalue {float(lowest[bad][0])!r}")
     return a
 
 
@@ -115,15 +126,16 @@ def density_from_pure(psi) -> np.ndarray:
 
 
 def conjugate_by(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """U rho U^dagger for unitary U, re-symmetrized.
+    """U rho U^dagger for unitary U, re-symmetrized; stacks of either broadcast.
 
-    Raises ValueError when ``u`` is not unitary within 1e-10.
+    Raises ValueError when ``u`` (every member of a stack) is not unitary
+    within 1e-10.
     """
     u = _as_mat2(u, "unitary")
     if not is_unitary(u):
         raise ValueError("operator is not unitary within 1e-10")
     rho = np.asarray(rho, dtype=complex)
-    return symmetrize(u @ rho @ u.conj().T)
+    return symmetrize(u @ rho @ u.conj().swapaxes(-1, -2))
 
 
 def fidelity(psi, rho) -> float:

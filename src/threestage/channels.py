@@ -7,6 +7,11 @@ rotation act as a single unitary (a phase gate and a rotation respectively)
 whose angle is shared by every qubit crossing the channel; the parameter is
 held fixed across all stages of one protocol round unless the caller opts
 into per-stage resampling (see the protocol module).
+
+Every constructor also takes an array of parameters and builds one channel
+whose operators are stacks of shape ``parameter.shape + (2, 2)``;
+``apply_channel`` broadcasts such a stack against a stack of states, so one
+call applies a different channel to each state.
 """
 
 from __future__ import annotations
@@ -70,13 +75,14 @@ class QuantumChannel:
     at construction, direct construction included: a set that misses it by
     more than 1e-12 raises ChannelError. ``parameter`` is eta for AD/PD (a
     probability), the phase angle Phi for CD, and the rotation angle Theta
-    for CR, in radians. Instances are immutable; the stored arrays are
+    for CR, in radians: a float, or for a stacked channel an array of one
+    parameter per member. Instances are immutable; the stored arrays are
     read-only copies.
     """
 
     kind: NoiseKind
     operators: tuple[np.ndarray, ...]
-    parameter: float
+    parameter: float | np.ndarray
 
     def __post_init__(self):
         operators = tuple(_freeze(op) for op in self.operators)
@@ -85,16 +91,18 @@ class QuantumChannel:
             raise ChannelError(
                 f"Kraus completeness defect {defect:.3e} exceeds {COMPLETENESS_ATOL:g}"
             )
+        parameter = np.array(self.parameter, dtype=float)
+        parameter.flags.writeable = False
         object.__setattr__(self, "operators", operators)
-        object.__setattr__(self, "parameter", float(self.parameter))
+        object.__setattr__(self, "parameter", float(parameter) if parameter.ndim == 0 else parameter)
 
 
 def completeness_defect(operators) -> float:
-    """Max-abs entry of sum E_i^dagger E_i - I."""
-    total = np.zeros((2, 2), dtype=complex)
+    """Max-abs entry of sum E_i^dagger E_i - I, over every member of a stack."""
+    total = 0
     for op in operators:
         op = np.asarray(op, dtype=complex)
-        total += op.conj().T @ op
+        total = total + op.conj().swapaxes(-1, -2) @ op
     return float(np.max(np.abs(total - np.eye(2))))
 
 
@@ -122,7 +130,19 @@ def check_parameter(kind: NoiseKind, values) -> None:
         )
 
 
-def amplitude_damping(eta: float) -> QuantumChannel:
+def _damping(kind: NoiseKind, eta, lost: tuple[int, int]) -> QuantumChannel:
+    """E0 = diag(1, sqrt(1 - eta)) and E1 = sqrt(eta) at entry ``lost``, stacked over eta."""
+    check_parameter(kind, eta)
+    eta = np.asarray(eta, dtype=float)
+    e0 = np.zeros(eta.shape + (2, 2), dtype=complex)
+    e1 = np.zeros(eta.shape + (2, 2), dtype=complex)
+    e0[..., 0, 0] = 1.0
+    e0[..., 1, 1] = np.sqrt(1.0 - eta)
+    e1[(...,) + lost] = np.sqrt(eta)
+    return QuantumChannel(kind, (e0, e1), eta)
+
+
+def amplitude_damping(eta) -> QuantumChannel:
     """Energy-loss channel: the excited state decays with probability eta.
 
     Kraus operators::
@@ -130,13 +150,10 @@ def amplitude_damping(eta: float) -> QuantumChannel:
         E0 = [[1, 0], [0, sqrt(1 - eta)]]
         E1 = [[0, sqrt(eta)], [0, 0]]
     """
-    check_parameter(NoiseKind.AMPLITUDE_DAMPING, eta)
-    e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], dtype=complex)
-    e1 = np.array([[0.0, np.sqrt(eta)], [0.0, 0.0]], dtype=complex)
-    return QuantumChannel(NoiseKind.AMPLITUDE_DAMPING, (e0, e1), eta)
+    return _damping(NoiseKind.AMPLITUDE_DAMPING, eta, (0, 1))
 
 
-def phase_damping(eta: float) -> QuantumChannel:
+def phase_damping(eta) -> QuantumChannel:
     """Pure dephasing channel: coherences shrink, populations are untouched.
 
     Kraus operators::
@@ -144,19 +161,16 @@ def phase_damping(eta: float) -> QuantumChannel:
         E0 = [[1, 0], [0, sqrt(1 - eta)]]
         E1 = [[0, 0], [0, sqrt(eta)]]
     """
-    check_parameter(NoiseKind.PHASE_DAMPING, eta)
-    e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - eta)]], dtype=complex)
-    e1 = np.array([[0.0, 0.0], [0.0, np.sqrt(eta)]], dtype=complex)
-    return QuantumChannel(NoiseKind.PHASE_DAMPING, (e0, e1), eta)
+    return _damping(NoiseKind.PHASE_DAMPING, eta, (1, 1))
 
 
-def collective_dephasing(phi: float) -> QuantumChannel:
+def collective_dephasing(phi) -> QuantumChannel:
     """Unitary phase kick diag(1, e^{i Phi}) applied to every travel qubit."""
     check_parameter(NoiseKind.COLLECTIVE_DEPHASING, phi)
     return QuantumChannel(NoiseKind.COLLECTIVE_DEPHASING, (algebra.phase_gate(phi),), phi)
 
 
-def collective_rotation(theta: float) -> QuantumChannel:
+def collective_rotation(theta) -> QuantumChannel:
     """Unitary rotation by Theta applied to every travel qubit."""
     check_parameter(NoiseKind.COLLECTIVE_ROTATION, theta)
     return QuantumChannel(NoiseKind.COLLECTIVE_ROTATION, (algebra.rotation(theta),), theta)
@@ -167,10 +181,11 @@ def identity_channel() -> QuantumChannel:
     return QuantumChannel(NoiseKind.IDENTITY, (np.eye(2, dtype=complex),), 0.0)
 
 
-def from_kind(kind: NoiseKind, parameter: float) -> QuantumChannel:
-    """Construct the channel named by ``kind`` with the given parameter.
+def from_kind(kind: NoiseKind, parameter) -> QuantumChannel:
+    """Construct the channel named by ``kind`` with the given parameter (or stack).
 
-    The identity kind ignores the parameter's value, which must still be finite.
+    The identity kind ignores the parameter's value, which must still be
+    finite, and builds the one unstacked identity channel.
     """
     if kind is NoiseKind.AMPLITUDE_DAMPING:
         return amplitude_damping(parameter)
@@ -187,13 +202,13 @@ def from_kind(kind: NoiseKind, parameter: float) -> QuantumChannel:
 
 
 def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
-    """Kraus sum sum_i E_i rho E_i^dagger, re-symmetrized.
+    """Kraus sum sum_i E_i rho E_i^dagger, re-symmetrized; stacks broadcast.
 
     ``rho`` is assumed to be a valid density matrix and ``channel`` complete;
     both were validated where they were constructed.
     """
     rho = np.asarray(rho, dtype=complex)
-    out = np.zeros((2, 2), dtype=complex)
+    out = 0
     for op in channel.operators:
-        out += op @ rho @ op.conj().T
+        out = out + op @ rho @ op.conj().swapaxes(-1, -2)
     return algebra.symmetrize(out)

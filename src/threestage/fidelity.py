@@ -97,26 +97,33 @@ def _assert_and_clamp(values):
     return float(out) if out.ndim == 0 else out
 
 
+# Each swing is (p - q)^3 / 16 for the channel's z- and x-contractions p and
+# q, written without cancellation: with r = sqrt(1 - eta), 1 - r = eta / (1 + r)
+# and 1 - cos Phi = 2 sin^2(Phi / 2), so the sign of every swing (the preferred
+# states) is exact at every interior parameter. The printed expanded forms
+# agree within 2.2e-16 and are kept in the tests as the paper's reference.
+
+
 def _coefficients_amplitude_damping(eta):
     root = np.sqrt(1.0 - eta)
     mean = (
         4.0 * (root + 3.0)
         - eta * (eta**2 - 3.0 * (root + 2.0) * eta + 7.0 * root + 9.0)
     ) / 16.0
-    swing = (1.0 - eta) * (eta * (eta + 3.0 * root - 5.0) - 4.0 * root + 4.0) / 16.0
+    swing = -((root * eta / (1.0 + root)) ** 3) / 16.0
     return mean, swing
 
 
 def _coefficients_phase_damping(eta):
     root = np.sqrt(1.0 - eta)
     mean = (root + 3.0) * (4.0 - eta) / 16.0
-    swing = (root * eta - 3.0 * eta - 4.0 * root + 4.0) / 16.0
+    swing = (eta / (1.0 + root)) ** 3 / 16.0
     return mean, swing
 
 
 def _coefficients_collective_dephasing(phi):
     mean = (15.0 * np.cos(phi) + 6.0 * np.cos(2.0 * phi) + np.cos(3.0 * phi) + 42.0) / 64.0
-    swing = (6.0 * np.cos(2.0 * phi) - 15.0 * np.cos(phi) - np.cos(3.0 * phi) + 10.0) / 64.0
+    swing = np.sin(phi / 2.0) ** 6 / 2.0
     return mean, swing
 
 

@@ -254,3 +254,66 @@ class TestValidation:
     def test_validate_state_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             algebra.validate_state([1.0, 0.0, 0.0])
+
+
+def raised(call, *args):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return str(info.value)
+
+
+class TestStacks:
+    def test_stacked_phase_gates_equal_the_scalar_gates_exactly(self):
+        angles = np.random.default_rng(20).uniform(-50, 50, size=(3, 7))
+        stacked = np.array([[algebra.phase_gate(float(p)) for p in row] for row in angles])
+        assert algebra.phase_gate(angles).shape == (3, 7, 2, 2)
+        np.testing.assert_array_equal(algebra.phase_gate(angles), stacked)
+
+    def test_phase_gate_stack_with_one_non_finite_angle_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            algebra.phase_gate(np.array([0.1, np.nan, 0.2]))
+
+    def test_conjugate_by_stacks_equals_its_members(self):
+        rng = np.random.default_rng(21)
+        rhos = np.array([random_density(rng) for _ in range(30)])
+        us = np.array([random_unitary(rng) for _ in range(30)])
+        members = [algebra.conjugate_by(u, rho) for u, rho in zip(us, rhos)]
+        np.testing.assert_array_equal(algebra.conjugate_by(us, rhos), members)
+        # One operator against a stack of states broadcasts.
+        shared = [algebra.conjugate_by(us[0], rho) for rho in rhos]
+        np.testing.assert_array_equal(algebra.conjugate_by(us[0], rhos), shared)
+
+    def test_conjugate_by_stack_with_one_non_unitary_member_raises_as_alone(self):
+        rng = np.random.default_rng(22)
+        us = np.array([random_unitary(rng) for _ in range(5)])
+        us[3] = np.diag([1.0, 1.1])
+        rho = np.eye(2, dtype=complex) / 2
+        assert raised(algebra.conjugate_by, us, rho) == raised(algebra.conjugate_by, us[3], rho)
+
+    def test_symmetrize_and_is_unitary_work_per_member(self):
+        rng = np.random.default_rng(23)
+        m = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+        np.testing.assert_array_equal(algebra.symmetrize(m), [algebra.symmetrize(x) for x in m])
+        us = np.array([random_unitary(rng) for _ in range(4)])
+        assert algebra.is_unitary(us)
+        us[2] *= 1.01
+        assert not algebra.is_unitary(us)
+
+    def test_validate_density_accepts_a_valid_stack(self):
+        rng = np.random.default_rng(24)
+        rhos = np.array([random_density(rng) for _ in range(20)])
+        np.testing.assert_array_equal(algebra.validate_density(rhos), rhos)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.5, 0.3], [0.0, 0.5]]),  # not Hermitian
+        np.diag([0.6, 0.6]),  # trace 1.2
+        np.diag([1.5, -0.5]),  # negative eigenvalue
+    ])
+    def test_validate_density_stack_with_one_bad_member_raises_as_alone(self, bad):
+        stack = np.stack([np.eye(2) / 2] * 6).astype(complex)
+        stack[4] = bad
+        assert raised(algebra.validate_density, stack) == raised(algebra.validate_density, bad)
+
+    def test_validate_density_rejects_a_wrong_trailing_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            algebra.validate_density(np.zeros((4, 3, 3)))

@@ -237,3 +237,78 @@ class TestChannelProperties:
                 forward = channels.apply_channel(constructor(value), rho)
                 back = channels.apply_channel(constructor(-value), forward)
                 np.testing.assert_allclose(back, rho, atol=1e-12)
+
+
+STACK_PARAMETERS = {
+    NoiseKind.AMPLITUDE_DAMPING: np.linspace(0.0, 1.0, 9),
+    NoiseKind.PHASE_DAMPING: np.linspace(0.0, 1.0, 9),
+    NoiseKind.COLLECTIVE_DEPHASING: np.linspace(-7.0, 7.0, 9),
+    NoiseKind.COLLECTIVE_ROTATION: np.linspace(-7.0, 7.0, 9),
+}
+
+
+class TestStacks:
+    @pytest.mark.parametrize("kind", list(STACK_PARAMETERS))
+    def test_stacked_channel_equals_its_members(self, kind):
+        params = STACK_PARAMETERS[kind]
+        stacked = channels.from_kind(kind, params)
+        members = [channels.from_kind(kind, float(p)) for p in params]
+        assert stacked.kind is kind
+        np.testing.assert_array_equal(stacked.parameter, params)
+        assert not stacked.parameter.flags.writeable
+        for i, op in enumerate(stacked.operators):
+            assert op.shape == (len(params), 2, 2) and not op.flags.writeable
+            np.testing.assert_array_equal(op, [m.operators[i] for m in members])
+
+    @pytest.mark.parametrize("kind", list(STACK_PARAMETERS))
+    def test_stacked_application_equals_its_members(self, kind):
+        rng = np.random.default_rng(60)
+        params = STACK_PARAMETERS[kind]
+        rhos = np.array([random_density(rng) for _ in params])
+        stacked = channels.apply_channel(channels.from_kind(kind, params), rhos)
+        members = [
+            channels.apply_channel(channels.from_kind(kind, float(p)), rho)
+            for p, rho in zip(params, rhos)
+        ]
+        np.testing.assert_array_equal(stacked, members)
+
+    def test_one_channel_applies_to_a_stack_of_states(self):
+        rng = np.random.default_rng(61)
+        rhos = np.array([random_density(rng) for _ in range(10)])
+        channel = channels.amplitude_damping(0.3)
+        np.testing.assert_array_equal(
+            channels.apply_channel(channel, rhos), [channels.apply_channel(channel, r) for r in rhos]
+        )
+
+    def test_completeness_defect_of_a_stack_is_the_worst_member(self):
+        # A stack of non-Hermitian operators: transposing the whole stack
+        # (rather than each member) would pair the wrong entries.
+        rng = np.random.default_rng(62)
+        ops = rng.normal(size=(2, 5, 2, 2)) + 1j * rng.normal(size=(2, 5, 2, 2))
+        worst = max(channels.completeness_defect(ops[:, i]) for i in range(5))
+        assert channels.completeness_defect(tuple(ops)) == worst
+
+    def test_stack_with_one_incomplete_member_raises_as_alone(self):
+        e0, e1 = channels.amplitude_damping(np.linspace(0.1, 0.9, 5)).operators
+        e0 = e0.copy()
+        e0[3, 1, 1] *= 1.01
+        with pytest.raises(ChannelError) as alone:
+            channels.QuantumChannel(NoiseKind.AMPLITUDE_DAMPING, (e0[3], e1[3]), 0.7)
+        with pytest.raises(ChannelError) as stacked:
+            channels.QuantumChannel(NoiseKind.AMPLITUDE_DAMPING, (e0, e1), np.linspace(0.1, 0.9, 5))
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("kind, bad", DOMAIN_VIOLATIONS)
+    def test_stack_with_one_bad_parameter_raises_as_alone(self, kind, bad):
+        params = STACK_PARAMETERS[kind].copy()
+        params[5] = bad
+        with pytest.raises(ValueError) as alone:
+            channels.from_kind(kind, bad)
+        with pytest.raises(ValueError) as stacked:
+            channels.from_kind(kind, params)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_identity_kind_with_a_parameter_stack_is_the_plain_identity(self):
+        channel = channels.from_kind(NoiseKind.IDENTITY, np.zeros(4))
+        assert channel.parameter == 0.0
+        np.testing.assert_array_equal(channel.operators[0], np.eye(2))

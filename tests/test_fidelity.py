@@ -25,6 +25,29 @@ def random_channel(rng, count):
     return channels.QuantumChannel(kind=NoiseKind.IDENTITY, operators=operators, parameter=0.0)
 
 
+def _printed_ad_swing(eta):
+    root = np.sqrt(1.0 - eta)
+    return (1.0 - eta) * (eta * (eta + 3.0 * root - 5.0) - 4.0 * root + 4.0) / 16.0
+
+
+def _printed_pd_swing(eta):
+    root = np.sqrt(1.0 - eta)
+    return (root * eta - 3.0 * eta - 4.0 * root + 4.0) / 16.0
+
+
+def _printed_cd_swing(phi):
+    return (6.0 * np.cos(2.0 * phi) - 15.0 * np.cos(phi) - np.cos(3.0 * phi) + 10.0) / 64.0
+
+
+# The cos 4xi swings as the paper prints them, expanded; they cancel near
+# zero noise, so the library writes them in factored form.
+PRINTED_SWINGS = {
+    NoiseKind.AMPLITUDE_DAMPING: _printed_ad_swing,
+    NoiseKind.PHASE_DAMPING: _printed_pd_swing,
+    NoiseKind.COLLECTIVE_DEPHASING: _printed_cd_swing,
+}
+
+
 class TestClosedForms:
     def test_noiseless_limits(self):
         for kind in (NoiseKind.AMPLITUDE_DAMPING, NoiseKind.PHASE_DAMPING):
@@ -100,6 +123,26 @@ class TestClosedForms:
             assert np.all(at_zero > at_quarter)
         else:
             assert np.array_equal(at_zero, at_quarter)
+
+    @pytest.mark.parametrize("kind, sign", [
+        (NoiseKind.AMPLITUDE_DAMPING, -1.0),
+        (NoiseKind.PHASE_DAMPING, 1.0),
+        (NoiseKind.COLLECTIVE_DEPHASING, 1.0),
+    ])
+    def test_swing_sign_is_exact_at_every_interior_point(self, kind, sign):
+        lo, hi = kind.natural_range
+        _, swing = fidelity._coefficients(kind, np.linspace(lo, hi, 10001)[1:-1])
+        assert np.all(np.sign(swing) == sign)
+
+    @pytest.mark.parametrize("kind", [
+        NoiseKind.AMPLITUDE_DAMPING, NoiseKind.PHASE_DAMPING, NoiseKind.COLLECTIVE_DEPHASING,
+    ])
+    def test_swing_matches_the_printed_expanded_form(self, kind):
+        lo, hi = kind.natural_range
+        params = np.linspace(lo, hi, 10001)
+        _, swing = fidelity._coefficients(kind, params)
+        gap = np.max(np.abs(swing - PRINTED_SWINGS[kind](params)))
+        assert gap <= np.finfo(float).eps  # 2.2e-16
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

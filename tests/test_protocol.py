@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,21 @@ from threestage.protocol import ProtocolConfig, StagePolicy
 
 def config_with(channel, xi=0.3, theta=1.0, phi=2.0, **kwargs):
     return ProtocolConfig(xi=xi, alice_angle=theta, bob_angle=phi, channel=channel, **kwargs)
+
+
+def reference_decoding(bits, config, seed, indices):
+    """Decoded bits at ``indices``, one scalar round and one numpy generator per bit."""
+    decoded = []
+    for index in indices:
+        final, _ = protocol.run_protocol(config, bits[index], message_index=index)
+        p0, _ = protocol.decode_bit(final, config.xi)
+        draw = float(np.random.default_rng((seed, index)).random())
+        decoded.append(0 if draw < p0 else 1)
+    return decoded
+
+
+# Seeds of one to five SeedSequence entropy words.
+SEEDS = [0, 3, 2**31 - 1, 2**32, 2**40 + 7, 2**64 + 5, 2**100 + 3, 2**128 + 9]
 
 
 class TestEncodeBit:
@@ -197,36 +214,74 @@ class TestTransmitMessage:
         with pytest.raises(ValueError):
             protocol.transmit_message([0, 2], config_with(channels.identity_channel()), seed=0)
 
+    @pytest.mark.parametrize("policy", [StagePolicy.FIXED, StagePolicy.RESAMPLE])
     @pytest.mark.parametrize("kind, param", [
         ("ad", 0.37), ("pd", 0.61), ("cd", 1.3), ("cr", 0.41), ("none", 0.0),
     ])
-    def test_fixed_message_equals_one_round_per_bit(self, kind, param):
-        config = config_with(channels.from_kind(channels.NoiseKind(kind), param))
+    def test_fixed_message_equals_one_round_per_bit(self, kind, param, policy):
+        config = config_with(
+            channels.from_kind(channels.NoiseKind(kind), param), stage_policy=policy, resample_seed=8
+        )
         bits = [int(b) for b in np.random.default_rng(38).integers(0, 2, 200)]
         seed = 17
-        expected = []
-        for index, bit in enumerate(bits):
-            final, _ = protocol.run_protocol(config, bit, message_index=index)
-            p0, _ = protocol.decode_bit(final, config.xi)
-            draw = float(np.random.default_rng((seed, index)).random())
-            expected.append(0 if draw < p0 else 1)
+        expected = reference_decoding(bits, config, seed, range(len(bits)))
         flips = sum(sent != got for sent, got in zip(bits, expected))
         assert protocol.transmit_message(bits, config, seed) == (expected, flips / len(bits))
 
-    @pytest.mark.parametrize("bits, policy, rounds", [
+    @pytest.mark.parametrize("policy", [StagePolicy.FIXED, StagePolicy.RESAMPLE])
+    def test_message_of_three_blocks_matches_the_reference_at_the_block_edges(self, policy):
+        block = protocol.MESSAGE_BLOCK_BITS
+        config = config_with(channels.amplitude_damping(0.45), stage_policy=policy, resample_seed=3)
+        bits = [int(b) for b in np.random.default_rng(39).integers(0, 2, 2 * block + 7)]
+        edges = [0, 1, block - 2, block - 1, block, block + 1, 2 * block - 1, 2 * block,
+                 len(bits) - 1]
+        decoded, qber = protocol.transmit_message(bits, config, seed=23)
+        assert [decoded[i] for i in edges] == reference_decoding(bits, config, 23, edges)
+        assert qber == sum(a != b for a, b in zip(bits, decoded)) / len(bits)
+
+    def test_block_size_does_not_change_the_message(self, monkeypatch):
+        config = config_with(channels.collective_dephasing(1.1), stage_policy=StagePolicy.RESAMPLE)
+        bits = [int(b) for b in np.random.default_rng(40).integers(0, 2, 100)]
+        whole = protocol.transmit_message(bits, config, seed=6)
+        monkeypatch.setattr(protocol, "MESSAGE_BLOCK_BITS", 7)
+        assert protocol.transmit_message(bits, config, seed=6) == whole
+
+    def test_million_bit_message_memory_is_bounded(self):
+        # The checked bits and the decoded list are ~8 MB each; every other
+        # array is one block long. The peak is 10.5 MiB; in one block of
+        # 10^6 bits it was 223 MiB.
+        config = config_with(channels.phase_damping(0.3))
+        bits = [int(b) for b in np.random.default_rng(41).integers(0, 2, 10**6)]
+        tracemalloc.start()
+        try:
+            decoded, _ = protocol.transmit_message(bits, config, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(decoded) == 10**6
+        assert peak < 24 * 2**20
+
+    @pytest.mark.parametrize("bits, policy, stack", [
         ([0, 1, 1, 0, 1], StagePolicy.FIXED, 2),
         ([0, 0, 0, 0], StagePolicy.FIXED, 1),
         ([0, 1, 1, 0, 1], StagePolicy.RESAMPLE, 5),
     ])
-    def test_rounds_run_per_message(self, monkeypatch, bits, policy, rounds):
-        calls = []
-        run_protocol = protocol.run_protocol
+    def test_rounds_run_per_message(self, monkeypatch, bits, policy, stack):
+        # One stacked round (three crossings) per message: over the distinct
+        # bit values under FIXED, over every bit under RESAMPLE.
+        rounds, crossings = [], []
+        run_protocol, apply_channel = protocol.run_protocol, channels.apply_channel
         monkeypatch.setattr(
-            protocol, "run_protocol", lambda *a, **k: calls.append(a) or run_protocol(*a, **k)
+            protocol, "run_protocol", lambda *a, **k: rounds.append(a) or run_protocol(*a, **k)
+        )
+        monkeypatch.setattr(
+            channels, "apply_channel",
+            lambda channel, rho: crossings.append(np.shape(rho)) or apply_channel(channel, rho),
         )
         config = config_with(channels.phase_damping(0.5), stage_policy=policy)
         protocol.transmit_message(bits, config, seed=1)
-        assert len(calls) == rounds
+        assert rounds == []
+        assert crossings == [(stack, 2, 2)] * 3
 
     def test_bad_bit_raises_before_any_round(self, monkeypatch):
         calls = []
@@ -275,3 +330,76 @@ class TestStagePolicy:
         assert protocol.transmit_message(bits, config, seed=3) == protocol.transmit_message(
             bits, config, seed=3
         )
+
+
+class TestUniformDraws:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rows_equal_numpy_generators(self, seed, k):
+        indices = np.concatenate([np.arange(300), [2**31, 2**32 - 1]])
+        expected = np.array([np.random.default_rng((seed, int(i))).random(k) for i in indices])
+        np.testing.assert_array_equal(protocol._uniform_draws(seed, indices, k), expected)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_index_and_seed_alone_equal_numpy(self, seed, k):
+        np.testing.assert_array_equal(
+            protocol._uniform_draws(seed, None, k), np.random.default_rng((seed,)).random(k)
+        )
+        for index in (0, 5, 2**32, 2**70 + 1):
+            np.testing.assert_array_equal(
+                protocol._uniform_draws(seed, index, k),
+                np.random.default_rng((seed, index)).random(k),
+            )
+
+    def test_negative_seed_rejected_like_numpy(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng((-1, 0))
+        for index in (None, 0, np.arange(3)):
+            with pytest.raises(ValueError, match="non-negative"):
+                protocol._uniform_draws(-1, index, 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            protocol.transmit_message([0, 1], config_with(channels.identity_channel()), seed=-3)
+
+    def test_indices_beyond_one_word_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            protocol._uniform_draws(1, np.array([0, 2**32]), 1)
+
+
+class TestStackedRound:
+    @pytest.mark.parametrize("kind, param", [
+        ("ad", 0.37), ("pd", 0.61), ("cd", 1.3), ("cr", 0.41), ("none", 0.0),
+    ])
+    def test_stacked_resample_round_equals_its_rounds_one_by_one(self, kind, param):
+        config = config_with(
+            channels.from_kind(channels.NoiseKind(kind), param),
+            stage_policy=StagePolicy.RESAMPLE, resample_seed=12,
+        )
+        bits = np.random.default_rng(42).integers(0, 2, 40).astype(np.int8)
+        indices = np.arange(100, 140)
+        stacked = protocol._round_p0(config, bits, indices)
+        one_by_one = [
+            protocol.decode_bit(protocol.run_protocol(config, int(b), message_index=int(i))[0], config.xi)[0]
+            for b, i in zip(bits, indices)
+        ]
+        np.testing.assert_array_equal(stacked, one_by_one)
+
+    def test_decode_of_a_stack_equals_its_members(self):
+        rng = np.random.default_rng(43)
+        a = rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))
+        rho = a @ algebra.dagger(a)
+        rho = algebra.symmetrize(rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None])
+        p0, p1 = protocol.decode_bit(rho, 0.8)
+        assert p0.shape == p1.shape == (50,)
+        members = [protocol.decode_bit(r, 0.8) for r in rho]
+        assert all(type(p) is float for pair in members for p in pair)
+        np.testing.assert_array_equal(np.stack([p0, p1], axis=1), members)
+
+    def test_decode_of_a_stack_rejects_one_bad_member_as_alone(self):
+        stack = np.stack([np.eye(2) / 2] * 4).astype(complex)
+        stack[2] = np.diag([1.5, -0.5])
+        with pytest.raises(ValueError) as alone:
+            protocol.decode_bit(stack[2], 0.1)
+        with pytest.raises(ValueError) as stacked:
+            protocol.decode_bit(stack, 0.1)
+        assert str(stacked.value) == str(alone.value)
