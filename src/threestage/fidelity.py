@@ -191,48 +191,97 @@ def _lift(u) -> np.ndarray:
     return np.einsum("...ij,...kl->...ikjl", u, u.conj()).reshape(u.shape[:-2] + (4, 4))
 
 
+# The oracle contracts a channel stack this many members at a time, and
+# evaluates this many encoding angles at a time, so that its intermediates
+# stay at a few MiB however many parameters or angles a sweep holds.
+ORACLE_BLOCK = 2**10
+
+
+def _rotation_moment(n: int) -> np.ndarray:
+    """M_abce = mean L(R^dag)_ab L(R)_ce over the n-point midpoint grid of angles."""
+    lift = _lift(algebra.rotation(midpoint_grid(n)))
+    lift_dag = algebra.dagger(lift)  # L(U^dag) = L(U)^dag
+    return np.einsum("nab,nce->abce", lift_dag, lift) / n
+
+
+def _encoded_vecs(xis) -> np.ndarray:
+    """vec(psi psi^H) of the bit-0 and bit-1 states at each xi, shape (2, len(xis), 4).
+
+    Under a round superoperator S the fidelity of v is
+    Re(v^H S v) = Re sum_ab S_ab W_ab with W_ab = conj(v_a) v_b, so the bit
+    and xi averages act on the weight W alone, before S does.
+    """
+    psi = np.stack([protocol.encode_bit(bit, xis) for bit in (0, 1)])
+    return (psi[..., :, None] * psi[..., None, :].conj()).reshape(2, len(xis), 4)
+
+
 class RotationAveragedOracle:
-    """Rotation-averaged numeric fidelity for one channel, evaluated fast.
+    """Rotation-averaged numeric fidelity for one channel or a channel stack.
 
     With the lift L(U) = U (x) conj(U) of rho -> U rho U^dag on the row-major
     vec(rho) and the channel N = sum_i L(E_i), one round is the superoperator
     S = L(R_phi^dag) N L(R_theta^dag) N L(R_phi) N L(R_theta). Each secret
     angle enters S through two lifts, so the midpoint mean over the n x n grid
-    factors into M = mean_phi L(R_phi^dag)_ab L(R_phi)_ce and
-    Q = mean_theta (N L(R_theta^dag) N)_bc (N L(R_theta))_ed, built in O(n):
-    mean S_ad = sum_bce M_abce Q_bced. The fidelity of a pure input psi is
-    Re(vec(P)^H S vec(P)) with vec(P) = psi (x) conj(psi), exactly the midpoint
-    average of per-point ``numeric_fidelity`` values.
+    factors through one channel-free tensor M_abce = mean L(R^dag)_ab L(R)_ce:
+    the theta mean is Q_bced = mean (N L(R^dag) N)_bc (N L(R))_ed
+    = sum N_bB N_Cc N_eE M_BCEd, since N does not depend on the angle, and
+    mean S_ad = sum_bce M_abce Q_bced. M is built once per oracle, in O(n);
+    each channel then costs a few 4x4 contractions, independent of n. The
+    fidelity of a pure input psi is Re(vec(P)^H S vec(P)) with
+    vec(P) = psi (x) conj(psi), exactly the midpoint average of per-point
+    ``numeric_fidelity`` values.
+
+    A stacked channel, whose operators have shape ``stack + (2, 2)`` (as
+    ``channels.from_kind`` builds for an array of parameters), gives one S
+    per member, contracted ``ORACLE_BLOCK`` members at a time; ``fidelity_at``
+    then returns shape ``stack + (len(xis),)`` and ``state_average`` shape
+    ``stack``. A single channel gives shape ``(len(xis),)`` and a float.
     """
 
     def __init__(self, channel: QuantumChannel, quad: QuadratureSpec = QuadratureSpec()):
         self.channel = channel
         self.quad = quad
-        self._form = self._averaged_form(channel.operators, quad.rotation_points)
+        m = _rotation_moment(quad.rotation_points)
+        ops = np.broadcast_arrays(*channel.operators)
+        stack = ops[0].shape[:-2]
+        ops = [op.reshape(-1, 2, 2) for op in ops]
+        form = np.empty((len(ops[0]), 4, 4), dtype=complex)
+        for lo in range(0, len(form), ORACLE_BLOCK):
+            block = slice(lo, lo + ORACLE_BLOCK)
+            form[block] = self._averaged_form(sum(_lift(op[block]) for op in ops), m)
+        # Row-major S_ab, so that sum_ab S_ab W_ab is one product per weight.
+        self._form = form.reshape(stack + (16,))
 
     @staticmethod
-    def _averaged_form(ops, n: int) -> np.ndarray:
-        lift = _lift(algebra.rotation(midpoint_grid(n)))
-        lift_dag = algebra.dagger(lift)  # L(U^dag) = L(U)^dag
-        noise = _lift(np.stack(ops)).sum(axis=0)
-        m = np.einsum("nab,nce->abce", lift_dag, lift) / n
-        q = np.einsum("nbc,ned->bced", noise @ lift_dag @ noise, noise @ lift) / n
-        return np.einsum("abce,bced->ad", m, q)
+    def _averaged_form(noise, m) -> np.ndarray:
+        """mean S_ad = sum M_abce N_bB N_Cc N_eE M_BCEd for each lift N of a stack (..., 4, 4)."""
+        shape = np.shape(noise)
+        noise = np.reshape(noise, (-1, 4, 4))
+        p = len(noise)
+        # One index at a time: E, then B and C member by member, then
+        # (b, c, e); the two products with M each span the whole stack.
+        y = noise.reshape(4 * p, 4) @ m.transpose(2, 0, 1, 3).reshape(4, 64)  # [p, e, B, C, d]
+        y = noise @ y.reshape(p, 4, 4, 16).transpose(0, 2, 1, 3).reshape(p, 4, 64)  # [p, b, e, C, d]
+        y = y.reshape(p, 4, 4, 4, 4).transpose(0, 1, 2, 4, 3).reshape(p, 64, 4) @ noise  # [p, b, e, d, c]
+        y = y.reshape(p, 4, 4, 4, 4).transpose(1, 4, 2, 0, 3).reshape(64, 4 * p)  # [b, c, e, p, d]
+        return (m.reshape(4, 64) @ y).reshape(4, p, 4).transpose(1, 0, 2).reshape(shape)
 
     def fidelity_at(self, xis) -> np.ndarray:
         """Bit-averaged, rotation-averaged fidelity at each encoding angle."""
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
-        values = np.zeros(xis.shape)
-        for bit in (0, 1):
-            psi = protocol.encode_bit(bit, xis)
-            vec = (psi[:, :, None] * psi[:, None, :].conj()).reshape(len(xis), 4)
-            values += 0.5 * np.real(np.einsum("xa,ab,xb->x", vec.conj(), self._form, vec))
+        values = np.empty(self._form.shape[:-1] + xis.shape)
+        for lo in range(0, len(xis), ORACLE_BLOCK):
+            block = slice(lo, lo + ORACLE_BLOCK)
+            vecs = _encoded_vecs(xis[block])
+            weight = np.einsum("nxa,nxb->xab", vecs.conj(), vecs).reshape(-1, 16) / 2
+            values[..., block] = np.real(self._form @ weight.T)
         return np.asarray(_assert_and_clamp(values))
 
-    def state_average(self) -> float:
-        """Mean fidelity over the encoding angle on [0, 2pi)."""
-        grid = midpoint_grid(self.quad.xi_points)
-        return float(np.mean(self.fidelity_at(grid)))
+    def state_average(self) -> float | np.ndarray:
+        """Mean fidelity over the encoding angle on [0, 2pi), per member of a stack."""
+        vecs = _encoded_vecs(midpoint_grid(self.quad.xi_points)).reshape(-1, 4)
+        weight = (vecs.conj().T @ vecs).reshape(16) / len(vecs)
+        return _assert_and_clamp(np.real(self._form @ weight))
 
 
 def rotation_averaged_fidelity(

@@ -12,7 +12,7 @@ import json
 import operator
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -104,7 +104,9 @@ class RunManifest:
     max_abs_deviation: float | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Every field is a scalar, so a shallow copy equals dataclasses.asdict,
+        # which deep-copies recursively.
+        return dict(vars(self))
 
 
 def _make_row(kind, param, xi, closed, oracle) -> ResultRow:
@@ -147,9 +149,14 @@ def _evaluate_grid(kind, params, xis, average: bool, closed: bool, quad):
 
     Returns (closed, oracle), each of shape (len(params), len(xis) + average)
     with the state average in the last column when ``average`` is set. The
-    closed form, when ``closed``, takes one broadcast call per grid; the
-    oracle, when ``quad`` is given, one build per parameter. An array not
-    asked for is None.
+    closed form, when ``closed``, takes one broadcast call per grid. The
+    oracle, when ``quad`` is given, is one build on the stacked channel
+    ``channels.from_kind(kind, params)``: its rotation average is the one
+    channel-free tensor M, and each parameter's lift N enters only through
+    Q = sum N N N M (see ``RotationAveragedOracle``), contracted
+    ``fidelity.ORACLE_BLOCK`` parameters at a time; ``fidelity_at`` gives the
+    (len(params), len(xis)) block and ``state_average`` the last column. An
+    array not asked for is None.
     """
     params = np.asarray(params, dtype=float)
     xis = np.asarray(xis, dtype=float)
@@ -164,11 +171,10 @@ def _evaluate_grid(kind, params, xis, average: bool, closed: bool, quad):
             closed_values[:, -1] = fidelity.closed_form_average_fidelity(kind, params)
     if quad is not None:
         oracle_values = np.empty(shape)
-        for i, param in enumerate(params):
-            oracle = RotationAveragedOracle(channels.from_kind(kind, param), quad)
-            oracle_values[i, : len(xis)] = oracle.fidelity_at(xis)
-            if average:
-                oracle_values[i, -1] = oracle.state_average()
+        oracle = RotationAveragedOracle(channels.from_kind(kind, params), quad)
+        oracle_values[:, : len(xis)] = oracle.fidelity_at(xis)
+        if average:
+            oracle_values[:, -1] = oracle.state_average()
     return closed_values, oracle_values
 
 

@@ -548,3 +548,111 @@ class TestEndToEnd:
             "--out", str(tmp_path / "no_dir" / "f.csv"),
         )
         assert result.returncode == 1
+
+
+def strict_json(text):
+    """Parse one JSON document, rejecting NaN and infinities."""
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestArgvFuzz:
+    """Seeded random argv over every subcommand, good values mixed with bad ones.
+
+    Every call must map to a documented exit code, print no traceback, and
+    on success print strict JSON (or, for a sweep, write it or CSV). Sizes
+    stay small, so every case runs in milliseconds; over-cap values are
+    refused before any work.
+    """
+
+    CASES = 500
+    # (good values, bad values) per kind of flag.
+    REALS = (["0", "0.3", "1", "-2.5", "6.1", "1e-300", "0.75"],
+             ["nan", "inf", "-inf", "1e400", "-1e400", "", "abc", "0x10", "1e5"])
+    SEEDS = (["0", "1", "7", "4096"], ["-1", "", "nan", "1e400", "2.5", "99999999999999999999"])
+    POINTS = (["8", "16", "64"], ["4", "7", "4097", "", "nan", "1e400", "x"])
+    GRIDS = (["0:1:5", "0,0.25,1", "0.5", "0:6:3", "-1:2:4"],
+             ["1:0:3", "0:1:0", "0:1:-2", "0:1:1000001", "0:1e400:3", "nan", "0,inf", "1,0",
+              "0,0", "", "0:1", "0:1:x", "a,b", "1e400"])
+    KINDS = (["ad", "pd", "cd", "cr", "none"], ["", "xx", "AD"])
+    SWITCH = None
+    FLAGS = {
+        "run": {"--noise": KINDS, "--param": REALS, "--xi": REALS, "--alice-angle": REALS,
+                "--bob-angle": REALS, "--bit": (["0", "1"], ["2", "-1", "", "x"]),
+                "--degrees": SWITCH},
+        "message": {"--noise": KINDS, "--param": REALS, "--xi": REALS, "--alice-angle": REALS,
+                    "--bob-angle": REALS, "--bits": (["0", "0110", "1" * 40], ["", "012", "ab"]),
+                    "--seed": SEEDS, "--degrees": SWITCH},
+        "sweep": {"--noise": KINDS, "--grid": GRIDS, "--xi-grid": GRIDS, "--xi-avg": SWITCH,
+                  "--mode": (["closed_form", "oracle", "both"], ["", "fast"]),
+                  "--format": (["csv", "json"], ["", "xml"]), "--seed": SEEDS,
+                  "--rotation-points": POINTS, "--xi-points": POINTS, "--degrees": SWITCH,
+                  "--out": (["file", "-"], ["missing-dir", "directory"])},
+        "verify": {"--kinds": (["ad,pd,cd,cr", "cr", "ad, pd", "cd"], ["", "xx", "none", "ad,,pd"]),
+                   "--tolerance": (["1e-6", "0.1", "1e-30", "0"], REALS[1] + ["-1"]),
+                   "--resolution": POINTS, "--xi-points": POINTS},
+        "commutators": {"--eta": (["0", "0.5", "1"], REALS[1] + ["1.5", "-0.1"]),
+                        "--theta": REALS, "--degrees": SWITCH},
+    }
+    COMMANDS = sorted(FLAGS)
+
+    def argv(self, rng, tmp_path):
+        """One argv; ``bad`` is the chance that a flag takes a bad value or is left out."""
+        if rng.random() < 0.05:
+            return [["", "launch", "--noise"][rng.integers(3)]]
+        command = self.COMMANDS[rng.integers(len(self.COMMANDS))]
+        argv = [command]
+        bad = rng.choice([0.0, 0.0, 0.1, 0.5])
+        for flag, pools in self.FLAGS[command].items():
+            if rng.random() < max(bad, 0.05):
+                continue
+            if pools is self.SWITCH:
+                argv.append(flag)
+                continue
+            values = pools[1] if rng.random() < bad else pools[0]
+            value = values[rng.integers(len(values))]
+            if flag == "--out":
+                value = {
+                    "file": str(tmp_path / "out.dat"),
+                    "missing-dir": str(tmp_path / "missing" / "out.dat"),
+                    "directory": str(tmp_path),
+                }.get(value, value)
+            argv += [flag, value]
+        if rng.random() < bad / 5:
+            argv += ["--frequency", "1"]
+        return argv
+
+    def test_every_argv_maps_to_an_exit_code(self, capsys, tmp_path):
+        rng = np.random.default_rng(2026)
+        out_file = tmp_path / "out.dat"
+        codes = []
+        for _ in range(self.CASES):
+            argv = self.argv(rng, tmp_path)
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # the contract: main never raises
+                pytest.fail(f"{argv} raised {exc!r}")
+            out, err = capsys.readouterr()
+            codes.append(code)
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err, argv
+            assert not list(tmp_path.glob("*.tmp")), argv
+            sweep = argv[:1] == ["sweep"]
+            to_file = sweep and "--out" in argv and argv[argv.index("--out") + 1] != "-"
+            if code in (1, 2):
+                assert out == "", argv
+                continue
+            payload = out
+            if to_file:
+                assert code == 0 and out == "", argv
+                payload = out_file.read_text(encoding="utf-8")
+                out_file.unlink()
+            if payload.startswith(harness.CSV_HEADER + "\n"):
+                assert sweep and "json" not in argv, argv
+            else:
+                strict_json(payload)
+        assert set(codes) == {0, 1, 2, 3}
+        assert codes.count(0) >= self.CASES // 5

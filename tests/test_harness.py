@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import threading
@@ -5,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from threestage import fidelity, harness
+from threestage import channels, fidelity, harness
 from threestage.channels import NoiseKind
 from threestage.fidelity import QuadratureSpec, RotationAveragedOracle
 from threestage.harness import ResultRow, SweepMode, SweepSpec
@@ -143,6 +144,15 @@ class TestSweep:
         assert manifest.rotation_points == (FAST_QUAD.rotation_points if ran else None)
         assert manifest.xi_points == (FAST_QUAD.xi_points if ran else None)
 
+    @pytest.mark.parametrize("mode", list(SweepMode))
+    def test_manifest_dict_is_a_copy_equal_to_asdict(self, mode):
+        _, manifest = harness.sweep(spec_with(mode=mode))
+        fields = manifest.to_dict()
+        assert fields == dataclasses.asdict(manifest)
+        assert list(fields) == [field.name for field in dataclasses.fields(manifest)]
+        fields.pop("duration_ms")
+        assert manifest.to_dict() == dataclasses.asdict(manifest)
+
     def test_closed_form_rows_equal_scalar_calls(self):
         spec = spec_with(
             kind=NoiseKind.COLLECTIVE_DEPHASING,
@@ -205,6 +215,23 @@ class TestVerifyFormulas:
     def test_kind_without_closed_form_is_rejected(self, kinds, named):
         with pytest.raises(ValueError, match=named):
             harness.verify_formulas(kinds, quad=FAST_QUAD)
+
+    def test_one_oracle_per_kind_equals_one_per_parameter(self, monkeypatch):
+        builds = []
+        init = RotationAveragedOracle.__init__
+
+        def counting_init(self, channel, quad):
+            builds.append(channel.kind)
+            init(self, channel, quad)
+
+        monkeypatch.setattr(RotationAveragedOracle, "__init__", counting_init)
+        reports = harness.verify_formulas(fidelity.CLOSED_FORM_KINDS, quad=FAST_QUAD)
+        monkeypatch.undo()
+        assert builds == list(fidelity.CLOSED_FORM_KINDS)
+        for report in reports:
+            for row, param in zip(report.oracle, report.param_grid):
+                single = RotationAveragedOracle(channels.from_kind(report.kind, param), FAST_QUAD)
+                np.testing.assert_allclose(row, single.fidelity_at(report.xi_grid), rtol=0, atol=1e-15)
 
     def test_average_deviation_compares_the_state_averages(self, monkeypatch):
         kind = NoiseKind.PHASE_DAMPING
