@@ -56,6 +56,15 @@ def _angle(value: float, args, flag: str) -> float:
     return float(np.deg2rad(value)) if args.degrees else float(value)
 
 
+def _angle_grid(grid: tuple[float, ...], args, flag: str) -> tuple[float, ...]:
+    """``_angle`` of every grid value, as one array operation."""
+    values = np.asarray(grid, dtype=float)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise UsageError(f"{flag}: must be finite, got {float(bad[0])!r}")
+    return tuple((np.deg2rad(values) if args.degrees else values).tolist())
+
+
 def _channel_from_args(args) -> channels.QuantumChannel:
     kind = NoiseKind(args.noise)
     param = args.param if kind.is_probability else _angle(args.param, args, "--param")
@@ -68,7 +77,7 @@ def _channel_from_args(args) -> channels.QuantumChannel:
 def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
     try:
         if ":" not in text:
-            return tuple(float(token) for token in text.split(","))
+            return tuple(map(float, text.split(",")))
         lo_raw, hi_raw, count_raw = text.split(":")
         lo, hi, count = float(lo_raw), float(hi_raw), int(count_raw)
     except ValueError:
@@ -77,7 +86,7 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
         ) from None
     if not 1 <= count <= harness.MAX_SWEEP_ROWS:
         raise UsageError(f"{flag}: n must be in [1, {harness.MAX_SWEEP_ROWS}], got {count}")
-    return tuple(float(v) for v in np.linspace(lo, hi, count))
+    return tuple(np.linspace(lo, hi, count).tolist())
 
 
 def _print_json(document, file=None) -> None:
@@ -127,14 +136,12 @@ def _cmd_sweep(args, start: float) -> int:
     if args.grid is not None:
         grid = _parse_grid(args.grid, "--grid")
         if not kind.is_probability and args.degrees:
-            grid = tuple(float(np.deg2rad(v)) for v in grid)
+            grid = tuple(np.deg2rad(grid).tolist())
     else:
-        grid = tuple(float(v) for v in np.linspace(*kind.natural_range, 101))
+        grid = tuple(np.linspace(*kind.natural_range, 101).tolist())
     xi_grid: tuple[float, ...] = ()
     if args.xi_grid is not None:
-        xi_grid = tuple(
-            _angle(v, args, "--xi-grid") for v in _parse_grid(args.xi_grid, "--xi-grid")
-        )
+        xi_grid = _angle_grid(_parse_grid(args.xi_grid, "--xi-grid"), args, "--xi-grid")
     if not xi_grid and not args.xi_avg:
         raise UsageError("--xi-grid: required unless --xi-avg is given")
     try:

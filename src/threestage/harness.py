@@ -14,6 +14,8 @@ import os
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,10 +27,11 @@ from .fidelity import FidelityReport, QuadratureSpec, RotationAveragedOracle
 # Serialized stand-in for the state-averaged row's xi field.
 XI_AVERAGE = "avg"
 
-CSV_HEADER = "kind,param,xi,closed_form,oracle,deviation"
-_CSV_COLUMNS = CSV_HEADER.split(",")
-
 MAX_SWEEP_ROWS = 10**6
+
+# format_rows writes this many rows at a time, so that the text of one
+# field per row exists for one block only.
+FORMAT_BLOCK_ROWS = 2**14
 
 
 class SweepMode(Enum):
@@ -80,9 +83,12 @@ def _check_grid(name: str, grid) -> None:
         raise ValueError(f"{name}: grid must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One sweep grid point; ``xi`` is None on state-averaged rows."""
+class ResultRow(NamedTuple):
+    """One sweep grid point; ``xi`` is None on state-averaged rows.
+
+    A tuple of its fields in CSV column order: it unpacks, and compares equal
+    to the plain tuple of the same values.
+    """
 
     kind: NoiseKind
     param: float
@@ -90,6 +96,9 @@ class ResultRow:
     closed_form: float | None
     oracle: float | None
     deviation: float | None
+
+
+CSV_HEADER = ",".join(ResultRow._fields)
 
 
 @dataclass(frozen=True)
@@ -104,31 +113,12 @@ class RunManifest:
     max_abs_deviation: float | None
 
     def to_dict(self) -> dict:
-        # Every field is a scalar, so a shallow copy equals dataclasses.asdict,
-        # which deep-copies recursively.
+        # Every field is a scalar: a shallow copy equals the deep dataclasses.asdict.
         return dict(vars(self))
 
 
-def _make_row(kind, param, xi, closed, oracle) -> ResultRow:
-    deviation = None
-    if closed is not None and oracle is not None:
-        deviation = abs(closed - oracle)
-    return ResultRow(
-        kind=kind,
-        param=float(param),
-        xi=None if xi is None else float(xi),
-        closed_form=closed,
-        oracle=oracle,
-        deviation=deviation,
-    )
-
-
-def run_manifest(
-    start: float,
-    seed: int | None = None,
-    quad: QuadratureSpec | None = None,
-    max_abs_deviation: float | None = None,
-) -> RunManifest:
+def run_manifest(start: float, seed: int | None = None, quad: QuadratureSpec | None = None,
+                 max_abs_deviation: float | None = None) -> RunManifest:
     """Manifest of a run that began at ``time.perf_counter()`` value ``start``.
 
     ``quad`` is the quadrature of the oracle the run built, None when it
@@ -190,17 +180,14 @@ def sweep(spec: SweepSpec) -> tuple[list[ResultRow], RunManifest]:
         spec.kind, spec.param_grid, spec.xi_grid, spec.include_state_average,
         closed=spec.mode is not SweepMode.ORACLE, quad=quad,
     )
-    xi_column = list(spec.xi_grid) + [None] * spec.include_state_average
-    missing = [[None] * len(xi_column)] * len(spec.param_grid)
-    closed = missing if closed is None else closed.tolist()
-    oracle = missing if oracle is None else oracle.tolist()
-    rows = [
-        _make_row(spec.kind, param, xi, closed_value, oracle_value)
-        for param, closed_row, oracle_row in zip(spec.param_grid, closed, oracle)
-        for xi, closed_value, oracle_value in zip(xi_column, closed_row, oracle_row)
-    ]
-    deviations = [row.deviation for row in rows if row.deviation is not None]
-    return rows, run_manifest(start, spec.seed, quad, max(deviations) if deviations else None)
+    deviation = None if closed is None or oracle is None else np.abs(closed - oracle)
+    xis = [float(xi) for xi in spec.xi_grid] + [None] * spec.include_state_average
+    params = np.repeat(np.asarray(spec.param_grid, dtype=float), len(xis)).tolist()
+    values = (repeat(None) if a is None else a.ravel().tolist() for a in (closed, oracle, deviation))
+    # Built column by column, so that no row costs a Python-level call.
+    columns = zip(repeat(spec.kind), params, xis * len(spec.param_grid), *values)
+    worst = None if deviation is None else float(deviation.max())
+    return list(map(ResultRow._make, columns)), run_manifest(start, spec.seed, quad, worst)
 
 
 def default_verification_grids(kind: NoiseKind) -> tuple[np.ndarray, np.ndarray]:
@@ -243,38 +230,42 @@ def verify_formulas(
         average_deviation = float(np.max(np.abs(closed[:, -1] - oracle[:, -1])))
         closed, oracle = closed[:, :-1], oracle[:, :-1]
         deviation = np.abs(closed - oracle)
-        worst_flat = int(np.argmax(deviation))
-        worst_i, worst_j = np.unravel_index(worst_flat, deviation.shape)
-        reports.append(
-            FidelityReport(
-                kind=kind,
-                param_grid=tuple(float(p) for p in params),
-                xi_grid=tuple(float(x) for x in xis),
-                closed_form=closed,
-                oracle=oracle,
-                max_abs_deviation=float(deviation[worst_i, worst_j]),
-                worst_point=(float(params[worst_i]), float(xis[worst_j])),
-                average_deviation=average_deviation,
-            )
-        )
+        worst_i, worst_j = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
+        reports.append(FidelityReport(
+            kind=kind, param_grid=tuple(params.tolist()), xi_grid=tuple(xis.tolist()),
+            closed_form=closed, oracle=oracle,
+            max_abs_deviation=float(deviation[worst_i, worst_j]),
+            worst_point=(float(params[worst_i]), float(xis[worst_j])),
+            average_deviation=average_deviation,
+        ))
     return reports
 
 
-def _encode_columns(rows) -> list[list]:
-    """The rows' fields as JSON values, a list per column; ``_decode_row`` inverts a row."""
-    return [
-        [row.kind.value for row in rows],
-        [row.param for row in rows],
-        [XI_AVERAGE if row.xi is None else row.xi for row in rows],
-        [row.closed_form for row in rows],
-        [row.oracle for row in rows],
-        [row.deviation for row in rows],
-    ]
+# Per format: the text before each field and after the row (ending in the row
+# separator), then the text of a missing xi and of another missing value.
+_CSV_LAYOUT = (("", ",", ",", ",", ",", ",", "\n"), XI_AVERAGE, "")
+_JSON_LAYOUT = (('{"kind": "', '", "param": ', *(f', "{name}": ' for name in ResultRow._fields[2:]),
+                 "},\n"), f'"{XI_AVERAGE}"', "null")
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))  # repr of the non-finite floats
+_kind_text = operator.attrgetter("_value_")  # NoiseKind.value, without its property call
 
 
-def _csv_texts(column) -> list[str]:
-    """One column's JSON values as CSV fields, numbers in shortest round-trip form."""
-    return ["" if v is None else v if isinstance(v, str) else repr(float(v)) for v in column]
+def _field_texts(column, missing: str) -> list[str]:
+    """The field encoder: numbers in shortest round-trip form, None as ``missing``."""
+    return [missing if value is None else repr(float(value)) for value in column]
+
+
+def _format_block(rows, pieces, xi_missing: str, missing: str, finite: bool) -> str:
+    """``rows`` in one fixed template; ``finite`` rejects NaN and infinity as json does."""
+    kinds, params, xis, *optional = zip(*rows)
+    columns = [map(_kind_text, kinds), _field_texts(params, missing), _field_texts(xis, xi_missing),
+               *(_field_texts(values, missing) for values in optional)]
+    if finite and not all(map(_NON_FINITE.isdisjoint, columns[1:])):
+        raise ValueError("Out of range float values are not JSON compliant")
+    interleaved = [repeat(pieces[0])]
+    for texts, after in zip(columns, pieces[1:]):
+        interleaved += (texts, repeat(after))
+    return "".join(chain.from_iterable(zip(*interleaved)))
 
 
 def format_rows(rows, fmt: str, manifest: RunManifest | None = None) -> str:
@@ -282,50 +273,54 @@ def format_rows(rows, fmt: str, manifest: RunManifest | None = None) -> str:
 
     CSV is rows only; JSON wraps them with the run manifest less its
     ``duration_ms``, so identical sweeps re-export byte-identically in both.
+    Both formats share one field encoder and are built ``FORMAT_BLOCK_ROWS``
+    rows at a time.
     """
+    return "".join(_text_parts(rows, fmt, manifest))
+
+
+def _text_parts(rows, fmt: str, manifest: RunManifest | None) -> list[str]:
+    """``format_rows`` in parts: the head, one per ``FORMAT_BLOCK_ROWS`` rows, the tail."""
     rows = list(rows)
     if not rows:
         raise ValueError("rows must be nonempty")
-    columns = _encode_columns(rows)
     if fmt == "csv":
-        # Column by column, so that no field costs a call or a container.
-        lines = map(",".join, zip(*map(_csv_texts, columns)))
-        return "\n".join([CSV_HEADER, *lines]) + "\n"
-    if fmt != "json":
+        head, layout, tail = CSV_HEADER + "\n", _CSV_LAYOUT, ""
+    elif fmt == "json":
+        # Wall time differs run to run; the stderr manifest keeps it.
+        fields = {} if manifest is None else manifest.to_dict()
+        fields.pop("duration_ms", None)
+        head = f'{{"manifest": {json.dumps(fields or None, allow_nan=False)}, "rows": [\n'
+        layout, tail = _JSON_LAYOUT, "]}\n"
+    else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    # Wall time differs run to run; the stderr manifest keeps it.
-    fields = {} if manifest is None else manifest.to_dict()
-    fields.pop("duration_ms", None)
-    # One dumps call over all rows keeps to the C encoder, which `indent`
-    # would bypass. A row holds no nested object or free text, so "}, {"
-    # occurs only between rows, where a newline puts one row per line.
-    rows_text = json.dumps(
-        [dict(zip(_CSV_COLUMNS, values)) for values in zip(*columns)], allow_nan=False
-    )
-    return (
-        f'{{"manifest": {json.dumps(fields or None, allow_nan=False)}, "rows": [\n'
-        + rows_text[1:-1].replace("}, {", "},\n{")
-        + "\n]}\n"
-    )
+    blocks = [
+        _format_block(rows[start : start + FORMAT_BLOCK_ROWS], *layout, fmt == "json")
+        for start in range(0, len(rows), FORMAT_BLOCK_ROWS)
+    ]
+    if fmt == "json":
+        blocks[-1] = blocks[-1][:-2] + "\n"  # no comma after the last row
+    return [head, *blocks, tail]
 
 
 def export(rows, fmt: str, path, manifest: RunManifest | None = None) -> None:
     """Write ``format_rows(rows, fmt, manifest)`` to ``path``, all or nothing.
 
     A new or regular file is written beside itself, then renamed into place; a
-    device or pipe, such as /dev/null, is written through.
+    device or pipe, such as /dev/null, is written through. The text is made in
+    full before the first write and written a block at a time.
     """
-    payload = format_rows(rows, fmt, manifest)
+    parts = _text_parts(rows, fmt, manifest)
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         with open(target, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
+            handle.writelines(parts)
         return
     temp = f"{target}.{os.urandom(8).hex()}.tmp"
     handle = open(temp, "x", encoding="utf-8", newline="")
     try:
         with handle:
-            handle.write(payload)
+            handle.writelines(parts)
         os.replace(temp, target)
     except BaseException:
         os.remove(temp)
@@ -336,16 +331,18 @@ def _optional_float(value) -> float | None:
     return None if value is None or value == "" else float(value)
 
 
+_KINDS = {kind.value: kind for kind in NoiseKind}
+
+
 def _decode_row(kind, param, xi, closed_form, oracle, deviation) -> ResultRow:
     """A row from its fields in CSV column order, as CSV text or JSON values."""
-    return ResultRow(
-        kind=NoiseKind(kind),
-        param=float(param),
-        xi=None if xi == XI_AVERAGE else float(xi),
-        closed_form=_optional_float(closed_form),
-        oracle=_optional_float(oracle),
-        deviation=_optional_float(deviation),
-    )
+    try:
+        kind = _KINDS[kind]
+    except (KeyError, TypeError):
+        kind = NoiseKind(kind)  # raises the enum's own ValueError, as the parse did
+    xi = None if xi == XI_AVERAGE else float(xi)
+    return ResultRow(kind, float(param), xi, _optional_float(closed_form),
+                     _optional_float(oracle), _optional_float(deviation))
 
 
 def load_rows(path, fmt: str) -> list[ResultRow]:
@@ -361,14 +358,16 @@ def load_rows(path, fmt: str) -> list[ResultRow]:
             lines = handle.read().splitlines()
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError(f"{path}: missing expected CSV header")
-        records, label, first = (line.split(",") for line in lines[1:]), "line", 2
+        records, label, first = map(str.split, lines[1:], repeat(",")), "line", 2
     elif fmt == "json":
+        def reject(token):  # json.load takes NaN and Infinity unless told not to
+            raise ValueError(f"{path}: {token} is not a finite JSON number")
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+            document = json.load(handle, parse_constant=reject)
         if not isinstance(document, dict) or not isinstance(document.get("rows"), list):
             raise ValueError(f"{path}: expected a JSON object with a 'rows' list")
-        columns = operator.itemgetter(*_CSV_COLUMNS)
-        records, label, first = (columns(item) for item in document["rows"]), "row", 0
+        columns = operator.itemgetter(*ResultRow._fields)
+        records, label, first = map(columns, document["rows"]), "row", 0
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     rows: list[ResultRow] = []

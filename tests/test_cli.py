@@ -254,6 +254,28 @@ class TestSweep:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
 
+    @pytest.mark.parametrize("text", ["0:360:20011", "-7.5:1e3:4099", "1,2.5,3e2,-0.0,400"])
+    @pytest.mark.parametrize("degrees", [False, True])
+    def test_grids_convert_as_whole_arrays_to_the_per_value_floats(self, text, degrees):
+        args = cli.build_parser().parse_args(["sweep", "--noise", "cd", "--out", "-"])
+        args.degrees = degrees
+        if ":" in text:
+            lo, hi, count = text.split(":")
+            want = tuple(float(v) for v in np.linspace(float(lo), float(hi), int(count)))
+        else:
+            want = tuple(float(token) for token in text.split(","))
+        grid = cli._parse_grid(text, "--grid")
+        assert grid == want and all(type(v) is float for v in grid)
+        converted = cli._angle_grid(grid, args, "--xi-grid")
+        assert [v.hex() for v in converted] == [cli._angle(v, args, "--xi-grid").hex() for v in want]
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+    def test_first_non_finite_xi_is_named(self, capsys, tmp_path, bad):
+        code, _, err = run_cli(capsys, "sweep", "--noise", "cd", "--xi-grid", f"0,{bad},inf",
+                               "--out", str(tmp_path / "f.csv"))
+        assert code == 2
+        assert f"error: --xi-grid: must be finite, got {float(bad)!r}" in err
+
     def test_degrees_converts_the_angle_grids(self, capsys, tmp_path):
         degrees, radians = tmp_path / "d.csv", tmp_path / "r.csv"
         common = ["sweep", "--noise", "cd", "--xi-avg"]

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import os
+import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,3 +388,156 @@ class TestExport:
         harness.export(rows_a, "csv", first)
         harness.export(rows_b, "csv", second)
         assert first.read_bytes() == second.read_bytes()
+
+
+def reference_format_rows(rows, fmt, manifest=None):
+    """The former ``format_rows``: a text list per column, json.dumps over a dict per row."""
+    rows = list(rows)
+    columns = [
+        [row.kind.value for row in rows],
+        [row.param for row in rows],
+        ["avg" if row.xi is None else row.xi for row in rows],
+        [row.closed_form for row in rows],
+        [row.oracle for row in rows],
+        [row.deviation for row in rows],
+    ]
+    if fmt == "csv":
+        texts = [
+            ["" if v is None else v if isinstance(v, str) else repr(float(v)) for v in column]
+            for column in columns
+        ]
+        return "\n".join([harness.CSV_HEADER, *map(",".join, zip(*texts))]) + "\n"
+    fields = {} if manifest is None else manifest.to_dict()
+    fields.pop("duration_ms", None)
+    names = harness.CSV_HEADER.split(",")
+    rows_text = json.dumps([dict(zip(names, values)) for values in zip(*columns)], allow_nan=False)
+    return (
+        f'{{"manifest": {json.dumps(fields or None, allow_nan=False)}, "rows": [\n'
+        + rows_text[1:-1].replace("}, {", "},\n{")
+        + "\n]}\n"
+    )
+
+
+SPECIAL_VALUES = (-0.0, 0.0, 5e-324, 1e16, 1e22, 1e-5, 0.1, 1.0 / 3.0, np.float64(0.7),
+                  np.float64(-2.5e-9))
+BLOCK = harness.FORMAT_BLOCK_ROWS
+
+
+@pytest.fixture(scope="module")
+def random_rows():
+    """BLOCK + 5 seeded rows of every kind, with state-averaged rows, None and special values."""
+    rng = np.random.default_rng(20)
+    count = BLOCK + 5
+
+    def column(none_share):
+        draws = rng.random(count)
+        specials = rng.integers(len(SPECIAL_VALUES), size=count).tolist()
+        normals = (rng.normal(size=count) * 10.0 ** rng.integers(-20, 20, size=count)).tolist()
+        return [
+            None if draw < none_share
+            else SPECIAL_VALUES[special] if draw < none_share + 0.2 else normal
+            for draw, special, normal in zip(draws.tolist(), specials, normals)
+        ]
+
+    members = list(NoiseKind)
+    kinds = [members[i] for i in rng.integers(len(members), size=count).tolist()]
+    columns = [kinds, column(0.0), column(0.2), column(0.3), column(0.3), column(0.3)]
+    return [ResultRow(*fields) for fields in zip(*columns)]
+
+
+class TestFieldEncoder:
+    @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_equal_the_reference_encoder(self, random_rows, fmt, count):
+        rows = random_rows[:count]
+        _, manifest = harness.sweep(spec_with(mode=SweepMode.BOTH))
+        for with_manifest in (None, manifest) if fmt == "json" else (None,):
+            want = reference_format_rows(rows, fmt, with_manifest)
+            assert harness.format_rows(rows, fmt, with_manifest) == want
+
+    def test_random_rows_cover_every_kind_and_special_value(self, random_rows):
+        assert {row.kind for row in random_rows} == set(NoiseKind)
+        assert any(row.xi is None for row in random_rows)
+        values = [v for row in random_rows for v in row[1:]]
+        for special in SPECIAL_VALUES:
+            assert any(type(v) is type(special) and repr(v) == repr(special) for v in values)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_in_a_later_block_raises(self, random_rows, bad):
+        rows = list(random_rows)
+        rows[BLOCK + 2] = rows[BLOCK + 2]._replace(oracle=bad)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            harness.format_rows(rows, "json")
+        assert harness.format_rows(rows, "csv") == reference_format_rows(rows, "csv")
+
+    def test_an_int_field_is_written_as_a_float_in_both_formats(self):
+        row = ResultRow(NoiseKind.PHASE_DAMPING, 1, 0, 0.5, None, None)
+        assert harness.format_rows([row], "csv").splitlines()[1] == "pd,1.0,0.0,0.5,,"
+        assert harness.format_rows([row], "json").splitlines()[1] == (
+            '{"kind": "pd", "param": 1.0, "xi": 0.0, "closed_form": 0.5, "oracle": null, '
+            '"deviation": null}'
+        )
+
+    def test_format_peak_memory_is_bounded_by_the_text(self):
+        params = tuple(np.linspace(0.0, 1.0, 10**4).tolist())
+        xis = tuple(np.linspace(0.0, 6.0, 9).tolist())
+        rows, _ = harness.sweep(spec_with(param_grid=params, xi_grid=xis, include_state_average=True))
+        assert len(rows) == 10**5
+        tracemalloc.start()
+        try:
+            text = harness.format_rows(rows, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The text once in blocks and once joined, plus the field texts of one block.
+        assert peak < 2 * len(text) + 8 * 2**20, (peak, len(text))
+
+
+class TestRowContract:
+    def test_fields_are_the_csv_columns(self):
+        assert ResultRow._fields == tuple(harness.CSV_HEADER.split(","))
+
+    def test_rows_are_immutable(self):
+        row = ResultRow(NoiseKind.PHASE_DAMPING, 1.0, None, 0.5625, None, None)
+        with pytest.raises(AttributeError):
+            row.param = 0.5
+        assert row == (NoiseKind.PHASE_DAMPING, 1.0, None, 0.5625, None, None)
+        kind, *_ = row
+        assert kind is NoiseKind.PHASE_DAMPING
+
+    @pytest.mark.parametrize("mode", list(SweepMode))
+    def test_sweep_fields_are_python_floats(self, mode):
+        rows, manifest = harness.sweep(spec_with(mode=mode, include_state_average=True))
+        for row in rows:
+            assert type(row) is ResultRow and row.kind is NoiseKind.AMPLITUDE_DAMPING
+            assert all(v is None or type(v) is float for v in row[1:])
+        deviations = [row.deviation for row in rows if row.deviation is not None]
+        assert manifest.max_abs_deviation == (max(deviations) if deviations else None)
+
+    @pytest.mark.parametrize("text, message", [
+        ("zz,1.0,avg,0.5,,", "line 2: malformed row: 'zz' is not a valid NoiseKind"),
+        ("pd,1.0,avg", "line 2: malformed row: _decode_row() missing 3 required positional "
+                       "arguments: 'closed_form', 'oracle', and 'deviation'"),
+    ])
+    def test_csv_error_messages(self, tmp_path, text, message):
+        path = tmp_path / "rows.csv"
+        path.write_text(f"{harness.CSV_HEADER}\n{text}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            harness.load_rows(path, "csv")
+
+    @pytest.mark.parametrize("row, message", [
+        (dict(GOOD_ROW, kind="zz"), "row 0: malformed row: 'zz' is not a valid NoiseKind"),
+        (dict(GOOD_ROW, kind=[1]), "row 0: malformed row: [1] is not a valid NoiseKind"),
+        ({k: v for k, v in GOOD_ROW.items() if k != "param"}, "missing key 'param' in row 0"),
+    ])
+    def test_json_error_messages(self, tmp_path, row, message):
+        path = write_json_rows(tmp_path, {"rows": [row]})
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            harness.load_rows(path, "json")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_json_non_finite_constant_names_file(self, tmp_path, token):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"rows": [GOOD_ROW]}).replace("0.5625", token))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {token} is not a finite"):
+            harness.load_rows(path, "json")
