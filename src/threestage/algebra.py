@@ -19,12 +19,14 @@ ATOL = 1e-12
 # Unitarity preconditions get one matrix product of extra slack.
 UNITARY_ATOL = 1e-10
 
+_IDENTITY = np.eye(2)
+
 
 def _as_mat2(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.shape[-2:] != (2, 2):
         raise ValueError(f"{name} must have shape (..., 2, 2), got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
     return a
 
@@ -35,7 +37,7 @@ def rotation(theta) -> np.ndarray:
     An array of angles gives the stack of rotations, shape ``theta.shape + (2, 2)``.
     """
     theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("rotation angle must be finite")
     c, s = np.cos(theta), np.sin(theta)
     out = np.empty(theta.shape + (2, 2), dtype=complex)
@@ -72,9 +74,14 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def _within_unitary(u: np.ndarray, u_dagger: np.ndarray, atol: float) -> bool:
+    """max |U^dagger U - 1| <= atol over every entry (and member), given U^dagger."""
+    return bool(np.abs(u_dagger @ u - _IDENTITY).max() <= atol)
+
+
 def is_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     u = np.asarray(u, dtype=complex)
-    return bool(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2))) <= atol)
+    return _within_unitary(u, u.conj().swapaxes(-1, -2), atol)
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -90,12 +97,23 @@ def validate_state(psi) -> np.ndarray:
     a = np.asarray(psi, dtype=complex)
     if a.shape != (2,):
         raise ValueError(f"state must have shape (2,), got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("state has non-finite amplitudes")
     norm_sq = float(np.real(np.vdot(a, a)))
     if abs(norm_sq - 1.0) > ATOL:
         raise ValueError(f"state is not normalized: |a0|^2 + |a1|^2 = {norm_sq!r}")
     return a
+
+
+def _lowest_eigenvalue(a: np.ndarray) -> np.ndarray:
+    """Lower eigenvalue of each Hermitian 2x2 in ``a``, in closed form.
+
+    (tr - hypot(a00 - a11, 2|a10|)) / 2 from the diagonal's real parts and the
+    lower triangle, the entries ``np.linalg.eigvalsh`` reads; it agrees with
+    that routine to about 1e-16 in absolute terms on density matrices.
+    """
+    a00, a11 = a[..., 0, 0].real, a[..., 1, 1].real
+    return (a00 + a11 - np.hypot(a00 - a11, 2.0 * np.abs(a[..., 1, 0]))) / 2.0
 
 
 def validate_density(rho) -> np.ndarray:
@@ -106,15 +124,15 @@ def validate_density(rho) -> np.ndarray:
     assume a valid input and re-symmetrize their outputs.
     """
     a = _as_mat2(rho, "density matrix")
-    if np.max(np.abs(a - a.conj().swapaxes(-1, -2))) > ATOL:
+    if np.abs(a - a.conj().swapaxes(-1, -2)).max() > ATOL:
         raise ValueError("density matrix is not Hermitian within 1e-12")
     trace = a[..., 0, 0] + a[..., 1, 1]
     bad = np.abs(trace - 1.0) > ATOL
-    if np.count_nonzero(bad):
+    if bad.any():
         raise ValueError(f"density matrix trace is {complex(trace[bad][0])!r}, expected 1")
-    lowest = np.linalg.eigvalsh(a)[..., 0]
+    lowest = _lowest_eigenvalue(a)
     bad = lowest < -ATOL
-    if np.count_nonzero(bad):
+    if bad.any():
         raise ValueError(f"density matrix has negative eigenvalue {float(lowest[bad][0])!r}")
     return a
 
@@ -132,10 +150,11 @@ def conjugate_by(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     within 1e-10.
     """
     u = _as_mat2(u, "unitary")
-    if not is_unitary(u):
+    u_dagger = u.conj().swapaxes(-1, -2)
+    if not _within_unitary(u, u_dagger, UNITARY_ATOL):
         raise ValueError("operator is not unitary within 1e-10")
     rho = np.asarray(rho, dtype=complex)
-    return symmetrize(u @ rho @ u.conj().swapaxes(-1, -2))
+    return symmetrize(u @ rho @ u_dagger)
 
 
 def fidelity(psi, rho) -> float:

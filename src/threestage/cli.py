@@ -89,9 +89,12 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
     return tuple(np.linspace(lo, hi, count).tolist())
 
 
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)
+
+
 def _print_json(document, file=None) -> None:
     """One strict JSON document per line: NaN and infinities raise ValueError."""
-    print(json.dumps(document, allow_nan=False), file=file)
+    print(_STRICT_JSON.encode(document), file=file)
 
 
 def _emit_manifest(manifest: RunManifest) -> None:
@@ -248,12 +251,12 @@ def _cmd_commutators(args, start: float) -> int:
 def _cmd_message(args, start: float) -> int:
     if len(args.bits) > MAX_MESSAGE_BITS:
         raise UsageError(f"--bits: {len(args.bits)} bits, over the cap of {MAX_MESSAGE_BITS}")
-    if not args.bits or any(c not in "01" for c in args.bits):
+    if not args.bits or not set(args.bits) <= {"0", "1"}:
         raise UsageError(f"--bits: must be a nonempty string of 0s and 1s, got {args.bits!r}")
     if args.seed < 0:
         raise UsageError(f"--seed: must be non-negative, got {args.seed}")
     config = _protocol_config(args)
-    bits = [int(c) for c in args.bits]
+    bits = np.frombuffer(args.bits.encode("ascii"), dtype=np.int8) - ord("0")
     decoded, qber = protocol.transmit_message(bits, config, args.seed)
     _print_json({"decoded": "".join(str(b) for b in decoded), "qber": qber})
     _emit_manifest(run_manifest(start, seed=args.seed))

@@ -9,6 +9,7 @@ are byte-identical; floats are written in their shortest round-trip form.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import time
@@ -327,8 +328,15 @@ def export(rows, fmt: str, path, manifest: RunManifest | None = None) -> None:
         raise
 
 
+def _finite_float(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
 def _optional_float(value) -> float | None:
-    return None if value is None or value == "" else float(value)
+    return None if value is None or value == "" else _finite_float(value)
 
 
 _KINDS = {kind.value: kind for kind in NoiseKind}
@@ -340,30 +348,39 @@ def _decode_row(kind, param, xi, closed_form, oracle, deviation) -> ResultRow:
         kind = _KINDS[kind]
     except (KeyError, TypeError):
         kind = NoiseKind(kind)  # raises the enum's own ValueError, as the parse did
-    xi = None if xi == XI_AVERAGE else float(xi)
-    return ResultRow(kind, float(param), xi, _optional_float(closed_form),
+    xi = None if xi == XI_AVERAGE else _finite_float(xi)
+    return ResultRow(kind, _finite_float(param), xi, _optional_float(closed_form),
                      _optional_float(oracle), _optional_float(deviation))
 
 
 def load_rows(path, fmt: str) -> list[ResultRow]:
     """Read rows back from an exported file; inverse of ``export``.
 
-    A malformed row (a wrong field count, a missing key, a non-numeric value
-    or an unknown kind) raises ValueError naming the file and the CSV line
-    number or the JSON row index; so does a JSON document that is not an
-    object with a ``rows`` list.
+    A malformed row (a wrong field count, a missing key, a non-numeric or
+    non-finite value or an unknown kind) raises ValueError naming the file
+    and the CSV line number or the JSON row index. A file that is not UTF-8
+    text, or not JSON, or a JSON document that is not an object with a
+    ``rows`` list raises ValueError naming the file.
     """
     if fmt == "csv":
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            lines = handle.read().splitlines()
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as handle:
+                lines = handle.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError(f"{path}: missing expected CSV header")
         records, label, first = map(str.split, lines[1:], repeat(",")), "line", 2
     elif fmt == "json":
         def reject(token):  # json.load takes NaN and Infinity unless told not to
             raise ValueError(f"{path}: {token} is not a finite JSON number")
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle, parse_constant=reject)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                document = json.load(handle, parse_constant=reject)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
         if not isinstance(document, dict) or not isinstance(document.get("rows"), list):
             raise ValueError(f"{path}: expected a JSON object with a 'rows' list")
         columns = operator.itemgetter(*ResultRow._fields)

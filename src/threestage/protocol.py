@@ -80,6 +80,23 @@ class Transcript:
     bit_sent: int
 
 
+def _basis(xi) -> np.ndarray:
+    """Both encoded states as the rows of one matrix, shape ``xi.shape + (2, 2)``.
+
+    Row 0 is cos(xi)|0> + sin(xi)|1>, row 1 is sin(xi)|0> - cos(xi)|1>.
+    """
+    angles = np.asarray(xi, dtype=float)
+    if not np.isfinite(angles).all():
+        raise ValueError(f"xi must be finite, got {xi!r}")
+    c, s = np.cos(angles), np.sin(angles)
+    out = np.empty(angles.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = c
+    out[..., 0, 1] = s
+    out[..., 1, 0] = s
+    out[..., 1, 1] = -c
+    return out
+
+
 def encode_bit(bit: int, xi) -> np.ndarray:
     """State carrying ``bit`` in the basis fixed by ``xi``.
 
@@ -89,13 +106,7 @@ def encode_bit(bit: int, xi) -> np.ndarray:
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    angles = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(angles)):
-        raise ValueError(f"xi must be finite, got {xi!r}")
-    c, s = np.cos(angles), np.sin(angles)
-    out = np.empty(angles.shape + (2,), dtype=complex)
-    out[..., 0], out[..., 1] = (c, s) if bit == 0 else (s, -c)
-    return out
+    return _basis(xi)[..., bit, :]
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64's
@@ -222,14 +233,12 @@ def _stage_channels(config: ProtocolConfig, message_index):
 
 def _evolve(config: ProtocolConfig, rho: np.ndarray, stages) -> tuple:
     """States after each crossing and after Bob's inverse rotation; stacks broadcast."""
-    r_alice = algebra.rotation(config.alice_angle)
-    r_bob = algebra.rotation(config.bob_angle)
+    r_alice, r_bob = rotations = algebra.rotation((config.alice_angle, config.bob_angle))
+    undo_alice, undo_bob = algebra.dagger(rotations)
     after_1 = channels.apply_channel(stages[0], algebra.conjugate_by(r_alice, rho))
     after_2 = channels.apply_channel(stages[1], algebra.conjugate_by(r_bob, after_1))
-    after_3 = channels.apply_channel(
-        stages[2], algebra.conjugate_by(algebra.dagger(r_alice), after_2)
-    )
-    return after_1, after_2, after_3, algebra.conjugate_by(algebra.dagger(r_bob), after_3)
+    after_3 = channels.apply_channel(stages[2], algebra.conjugate_by(undo_alice, after_2))
+    return after_1, after_2, after_3, algebra.conjugate_by(undo_bob, after_3)
 
 
 def run_protocol(
@@ -263,20 +272,25 @@ def decode_bit(rho_final: np.ndarray, xi: float):
     construction.
     """
     rho = algebra.validate_density(rho_final)
-
-    def probability(psi):
-        # Row times column: every member takes the scalar inner product's
-        # arithmetic, so a stack decodes exactly as its members one by one.
-        value = np.real((psi.conj() @ rho)[..., None, :] @ psi[:, None])[..., 0, 0]
-        return np.minimum(np.maximum(value, 0.0), 1.0)
-
-    p0, p1 = probability(encode_bit(0, xi)), probability(encode_bit(1, xi))
-    return (float(p0), float(p1)) if rho.ndim == 2 else (p0, p1)
+    basis = _basis(xi)
+    # Row times matrix times column for both states at once: every member
+    # takes the scalar inner product's arithmetic, so a stack decodes exactly
+    # as its members one by one.
+    value = (basis.conj()[..., :, None, :] @ rho[..., None, :, :] @ basis[..., :, :, None]).real
+    p = np.minimum(np.maximum(value[..., 0, 0], 0.0), 1.0)
+    return (float(p[0]), float(p[1])) if rho.ndim == 2 else (p[..., 0], p[..., 1])
 
 
 def _message_bits(bits) -> np.ndarray:
-    """The message as an int8 array, every entry checked to be 0 or 1."""
-    values = np.fromiter(bits, dtype=object)
+    """The message as an int8 array, every entry checked to be 0 or 1.
+
+    A 1-D integer array is checked as it is; any other iterable is read
+    entry by entry, so a bad entry is named as it was given.
+    """
+    if isinstance(bits, np.ndarray) and bits.ndim == 1 and bits.dtype.kind in "iu":
+        values = bits
+    else:
+        values = np.fromiter(bits, dtype=object)
     if values.size == 0:
         raise ValueError("message must contain at least one bit")
     valid = (values == 0) | (values == 1)
@@ -288,7 +302,7 @@ def _message_bits(bits) -> np.ndarray:
 
 def _round_p0(config: ProtocolConfig, bits: np.ndarray, message_index) -> np.ndarray:
     """p0 of one stacked round per entry of ``bits``, the stages drawn for ``message_index``."""
-    psi = np.where(bits[:, None] == 0, encode_bit(0, config.xi), encode_bit(1, config.xi))
+    psi = _basis(config.xi)[bits]
     rho = psi[:, :, None] * psi[:, None, :].conj()
     final = _evolve(config, rho, _stage_channels(config, message_index))[-1]
     return decode_bit(final, config.xi)[0]

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from threestage import cli, fidelity, harness
+from threestage import cli, fidelity, harness, protocol
 from threestage.fidelity import QuadratureSpec, RotationAveragedOracle
 
 
@@ -502,6 +502,21 @@ class TestMessage:
         assert code == 2
         assert out == ""
         assert "--bits: 1000001 bits, over the cap of 1000000" in err
+
+    @pytest.mark.parametrize("bits", ["01x", "0 1", "01\u0661", "1" * 9 + "2", "-1", ""])
+    def test_bits_usage_message_is_exact(self, capsys, bits):
+        code, out, err = run_cli(capsys, "message", "--noise", "none", "--bits", bits)
+        assert code == 2 and out == ""
+        assert err == f"error: --bits: must be a nonempty string of 0s and 1s, got {bits!r}\n"
+
+    def test_bits_reach_the_protocol_as_one_int8_array(self, capsys, monkeypatch):
+        sent = []
+        transmit = protocol.transmit_message
+        monkeypatch.setattr(protocol, "transmit_message",
+                            lambda bits, *a: sent.append(bits) or transmit(bits, *a))
+        code, out, _ = run_cli(capsys, "message", "--noise", "none", "--bits", "0110100")
+        assert code == 0 and json.loads(out)["decoded"] == "0110100"
+        assert sent[0].dtype == np.int8 and sent[0].tolist() == [0, 1, 1, 0, 1, 0, 0]
 
     def test_negative_seed_rejected(self, capsys):
         code, _, err = run_cli(

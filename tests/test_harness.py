@@ -541,3 +541,38 @@ class TestRowContract:
         path.write_text(json.dumps({"rows": [GOOD_ROW]}).replace("0.5625", token))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {token} is not a finite"):
             harness.load_rows(path, "json")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [1, 2, 3, 4, 5])
+    def test_csv_non_finite_field_names_file_and_line(self, tmp_path, token, column):
+        fields = ["pd", "1.0", "0.25", "0.5", "0.5", "0.0"]
+        fields[column] = token
+        path = tmp_path / "rows.csv"
+        path.write_text(f"{harness.CSV_HEADER}\npd,1.0,avg,0.5625,,\n{','.join(fields)}\n")
+        message = f"{path}: line 3: malformed row: {token!r} is not a finite number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            harness.load_rows(path, "csv")
+
+    @pytest.mark.parametrize("text, value", [('"nan"', "'nan'"), ("1e999", "inf")])
+    def test_json_value_that_reads_as_non_finite_names_file_and_row(self, tmp_path, text, value):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"rows": [GOOD_ROW]}).replace("0.5625", text))
+        message = f"{path}: row 0: malformed row: {value} is not a finite number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            harness.load_rows(path, "json")
+
+    def test_truncated_json_names_file(self, tmp_path):
+        path = tmp_path / "rows.json"
+        path.write_text('{"rows": [')
+        message = f"{path}: not valid JSON: Expecting value: line 1 column 11 (char 10)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            harness.load_rows(path, "json")
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_utf8_file_names_file(self, tmp_path, fmt):
+        path = tmp_path / f"rows.{fmt}"
+        path.write_bytes(harness.CSV_HEADER.encode() + b"\npd,1.0,avg,0.5\xff,,\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: not UTF-8 text: ')}") as info:
+            harness.load_rows(path, fmt)
+        assert type(info.value) is ValueError

@@ -291,6 +291,46 @@ class TestTransmitMessage:
         assert calls == []
 
 
+def reference_message_bits(bits):
+    """The per-element message check every input took before integer arrays skipped it."""
+    values = np.fromiter(bits, dtype=object)
+    if values.size == 0:
+        raise ValueError("message must contain at least one bit")
+    valid = (values == 0) | (values == 1)
+    if not valid.all():
+        index = int(np.argmin(valid))
+        raise ValueError(f"message bits must be 0 or 1, got {values[index]!r} at index {index}")
+    return values.astype(np.int8)
+
+
+MESSAGE_INPUTS = [
+    [0, 1, 1], (1,), [True, False], [0.0, 1.0], [], [0, 2], [1, -1, 0], ["0", "1"], [0, None],
+    np.array([0, 1, 1, 0]), np.array([], dtype=int), np.array([1, 0, 7]),
+    np.array([0, 1, 1], dtype=np.int8), np.array([0, -3], dtype=np.int8),
+    np.array([1, 0], dtype=np.uint8), np.array([1, 255], dtype=np.uint8),
+    np.array([0, 2**40], dtype=np.uint64), np.array([True, False]), np.array([0.0, 1.5]),
+]
+
+
+@pytest.mark.parametrize("bits", MESSAGE_INPUTS, ids=range(len(MESSAGE_INPUTS)))
+def test_message_bits_check_equals_the_per_element_reference(bits):
+    try:
+        want = reference_message_bits(bits)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            protocol._message_bits(bits)
+        assert str(info.value) == str(exc)
+    else:
+        got = protocol._message_bits(bits)
+        assert got.dtype == np.int8 and np.array_equal(got, want)
+
+
+def test_message_bits_leaves_an_integer_array_unchanged():
+    bits = np.array([0, 1, 1], dtype=np.int8)
+    protocol._message_bits(bits)[0] = 1
+    assert bits.tolist() == [0, 1, 1]
+
+
 class TestStagePolicy:
     def test_fixed_policy_uses_one_parameter(self):
         config = config_with(channels.amplitude_damping(0.4))

@@ -1,0 +1,249 @@
+"""One protocol round against the per-state reference it was optimised from.
+
+The ``reference_*`` functions below are the earlier ``algebra`` and
+``protocol`` code: a unitarity check that forms its own adjoint and identity,
+``eigvalsh`` for the lowest eigenvalue, one ``encode_bit`` per basis state in
+``decode_bit`` and one ``rotation`` per secret angle. The package now shares
+the adjoint, takes the 2x2 eigenvalue in closed form and builds the basis
+once; its transcripts, outcome probabilities and error messages must equal
+these bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from threestage import algebra, channels, protocol
+from threestage.channels import NoiseKind
+from threestage.protocol import ProtocolConfig, StagePolicy
+
+ATOL = algebra.ATOL
+
+
+def reference_is_unitary(u, atol=algebra.UNITARY_ATOL):
+    u = np.asarray(u, dtype=complex)
+    return bool(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2))) <= atol)
+
+
+def reference_as_mat2(m, name="matrix"):
+    a = np.asarray(m, dtype=complex)
+    if a.shape[-2:] != (2, 2):
+        raise ValueError(f"{name} must have shape (..., 2, 2), got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has non-finite entries")
+    return a
+
+
+def reference_validate_density(rho):
+    a = reference_as_mat2(rho, "density matrix")
+    if np.max(np.abs(a - a.conj().swapaxes(-1, -2))) > ATOL:
+        raise ValueError("density matrix is not Hermitian within 1e-12")
+    trace = a[..., 0, 0] + a[..., 1, 1]
+    bad = np.abs(trace - 1.0) > ATOL
+    if np.count_nonzero(bad):
+        raise ValueError(f"density matrix trace is {complex(trace[bad][0])!r}, expected 1")
+    lowest = np.linalg.eigvalsh(a)[..., 0]
+    bad = lowest < -ATOL
+    if np.count_nonzero(bad):
+        raise ValueError(f"density matrix has negative eigenvalue {float(lowest[bad][0])!r}")
+    return a
+
+
+def reference_conjugate_by(u, rho):
+    u = reference_as_mat2(u, "unitary")
+    if not reference_is_unitary(u):
+        raise ValueError("operator is not unitary within 1e-10")
+    rho = np.asarray(rho, dtype=complex)
+    return algebra.symmetrize(u @ rho @ u.conj().swapaxes(-1, -2))
+
+
+def reference_encode_bit(bit, xi):
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    angles = np.asarray(xi, dtype=float)
+    if not np.all(np.isfinite(angles)):
+        raise ValueError(f"xi must be finite, got {xi!r}")
+    c, s = np.cos(angles), np.sin(angles)
+    out = np.empty(angles.shape + (2,), dtype=complex)
+    out[..., 0], out[..., 1] = (c, s) if bit == 0 else (s, -c)
+    return out
+
+
+def reference_decode_bit(rho_final, xi):
+    rho = reference_validate_density(rho_final)
+
+    def probability(psi):
+        value = np.real((psi.conj() @ rho)[..., None, :] @ psi[:, None])[..., 0, 0]
+        return np.minimum(np.maximum(value, 0.0), 1.0)
+
+    p0, p1 = probability(reference_encode_bit(0, xi)), probability(reference_encode_bit(1, xi))
+    return (float(p0), float(p1)) if rho.ndim == 2 else (p0, p1)
+
+
+def reference_evolve(config, rho, stages):
+    r_alice = algebra.rotation(config.alice_angle)
+    r_bob = algebra.rotation(config.bob_angle)
+    after_1 = channels.apply_channel(stages[0], reference_conjugate_by(r_alice, rho))
+    after_2 = channels.apply_channel(stages[1], reference_conjugate_by(r_bob, after_1))
+    after_3 = channels.apply_channel(
+        stages[2], reference_conjugate_by(algebra.dagger(r_alice), after_2)
+    )
+    return after_1, after_2, after_3, reference_conjugate_by(algebra.dagger(r_bob), after_3)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape and equal bytes: -0.0 and 0.0 differ, as do two NaN payloads."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def seeded_configs(seed, count, policy=StagePolicy.FIXED):
+    """``count`` configs per kind with seeded angles and noise parameters."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for kind in NoiseKind:
+        for _ in range(count):
+            param = float(rng.uniform(0.0, 1.0) if kind.is_probability else rng.uniform(-7.0, 7.0))
+            xi, alice, bob = (float(v) for v in rng.uniform(-7.0, 7.0, 3))
+            configs.append(ProtocolConfig(
+                xi=xi, alice_angle=alice, bob_angle=bob,
+                channel=channels.from_kind(kind, param),
+                stage_policy=policy, resample_seed=int(rng.integers(0, 2**31)),
+            ))
+    return configs
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_single_fixed_rounds_match_the_reference_bit_for_bit(bit):
+    for config in seeded_configs(bit + 71, 40):
+        final, transcript = protocol.run_protocol(config, bit)
+        psi = reference_encode_bit(bit, config.xi)
+        assert same_bits(protocol.encode_bit(bit, config.xi), psi)
+        states = reference_evolve(config, np.outer(psi, psi.conj()), (config.channel,) * 3)
+        assert len(transcript.stage_states) == 4
+        for got, want in zip(transcript.stage_states, states):
+            assert same_bits(got, want)
+        assert final is transcript.stage_states[-1]
+        p = protocol.decode_bit(final, config.xi)
+        want = reference_decode_bit(states[-1], config.xi)
+        assert all(type(v) is float for v in p)
+        assert same_bits(p, want)
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_single_resample_rounds_match_the_reference_bit_for_bit(bit):
+    for index, config in enumerate(seeded_configs(bit + 81, 8, StagePolicy.RESAMPLE)):
+        _, transcript = protocol.run_protocol(config, bit, message_index=index)
+        psi = reference_encode_bit(bit, config.xi)
+        stages = protocol._stage_channels(config, index)
+        states = reference_evolve(config, np.outer(psi, psi.conj()), stages)
+        for got, want in zip(transcript.stage_states, states):
+            assert same_bits(got, want)
+
+
+def test_stacked_resample_block_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(91)
+    for config in seeded_configs(92, 3, StagePolicy.RESAMPLE):
+        bits = rng.integers(0, 2, 257).astype(np.int8)
+        indices = np.arange(1000, 1000 + len(bits))
+        stages = protocol._stage_channels(config, indices)
+        psi = np.where(bits[:, None] == 0, reference_encode_bit(0, config.xi),
+                       reference_encode_bit(1, config.xi))
+        rho = psi[:, :, None] * psi[:, None, :].conj()
+        states = protocol._evolve(config, rho, stages)
+        want_states = reference_evolve(config, rho, stages)
+        for got, want in zip(states, want_states):
+            assert same_bits(got, want)
+        p0, p1 = protocol.decode_bit(states[-1], config.xi)
+        want_p0, want_p1 = reference_decode_bit(want_states[-1], config.xi)
+        assert same_bits(p0, want_p0) and same_bits(p1, want_p1)
+        assert same_bits(protocol._round_p0(config, bits, indices), want_p0)
+
+
+def random_states(rng, count):
+    """Mixed states G G^dagger / tr and pure states |psi><psi|, ``count`` of each."""
+    g = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    mixed = g @ g.conj().swapaxes(-1, -2)
+    mixed /= (mixed[:, 0, 0] + mixed[:, 1, 1])[:, None, None]
+    psi = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    pure = psi[:, :, None] * psi[:, None, :].conj()
+    return np.concatenate([mixed, algebra.symmetrize(pure)])
+
+
+def test_closed_form_lowest_eigenvalue_matches_eigvalsh():
+    rng = np.random.default_rng(94)
+    for _ in range(4):
+        rho = random_states(rng, 50_000)
+        closed = algebra._lowest_eigenvalue(rho)
+        assert closed.shape == (100_000,)
+        assert np.max(np.abs(closed - np.linalg.eigvalsh(rho)[:, 0])) <= 1e-15
+
+
+@pytest.mark.parametrize("rho", [
+    np.eye(2) / 2, [[1.0, 0.0], [0.0, 0.0]], [[0.5, 0.5j], [-0.5j, 0.5]],
+    [[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]],
+])
+def test_valid_states_pass_both_checks_unchanged(rho):
+    assert same_bits(algebra.validate_density(rho), reference_validate_density(rho))
+
+
+def error_of(function, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        function(*args)
+    return str(info.value)
+
+
+GOOD = np.eye(2) / 2
+
+
+@pytest.mark.parametrize("rho", [
+    [[np.nan, 0.0], [0.0, 0.5]],
+    [[0.5, np.inf], [0.0, 0.5]],
+    [[0.5, 0.1], [0.2, 0.5]],
+    [[0.5, 0.1j], [0.1j, 0.5]],
+    [[0.7, 0.0], [0.0, 0.7]],
+    [[0.5 + 1e-3j, 0.0], [0.0, 0.5 - 1e-3j]],
+    [[1.5, 0.0], [0.0, -0.5]],
+    [[0.5, 1.0], [1.0, 0.5]],
+    [[0.25, 0.0], [0.0, 0.75 + 1e-11]],
+    np.ones((3, 3)) / 3,
+])
+def test_density_check_messages_equal_the_reference(rho):
+    want = error_of(reference_validate_density, rho)
+    assert error_of(algebra.validate_density, rho) == want
+    stack = np.stack([GOOD, GOOD, rho]) if np.shape(rho) == (2, 2) else None
+    if stack is not None:
+        assert error_of(algebra.validate_density, stack) == error_of(reference_validate_density, stack)
+
+
+@pytest.mark.parametrize("u", [
+    2.0 * np.eye(2),
+    [[1.0, 1.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, 1.0 + 1e-9]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [-np.inf, 1.0]],
+    np.eye(3),
+])
+def test_unitarity_check_messages_equal_the_reference(u):
+    want = error_of(reference_conjugate_by, u, GOOD)
+    assert error_of(algebra.conjugate_by, u, GOOD) == want
+    if np.shape(u) == (2, 2):
+        stack = np.stack([np.eye(2), algebra.rotation(0.4), u])
+        assert error_of(algebra.conjugate_by, stack, GOOD) == want
+
+
+def test_unitarity_verdicts_equal_the_reference():
+    rng = np.random.default_rng(95)
+    for scale in (0.0, 1e-11, 1e-10, 1e-9, 1e-3):
+        rotations = algebra.rotation(rng.uniform(-7.0, 7.0, 200))
+        noisy = rotations + scale * rng.normal(size=rotations.shape)
+        for u in noisy:
+            assert algebra.is_unitary(u) == reference_is_unitary(u)
+            assert algebra.is_unitary(u, atol=1e-6) == reference_is_unitary(u, atol=1e-6)
+        assert algebra.is_unitary(noisy) == reference_is_unitary(noisy)
+
+
+@pytest.mark.parametrize("bit, xi", [(2, 0.0), (-1, 0.0), (0, np.nan), (1, np.inf),
+                                     (0, np.array([0.0, -np.inf]))])
+def test_encoding_messages_equal_the_reference(bit, xi):
+    assert error_of(protocol.encode_bit, bit, xi) == error_of(reference_encode_bit, bit, xi)
