@@ -168,7 +168,9 @@ def _cmd_sweep(args, start: float) -> int:
         }) from exc
     rows, manifest = harness.sweep(spec)
     if args.out == "-":
-        sys.stdout.write(harness.format_rows(rows, args.format, manifest))
+        # Every block is made before the first write, so a JSON value that
+        # fails the finite check leaves stdout empty.
+        sys.stdout.writelines(harness._text_parts(rows, args.format, manifest))
     else:
         harness.export(rows, args.format, args.out, manifest)
     _emit_manifest(manifest)
@@ -257,8 +259,9 @@ def _cmd_message(args, start: float) -> int:
         raise UsageError(f"--seed: must be non-negative, got {args.seed}")
     config = _protocol_config(args)
     bits = np.frombuffer(args.bits.encode("ascii"), dtype=np.int8) - ord("0")
-    decoded, qber = protocol.transmit_message(bits, config, args.seed)
-    _print_json({"decoded": "".join(str(b) for b in decoded), "qber": qber})
+    decoded, qber = protocol._transmit(bits, config, args.seed)
+    # decoded holds 0s and 1s, so adding ord("0") gives their ASCII digits.
+    _print_json({"decoded": (decoded + ord("0")).tobytes().decode("ascii"), "qber": qber})
     _emit_manifest(run_manifest(start, seed=args.seed))
     return EXIT_OK
 

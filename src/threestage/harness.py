@@ -252,14 +252,28 @@ _kind_text = operator.attrgetter("_value_")  # NoiseKind.value, without its prop
 
 
 def _field_texts(column, missing: str) -> list[str]:
-    """The field encoder: numbers in shortest round-trip form, None as ``missing``."""
+    """The field encoder: numbers in shortest round-trip form, None as ``missing``.
+
+    Each value is encoded on its own, as suits the value columns, which rarely repeat.
+    """
     return [missing if value is None else repr(float(value)) for value in column]
+
+
+def _grid_texts(column, missing: str) -> list[str]:
+    """``_field_texts`` of a column that repeats, as a sweep's param and xi do.
+
+    One ``repr`` per distinct value. Zeros and None are falsy and stay on the
+    per-value path: 0.0 and -0.0 are one key with two texts.
+    """
+    known = {value: repr(float(value)) for value in set(column) if value}
+    return [known[value] if value else missing if value is None else repr(float(value))
+            for value in column]
 
 
 def _format_block(rows, pieces, xi_missing: str, missing: str, finite: bool) -> str:
     """``rows`` in one fixed template; ``finite`` rejects NaN and infinity as json does."""
     kinds, params, xis, *optional = zip(*rows)
-    columns = [map(_kind_text, kinds), _field_texts(params, missing), _field_texts(xis, xi_missing),
+    columns = [map(_kind_text, kinds), _grid_texts(params, missing), _grid_texts(xis, xi_missing),
                *(_field_texts(values, missing) for values in optional)]
     if finite and not all(map(_NON_FINITE.isdisjoint, columns[1:])):
         raise ValueError("Out of range float values are not JSON compliant")
@@ -275,7 +289,8 @@ def format_rows(rows, fmt: str, manifest: RunManifest | None = None) -> str:
     CSV is rows only; JSON wraps them with the run manifest less its
     ``duration_ms``, so identical sweeps re-export byte-identically in both.
     Both formats share one field encoder and are built ``FORMAT_BLOCK_ROWS``
-    rows at a time.
+    rows at a time; within a block the grid columns, param and xi, are
+    encoded once per distinct value.
     """
     return "".join(_text_parts(rows, fmt, manifest))
 

@@ -330,6 +330,12 @@ def transmit_message(
     under RESAMPLE; one generator per bit alone cost 15-27 µs.
     Returns (decoded bits, QBER), QBER being the fraction of flipped bits.
     """
+    decoded, qber = _transmit(bits, config, seed)
+    return decoded.tolist(), qber
+
+
+def _transmit(bits, config: ProtocolConfig, seed: int) -> tuple[np.ndarray, float]:
+    """``transmit_message`` with the decoded bits as an int8 array."""
     sent = _message_bits(bits)
     fixed = config.stage_policy is StagePolicy.FIXED
     if fixed:
@@ -343,4 +349,4 @@ def transmit_message(
         p0 = p0_of_bit[block] if fixed else _round_p0(config, block, indices)
         # Bit 0 is read when the draw falls below p0.
         decoded[start:start + len(block)] = _uniform_draws(seed, indices, 1)[:, 0] >= p0
-    return decoded.tolist(), int(np.count_nonzero(decoded != sent)) / len(sent)
+    return decoded, int(np.count_nonzero(decoded != sent)) / len(sent)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from threestage import cli, fidelity, harness, protocol
+from threestage import channels, cli, fidelity, harness, protocol
 from threestage.fidelity import QuadratureSpec, RotationAveragedOracle
 
 
@@ -237,6 +237,41 @@ class TestSweep:
         if fmt == "json":
             assert len(json.loads(out)["rows"]) == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    BLOCKS_ARGV = ("sweep", "--noise", "ad", "--grid", "0:1:2000", "--xi-grid", "0:6:8", "--xi-avg")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dash_out_equals_the_file_over_several_blocks(self, capsys, tmp_path, fmt):
+        assert 2000 * 9 > harness.FORMAT_BLOCK_ROWS
+        path = tmp_path / f"f.{fmt}"
+        assert run_cli(capsys, *self.BLOCKS_ARGV, "--format", fmt, "--out", str(path))[0] == 0
+        code, out, _ = run_cli(capsys, *self.BLOCKS_ARGV, "--format", fmt, "--out", "-")
+        assert code == 0
+        assert out.encode("utf-8") == path.read_bytes()
+
+    def test_dash_out_writes_nothing_when_a_later_json_block_fails(self, capsys, monkeypatch):
+        sweep = harness.sweep
+
+        def last_row_nan(spec):
+            rows, manifest = sweep(spec)
+            rows[-1] = rows[-1]._replace(closed_form=float("nan"))
+            return rows, manifest
+
+        monkeypatch.setattr(harness, "sweep", last_row_nan)
+        code, out, err = run_cli(capsys, *self.BLOCKS_ARGV, "--format", "json", "--out", "-")
+        assert code == 2 and out == ""
+        assert "JSON compliant" in err
+
+    @pytest.mark.parametrize("grid", ["-0.0:1:5", "-0.0,0.5,1"])
+    def test_export_writes_the_sign_of_a_zero_grid_value(self, capsys, tmp_path, grid):
+        path = tmp_path / "f.csv"
+        argv = ["sweep", "--noise", "pd", f"--grid={grid}", "--xi-grid=-0.0,1", "--xi-avg"]
+        assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+        fields = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        # np.linspace starts at +0.0 from lo = -0.0; a comma list keeps -0.0.
+        params = cli._parse_grid(grid, "--grid")
+        assert [f[1] for f in fields] == [repr(param) for param in params for _ in range(3)]
+        assert [f[2] for f in fields] == ["-0.0", "1.0", "avg"] * len(params)
 
     def test_failed_write_keeps_the_previous_file(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "f.csv"
@@ -477,6 +512,16 @@ class TestMessage:
         assert payload["decoded"] == "010011"
         assert payload["qber"] == 0.0
 
+    def test_output_is_the_per_bit_text_of_transmit_message(self, capsys):
+        bits = np.random.default_rng(4).integers(0, 2, protocol.MESSAGE_BLOCK_BITS + 5).tolist()
+        argv = ["message", "--noise", "ad", "--param", "0.4", "--xi", "0.3", "--seed", "7"]
+        code, out, _ = run_cli(capsys, *argv, "--bits", "".join(map(str, bits)))
+        channel = channels.from_kind(channels.NoiseKind("ad"), 0.4)
+        config = protocol.ProtocolConfig(xi=0.3, alice_angle=0.0, bob_angle=0.0, channel=channel)
+        decoded, qber = protocol.transmit_message(bits, config, 7)
+        assert code == 0 and 0.0 < qber < 1.0
+        assert out == json.dumps({"decoded": "".join(str(b) for b in decoded), "qber": qber}) + "\n"
+
     def test_collective_rotation_pi_over_six_flips_all(self, capsys):
         code, out, _ = run_cli(
             capsys, "message", "--noise", "cr", "--param", "0.5235987755982988",
@@ -511,8 +556,8 @@ class TestMessage:
 
     def test_bits_reach_the_protocol_as_one_int8_array(self, capsys, monkeypatch):
         sent = []
-        transmit = protocol.transmit_message
-        monkeypatch.setattr(protocol, "transmit_message",
+        transmit = protocol._transmit
+        monkeypatch.setattr(protocol, "_transmit",
                             lambda bits, *a: sent.append(bits) or transmit(bits, *a))
         code, out, _ = run_cli(capsys, "message", "--noise", "none", "--bits", "0110100")
         assert code == 0 and json.loads(out)["decoded"] == "0110100"

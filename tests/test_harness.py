@@ -493,6 +493,47 @@ class TestFieldEncoder:
         assert peak < 2 * len(text) + 8 * 2**20, (peak, len(text))
 
 
+NAN = float("nan")
+# Equal values of other types, both zeros, NaN as one shared object,
+# infinities and None; each repeats many times in a grid column.
+GRID_REPEATS = (-0.0, 0.0, 1, True, 1.0, np.float64(1.0), np.float64(-0.0), 0, False,
+                NAN, np.float64("nan"), float("inf"), -np.inf, None, 0.5)
+
+
+def grid_rows(count, seed, values):
+    """``count`` rows whose param and xi columns draw from ``values``."""
+    rng = np.random.default_rng(seed)
+    params, xis = (
+        [values[i] for i in rng.integers(len(values), size=count).tolist()] for _ in range(2)
+    )
+    closed = rng.random(count).tolist()
+    return [ResultRow(NoiseKind.PHASE_DAMPING, param, xi, value, None, value)
+            for param, xi, value in zip(params, xis, closed)]
+
+
+class TestGridColumns:
+    @pytest.mark.parametrize("count", [200, BLOCK + 300])
+    def test_repeated_grid_values_give_the_reference_bytes(self, count):
+        rows = grid_rows(count, seed=count, values=GRID_REPEATS)
+        # NaNs that are distinct objects, as a parser would make them.
+        rows[1::7] = [row._replace(param=float("nan")) for row in rows[1::7]]
+        assert harness.format_rows(rows, "csv") == reference_format_rows(rows, "csv")
+        with pytest.raises(ValueError, match="JSON compliant"):
+            harness.format_rows(rows, "json")
+
+    @pytest.mark.parametrize("count", [200, BLOCK + 300])
+    def test_repeated_finite_floats_give_the_reference_json(self, count):
+        floats = (-0.0, 0.0, 1.0, np.float64(1.0), np.float64(-0.0), None, 0.5, 2.5e-9)
+        rows = grid_rows(count, seed=count, values=floats)
+        assert harness.format_rows(rows, "json") == reference_format_rows(rows, "json")
+
+    def test_a_nan_in_the_xi_column_of_a_later_block_fails_json(self):
+        rows = grid_rows(BLOCK + 10, seed=3, values=(0.25, 0.75, None))
+        rows[BLOCK + 4] = rows[BLOCK + 4]._replace(xi=NAN)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            harness.format_rows(rows, "json")
+
+
 class TestRowContract:
     def test_fields_are_the_csv_columns(self):
         assert ResultRow._fields == tuple(harness.CSV_HEADER.split(","))
