@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -86,7 +87,10 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
         ) from None
     if not 1 <= count <= harness.MAX_SWEEP_ROWS:
         raise UsageError(f"{flag}: n must be in [1, {harness.MAX_SWEEP_ROWS}], got {count}")
-    return tuple(np.linspace(lo, hi, count).tolist())
+    grid = np.linspace(lo, hi, count).tolist()
+    # linspace adds lo to a zero offset, which turns a lo of -0.0 into +0.0.
+    grid[0] = math.copysign(grid[0], lo)
+    return tuple(grid)
 
 
 _STRICT_JSON = json.JSONEncoder(allow_nan=False)

@@ -8,6 +8,7 @@ are byte-identical; floats are written in their shortest round-trip form.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -101,6 +102,10 @@ class ResultRow(NamedTuple):
 
 CSV_HEADER = ",".join(ResultRow._fields)
 
+# A ResultRow from a tuple of its six fields, as ResultRow._make without its
+# Python-level call.
+_new_row = functools.partial(tuple.__new__, ResultRow)
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -188,7 +193,7 @@ def sweep(spec: SweepSpec) -> tuple[list[ResultRow], RunManifest]:
     # Built column by column, so that no row costs a Python-level call.
     columns = zip(repeat(spec.kind), params, xis * len(spec.param_grid), *values)
     worst = None if deviation is None else float(deviation.max())
-    return list(map(ResultRow._make, columns)), run_manifest(start, spec.seed, quad, worst)
+    return list(map(_new_row, columns)), run_manifest(start, spec.seed, quad, worst)
 
 
 def default_verification_grids(kind: NoiseKind) -> tuple[np.ndarray, np.ndarray]:
@@ -354,6 +359,10 @@ def _optional_float(value) -> float | None:
     return None if value is None or value == "" else _finite_float(value)
 
 
+def _xi_value(value) -> float | None:
+    return None if value == XI_AVERAGE else _finite_float(value)
+
+
 _KINDS = {kind.value: kind for kind in NoiseKind}
 
 
@@ -363,32 +372,91 @@ def _decode_row(kind, param, xi, closed_form, oracle, deviation) -> ResultRow:
         kind = _KINDS[kind]
     except (KeyError, TypeError):
         kind = NoiseKind(kind)  # raises the enum's own ValueError, as the parse did
-    xi = None if xi == XI_AVERAGE else _finite_float(xi)
-    return ResultRow(kind, _finite_float(param), xi, _optional_float(closed_form),
+    return ResultRow(kind, _finite_float(param), _xi_value(xi), _optional_float(closed_form),
                      _optional_float(oracle), _optional_float(deviation))
+
+
+def _decode_rows(records, path, label: str, first: int) -> list[ResultRow]:
+    """``_decode_row`` over ``records``; the first bad one raises, numbered from ``first``."""
+    rows: list[ResultRow] = []
+    # The row being decoded when an error is raised is the next one: len(rows).
+    try:
+        for fields in records:
+            rows.append(_decode_row(*fields))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r} in row {first + len(rows)}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {label} {first + len(rows)}: malformed row: {exc}") from None
+    return rows
+
+
+def _grid_values(column, decode) -> list:
+    """``decode`` of each value of a column that repeats; the inverse of ``_grid_texts``.
+
+    One call per distinct value. Falsy values stay per value: 0.0 and -0.0
+    are one key with two results.
+    """
+    known = {value: decode(value) for value in set(column) if value}
+    return [known[value] if value else decode(value) for value in column]
+
+
+def _value_column(column) -> list[float | None]:
+    """``_optional_float`` of each value, with one finite check for the column."""
+    values = [None if value is None or value == "" else float(value) for value in column]
+    # A sum of finite floats is finite unless it overflows, which only sends
+    # the block to the row decoder.
+    if not math.isfinite(sum(filter(None, values))):
+        raise ValueError("non-finite value")
+    return values
+
+
+def _decode_columns(kinds, params, xis, *values) -> zip:
+    """Rows of one block from its six columns, or an error for ``_decode_rows`` to name."""
+    return zip(list(map(_KINDS.__getitem__, kinds)), _grid_values(params, _finite_float),
+               _grid_values(xis, _xi_value), *map(_value_column, values))
+
+
+def _csv_columns(lines) -> list[list[str]]:
+    """The six columns of CSV lines, by one split of the whole block."""
+    if set(map(str.count, lines, repeat(","))) != {5}:
+        raise ValueError("a line without six fields")
+    fields = ",".join(lines).split(",")
+    return [fields[column::6] for column in range(6)]
+
+
+def _json_columns(rows) -> list[list]:
+    return [list(map(operator.itemgetter(name), rows)) for name in ResultRow._fields]
 
 
 def load_rows(path, fmt: str) -> list[ResultRow]:
     """Read rows back from an exported file; inverse of ``export``.
 
     A malformed row (a wrong field count, a missing key, a non-numeric or
-    non-finite value or an unknown kind) raises ValueError naming the file
-    and the CSV line number or the JSON row index. A file that is not UTF-8
-    text, or not JSON, or a JSON document that is not an object with a
-    ``rows`` list raises ValueError naming the file.
+    non-finite value, an integer too large for a float or an unknown kind)
+    raises ValueError naming the file and the CSV line number or the JSON row
+    index. A file that is not UTF-8 text, or not JSON, or that holds a JSON
+    integer over Python's digit limit, or a JSON document that is not an
+    object with a ``rows`` list raises ValueError naming the file.
+
+    Rows are decoded ``FORMAT_BLOCK_ROWS`` at a time, column by column, the
+    mirror of ``format_rows``: the grid columns once per distinct value, each
+    value column in one pass. A block that fails is decoded again row by row,
+    which raises the error of its first bad row.
     """
     if fmt == "csv":
         try:
             with open(path, "r", encoding="utf-8", newline="") as handle:
-                lines = handle.read().splitlines()
+                records = handle.read().splitlines()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-        if not lines or lines[0] != CSV_HEADER:
+        if not records or records[0] != CSV_HEADER:
             raise ValueError(f"{path}: missing expected CSV header")
-        records, label, first = map(str.split, lines[1:], repeat(",")), "line", 2
+        # Record i is on line i + 1, and record 0 is the header.
+        base, label, columns_of = 1, "line", _csv_columns
+        fields_of = functools.partial(map, operator.methodcaller("split", ","))
     elif fmt == "json":
         def reject(token):  # json.load takes NaN and Infinity unless told not to
-            raise ValueError(f"{path}: {token} is not a finite JSON number")
+            raise ValueError(f"{token} is not a finite JSON number")
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 document = json.load(handle, parse_constant=reject)
@@ -396,19 +464,22 @@ def load_rows(path, fmt: str) -> list[ResultRow]:
             raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
+        except ValueError as exc:  # a rejected constant, or an integer over the digit limit
+            raise ValueError(f"{path}: {exc}") from None
         if not isinstance(document, dict) or not isinstance(document.get("rows"), list):
             raise ValueError(f"{path}: expected a JSON object with a 'rows' list")
-        columns = operator.itemgetter(*ResultRow._fields)
-        records, label, first = map(columns, document["rows"]), "row", 0
+        records, base, label, columns_of = document["rows"], 0, "row", _json_columns
+        fields_of = functools.partial(map, operator.itemgetter(*ResultRow._fields))
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     rows: list[ResultRow] = []
-    # The row being decoded when an error is raised is the next one: len(rows).
-    try:
-        for fields in records:
-            rows.append(_decode_row(*fields))
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc.args[0]!r} in row {len(rows)}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {label} {first + len(rows)}: malformed row: {exc}") from None
+    for start in range(base, len(records), FORMAT_BLOCK_ROWS):
+        block = records[start : start + FORMAT_BLOCK_ROWS]
+        try:
+            decoded = _decode_columns(*columns_of(block))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            # A bad field, which the row decoder names, or a sum that overflows.
+            rows += _decode_rows(fields_of(block), path, label, start + base)
+        else:
+            rows += map(_new_row, decoded)
     return rows

@@ -268,10 +268,18 @@ class TestSweep:
         argv = ["sweep", "--noise", "pd", f"--grid={grid}", "--xi-grid=-0.0,1", "--xi-avg"]
         assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
         fields = [line.split(",") for line in path.read_text().splitlines()[1:]]
-        # np.linspace starts at +0.0 from lo = -0.0; a comma list keeps -0.0.
+        # Both spellings of the grid start at lo = -0.0 itself.
         params = cli._parse_grid(grid, "--grid")
+        assert [f[1] for f in fields[:3]] == ["-0.0"] * 3
         assert [f[1] for f in fields] == [repr(param) for param in params for _ in range(3)]
         assert [f[2] for f in fields] == ["-0.0", "1.0", "avg"] * len(params)
+
+    @pytest.mark.parametrize("text", ["-0.0:1:5", "-0.0:-1:3", "-0.0:2:1", "-0:1:2"])
+    def test_a_grid_from_minus_zero_starts_at_minus_zero(self, text):
+        grid = cli._parse_grid(text, "--grid")
+        lo, hi, count = text.split(":")
+        assert grid[0].hex() == "-0x0.0p+0"
+        assert grid[1:] == tuple(np.linspace(float(lo), float(hi), int(count)).tolist())[1:]
 
     def test_failed_write_keeps_the_previous_file(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "f.csv"

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import sys
 import threading
 import tracemalloc
 
@@ -601,6 +602,24 @@ class TestRowContract:
         message = f"{path}: row 0: malformed row: {value} is not a finite number"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             harness.load_rows(path, "json")
+
+    @pytest.mark.parametrize("field", ["param", "xi", "closed_form"])
+    def test_json_integer_too_large_for_a_float_names_file_and_row(self, tmp_path, field):
+        path = write_json_rows(tmp_path, {"rows": [GOOD_ROW, dict(GOOD_ROW, **{field: 10**400})]})
+        message = f"{path}: row 1: malformed row: int too large to convert to float"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            harness.load_rows(path, "json")
+        assert type(info.value) is ValueError
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python has no integer digit limit")
+    def test_json_integer_over_the_digit_limit_names_file(self, tmp_path):
+        path = tmp_path / "rows.json"
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        path.write_text(json.dumps({"rows": [GOOD_ROW]}).replace("0.5625", digits))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: ')}Exceeds the limit") as info:
+            harness.load_rows(path, "json")
+        assert type(info.value) is ValueError
 
     def test_truncated_json_names_file(self, tmp_path):
         path = tmp_path / "rows.json"
