@@ -87,6 +87,8 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
         ) from None
     if not 1 <= count <= harness.MAX_SWEEP_ROWS:
         raise UsageError(f"{flag}: n must be in [1, {harness.MAX_SWEEP_ROWS}], got {count}")
+    if not math.isfinite(hi - lo):
+        raise UsageError(f"{flag}: lo, hi and hi - lo must be finite, got {text!r}")
     grid = np.linspace(lo, hi, count).tolist()
     # linspace adds lo to a zero offset, which turns a lo of -0.0 into +0.0.
     grid[0] = math.copysign(grid[0], lo)

@@ -90,11 +90,32 @@ def midpoint_grid(n: int, period: float = 2.0 * np.pi) -> np.ndarray:
 
 def _assert_and_clamp(values):
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("fidelity is not finite")
     worst = max(float(np.max(values, initial=1.0)) - 1.0, -float(np.min(values, initial=0.0)))
     if worst > CLAMP_ATOL:
         raise ValueError(f"fidelity leaves [0, 1] by {worst:.3e}, beyond {CLAMP_ATOL:g}")
     out = np.clip(values, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
+
+
+# From 2**53 on, doubles lie 2 or more apart, so a rounded m * angle has lost
+# its phase (and past the largest double it is inf, whose cosine is NaN).
+_PHASE_LIMIT = 2.0**53
+
+
+def _cos_multiple(m: int, angle):
+    """cos(m * angle), through T_m(cos angle) where m * angle reaches ``_PHASE_LIMIT``.
+
+    The Chebyshev polynomial T_m gives cos(m x) from cos x, so a huge finite
+    angle keeps a finite and accurate cosine; every smaller angle takes
+    np.cos(m * angle) as it is.
+    """
+    huge = np.abs(angle) >= _PHASE_LIMIT / m
+    if not huge.any():
+        return np.cos(m * angle)
+    chebyshev = np.polynomial.chebyshev.chebval(np.cos(angle), (0,) * m + (1,))
+    return np.where(huge, chebyshev, np.cos(m * np.where(huge, 0.0, angle)))
 
 
 # Each swing is (p - q)^3 / 16 for the channel's z- and x-contractions p and
@@ -122,13 +143,13 @@ def _coefficients_phase_damping(eta):
 
 
 def _coefficients_collective_dephasing(phi):
-    mean = (15.0 * np.cos(phi) + 6.0 * np.cos(2.0 * phi) + np.cos(3.0 * phi) + 42.0) / 64.0
+    mean = (15.0 * np.cos(phi) + 6.0 * _cos_multiple(2, phi) + _cos_multiple(3, phi) + 42.0) / 64.0
     swing = np.sin(phi / 2.0) ** 6 / 2.0
     return mean, swing
 
 
 def _coefficients_collective_rotation(theta):
-    return np.cos(3.0 * theta) ** 2, np.zeros_like(theta)
+    return _cos_multiple(3, theta) ** 2, np.zeros_like(theta)
 
 
 _CLOSED_FORMS = {
@@ -163,7 +184,7 @@ def closed_form_fidelity(kind: NoiseKind, param, xi):
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
         raise ValueError("xi must be finite")
-    return _assert_and_clamp(mean + swing * np.cos(4.0 * xi))
+    return _assert_and_clamp(mean + swing * _cos_multiple(4, xi))
 
 
 def closed_form_average_fidelity(kind: NoiseKind, param):

@@ -81,7 +81,8 @@ def _check_grid(name: str, grid) -> None:
     values = np.asarray(grid, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name}: grid values must be finite")
-    if np.any(np.diff(values) <= 0.0):
+    # A comparison, not np.diff: the difference of huge values can overflow.
+    if np.any(values[1:] <= values[:-1]):
         raise ValueError(f"{name}: grid must be strictly increasing")
 
 

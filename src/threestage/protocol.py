@@ -110,16 +110,49 @@ def encode_bit(bit: int, xi) -> np.ndarray:
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64's
-# 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_MASK32, _MASK64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
+# 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h). Every constant the
+# array arithmetic meets has its stage's dtype, uint32 for SeedSequence and
+# uint64 for PCG64, so products wrap at the word size under the promotion
+# rules of any numpy version.
+_MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 _POOL_WORDS = 4
-_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+_ONE, _SHIFT11, _SHIFT32, _SHIFT58, _SHIFT63 = (np.uint64(v) for v in (1, 11, 32, 58, 63))
+_LOW32, _WORD_BITS = np.uint64(_MASK32), np.uint64(64)
+# The low multiplier word's 32-bit halves, for the high word of lo * _PCG_MULT_LO.
+_MULT_LO_0, _MULT_LO_1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _SHIFT32
 
 # A message is sent in blocks of this many bits, so every per-bit array is at
 # most one block long whatever the message length.
 MESSAGE_BLOCK_BITS = 2**14
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """Xor and multiply constants of SeedSequence's first ``calls`` hashes, shape (2, calls, 1).
+
+    Hash ``c`` xors its input with the ``c``-th value of the chain that
+    starts at ``init`` and steps by ``mult`` mod 2**32, then multiplies it by
+    the next value; row 0 holds the xor constants, row 1 the multipliers.
+    """
+    chain = [init]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array([chain[:-1], chain[1:]], dtype=np.uint32)[..., None]
+
+
+# The hashes depend on the call count alone. A: the pool's four initial hashes,
+# then three per source word while the pool mixes (calls 4-15). B: the eight
+# hashed state words. Each mixing column has the source's own slot a dummy 0.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * _POOL_WORDS)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
+_POOL_INIT = _HASH_A[:, :_POOL_WORDS]
+_POOL_MIX = [
+    np.insert(_HASH_A[:, _POOL_WORDS + 3 * src:_POOL_WORDS + 3 * src + 3], src, 0, axis=1)
+    for src in range(_POOL_WORDS)
+]
+_STATE_HASH = _HASH_B.reshape(2, 2, _POOL_WORDS, 1)
 
 
 def _entropy_words(value) -> list[int]:
@@ -134,70 +167,76 @@ def _entropy_words(value) -> list[int]:
     return words
 
 
-def _mul_hi64(a, b):
-    """High 64 bits of the 128-bit product a * b of 64-bit words, on 32-bit halves."""
-    a_lo, a_hi, b_lo, b_hi = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    cross_1, cross_2 = a_lo * b_hi, a_hi * b_lo
-    middle = ((a_lo * b_lo) >> 32) + (cross_1 & _MASK32) + (cross_2 & _MASK32)
-    return a_hi * b_hi + (cross_1 >> 32) + (cross_2 >> 32) + (middle >> 32)
+def _hash(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``values`` against broadcast constant columns, uint32."""
+    out = values ^ xor
+    out *= mult
+    out ^= out >> _XSHIFT
+    return out
 
 
-def _pcg64_doubles(entropy: list, k: int) -> list:
-    """First ``k`` doubles of PCG64(SeedSequence(entropy)), one list entry per draw.
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``, uint32."""
+    out = x * _MIX_L
+    out -= y * _MIX_R
+    out ^= out >> _XSHIFT
+    return out
 
-    Each entropy word is a Python int or a uint64 array of 32-bit words, one
-    entry per generator; the words shared by every generator stay ints, so
-    their share of the work is done once. Every product and difference is
-    masked to its word size, which is exact for ints and a no-op for the
-    wrapping arrays.
+
+def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """One PCG64 step, state * multiplier + inc mod 2**128, on uint64 word arrays."""
+    # High word of lo * _PCG_MULT_LO from 32-bit halves; no partial sum overflows.
+    lo_0, lo_1 = lo & _LOW32, lo >> _SHIFT32
+    t = ((lo_0 * _MULT_LO_0) >> _SHIFT32) + lo_0 * _MULT_LO_1
+    u = (t & _LOW32) + lo_1 * _MULT_LO_0
+    new_hi = lo_1 * _MULT_LO_1 + (t >> _SHIFT32) + (u >> _SHIFT32)
+    new_hi += lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi
+    new_lo = lo * _PCG_MULT_LO
+    new_lo += inc_lo
+    new_hi += new_lo < inc_lo
+    return new_hi, new_lo
+
+
+def _pcg64_doubles(entropy: np.ndarray, k: int) -> np.ndarray:
+    """First ``k`` doubles of PCG64(SeedSequence(words)) per column of ``entropy``, shape (k, n).
+
+    ``entropy`` is a (words, n) uint32 array, one column per generator, with
+    at least the pool's four rows (SeedSequence mixes zeros for missing
+    words, so shorter entropy is zero-padded). SeedSequence runs on uint32
+    arrays, whose products wrap at 2**32 as its own do: the pool is one
+    (4, n) array, and each source row's mixing step is one hash of that row
+    against its (4, 1) multiplier column, one mix of the whole pool, and the
+    source row put back. PCG64 runs on uint64 arrays, the 128-bit state as a
+    high and a low word array, seeded, then stepped once per draw and read
+    through its XSL-RR output into that draw's row of the result.
     """
-    hash_a = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_a
-        value = value ^ hash_a
-        hash_a = (hash_a * _MULT_A) & _MASK32
-        value = (value * hash_a) & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        out = (x * _MIX_L - y * _MIX_R) & _MASK32
-        return out ^ (out >> 16)
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_WORDS)]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(word))
+    pool = _hash(entropy[:_POOL_WORDS], *_POOL_INIT)
+    for src, (xor, mult) in enumerate(_POOL_MIX):
+        mixed = _mix(pool, _hash(pool[src], xor, mult))
+        mixed[src] = pool[src]
+        pool = mixed
+    extra = entropy[_POOL_WORDS:]
+    if len(extra):
+        # Entropy past four words (a seed of 2**96 and up with its index word):
+        # each further word mixes into every pool word.
+        calls = _HASH_A.shape[1]
+        later = _hash_constants(_INIT_A, _MULT_A, calls + _POOL_WORDS * len(extra))[:, calls:]
+        for word, xor, mult in zip(extra, *later.reshape(2, len(extra), _POOL_WORDS, 1)):
+            pool = _mix(pool, _hash(word, xor, mult))
     # generate_state(4, uint64): eight hashed pool words, paired little-endian.
-    state, hash_b = [], _INIT_B
-    for i in range(8):
-        value = pool[i % _POOL_WORDS] ^ hash_b
-        hash_b = (hash_b * _MULT_B) & _MASK32
-        value = (value * hash_b) & _MASK32
-        state.append(value ^ (value >> 16))
-    seed_hi, seed_lo, inc_hi, inc_lo = (state[2 * i] | (state[2 * i + 1] << 32) for i in range(4))
-    inc_hi, inc_lo = ((inc_hi << 1) & _MASK64) | (inc_lo >> 63), ((inc_lo << 1) & _MASK64) | 1
-
-    def add(a_hi, a_lo, b_hi, b_lo):
-        lo = (a_lo + b_lo) & _MASK64
-        return (a_hi + b_hi + (lo < a_lo)) & _MASK64, lo
-
-    def step(hi, lo):
-        product_hi = _mul_hi64(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
-        return add(product_hi & _MASK64, (lo * _PCG_MULT_LO) & _MASK64, inc_hi, inc_lo)
-
+    state = _hash(pool, *_STATE_HASH).reshape(2 * _POOL_WORDS, -1).astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = state[0::2] | (state[1::2] << _SHIFT32)
+    inc_hi, inc_lo = (inc_hi << _ONE) | (inc_lo >> _SHIFT63), (inc_lo << _ONE) | _ONE
     # Seeding: state = inc, plus the seed, stepped once.
-    hi, lo = step(*add(inc_hi, inc_lo, seed_hi, seed_lo))
-    draws = []
-    for _ in range(k):
-        hi, lo = step(hi, lo)
-        folded, turn = hi ^ lo, hi >> 58  # XSL-RR output
-        folded = (folded >> turn) | ((folded << ((64 - turn) & 63)) & _MASK64)
-        draws.append((folded >> 11) * (1.0 / 2**53))
+    lo = seed_lo + inc_lo
+    hi = seed_hi + inc_hi + (lo < inc_lo)
+    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+    draws = np.empty((k, entropy.shape[1]))
+    for row in draws:
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        folded, turn = hi ^ lo, hi >> _SHIFT58  # XSL-RR output
+        folded = (folded >> turn) | (folded << ((_WORD_BITS - turn) & _SHIFT63))
+        np.multiply(folded >> _SHIFT11, 1.0 / 2**53, out=row)
     return draws
 
 
@@ -208,18 +247,23 @@ def _uniform_draws(seed, index, k: int) -> np.ndarray:
     index, each giving shape (k,); a 1-D array of indices in [0, 2**32) gives
     one row per index, shape (len(index), k). The values are numpy's own
     stream computed in closed form, SeedSequence mixing and PCG64 seeding
-    and stepping as integer arithmetic (on arrays for many indices), so no
-    generator is built per index.
+    and stepping as integer arithmetic on arrays with one column per index,
+    so no generator is built per index.
     """
     words = _entropy_words(seed)
     if index is None or np.ndim(index) == 0:
         if index is not None:
             words += _entropy_words(index)
-        return np.array(_pcg64_doubles(words, k))
+        entropy = np.zeros((max(len(words), _POOL_WORDS), 1), dtype=np.uint32)
+        entropy[:len(words), 0] = words
+        return _pcg64_doubles(entropy, k)[:, 0]
     index = np.asarray(index)
     if index.size and not 0 <= index.min() <= index.max() <= _MASK32:
         raise ValueError("message indices must lie in [0, 2**32)")
-    return np.stack(_pcg64_doubles(words + [index.astype(np.uint64)], k), axis=-1)
+    entropy = np.zeros((max(len(words) + 1, _POOL_WORDS), index.size), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = index
+    return _pcg64_doubles(entropy, k).T
 
 
 def _stage_channels(config: ProtocolConfig, message_index):
@@ -325,9 +369,10 @@ def transmit_message(
     block size and of evaluation order, and identical inputs reproduce
     identical outputs. The draws are that stream computed in closed form for
     a whole block (``_uniform_draws``, pinned against numpy by the tests),
-    not one generator per bit. On a 2-core x86-64 host (numpy 2.4) a long
-    message costs about 0.25 µs per bit under FIXED and 10-13 µs per bit
-    under RESAMPLE; one generator per bit alone cost 15-27 µs.
+    not one generator per bit. On a 2-core x86-64 host (numpy 2.4) one
+    250-bit block's draws take 130-220 µs, and a long message costs about
+    0.1 µs per bit under FIXED, nearly all of it the draws, and 11-14 µs per
+    bit under RESAMPLE; one generator per bit alone cost 15-27 µs.
     Returns (decoded bits, QBER), QBER being the fraction of flipped bits.
     """
     decoded, qber = _transmit(bits, config, seed)

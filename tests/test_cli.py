@@ -342,6 +342,54 @@ class TestSweep:
         assert "error" in err
 
 
+class TestHugeGridValues:
+    """Finite grid values near the largest double: finite rows, one usage line, no warnings."""
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--xi-grid", "1:inf:5", "lo, hi and hi - lo must be finite, got '1:inf:5'"),
+        ("--xi-grid", "nan:1:3", "lo, hi and hi - lo must be finite, got 'nan:1:3'"),
+        ("--grid", "-1e308:1e308:3", "lo, hi and hi - lo must be finite, got '-1e308:1e308:3'"),
+        ("--grid", "1e308,-1.7e308", "grid must be strictly increasing"),
+    ])
+    def test_bad_grid_is_exactly_one_usage_line(self, flag, text, message):
+        result = fresh_process("sweep", "--noise", "cd", f"{flag}={text}", "--xi-avg", "--out", "-")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {flag}: {message}"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("mode", ["closed_form", "both"])
+    def test_sweep_rows_are_finite_and_stderr_is_the_manifest(self, fmt, mode):
+        # Exit code 0: every finite angle is a valid angle.
+        result = fresh_process(
+            "sweep", "--noise", "cd", "--grid=0:1e308:3", "--xi-grid=-1.7e308,0,1e308",
+            "--mode", mode, "--format", fmt, "--out", "-",
+        )
+        assert result.returncode == 0
+        assert [json.loads(line).keys() for line in result.stderr.splitlines()] == [{"manifest"}]
+        if fmt == "json":
+            rows = strict_json(result.stdout)["rows"]
+        else:
+            header, *lines = result.stdout.splitlines()
+            rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert len(rows) == 9
+        for row in rows:
+            assert 0.0 <= float(row["closed_form"]) <= 1.0
+            if mode == "both":
+                assert float(row["deviation"]) < 1e-12
+
+    @pytest.mark.parametrize("kind, grid", [("ad", "0.3"), ("pd", "0.9"), ("cd", "1e308"), ("cr", "-1.7e308")])
+    def test_huge_xi_gives_finite_rows_for_every_kind(self, capsys, kind, grid):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--noise", kind, f"--grid={grid}", "--xi-grid=-1.7e308,1e308",
+            "--xi-avg", "--mode", "both", "--format", "json", "--out", "-",
+        )
+        assert code == 0
+        rows = strict_json(out)["rows"]
+        assert len(rows) == 3
+        assert all(row["deviation"] < 1e-12 for row in rows)
+
+
 class TestVerify:
     def test_collective_rotation_exact(self, capsys):
         code, out, err = run_cli(

@@ -184,6 +184,46 @@ class TestClosedFormAverages:
         assert np.all(pd >= ad)
 
 
+HUGE_ANGLES = np.array([2.0**53, 1e200, 1e308, -1.7e308, np.finfo(float).max])
+
+
+class TestHugeAngles:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_clamp_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            fidelity._assert_and_clamp(bad)
+        with pytest.raises(ValueError, match="not finite"):
+            fidelity._assert_and_clamp(np.array([0.5, bad, 1.0]))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_cos_multiple_is_np_cos_below_the_phase_limit(self, m):
+        rng = np.random.default_rng(61)
+        angles = np.concatenate([
+            rng.uniform(-7.0, 7.0, 500), rng.uniform(-1e9, 1e9, 500), fidelity.midpoint_grid(64),
+            [0.0, -0.0, np.nextafter(2.0**53 / m, 0.0), -np.nextafter(2.0**53 / m, 0.0)],
+        ])
+        assert fidelity._cos_multiple(m, angles).tobytes() == np.cos(m * angles).tobytes()
+
+    def test_cos_multiple_of_huge_angles_is_the_multiple_angle_formula(self):
+        c = np.cos(HUGE_ANGLES)
+        np.testing.assert_allclose(fidelity._cos_multiple(2, HUGE_ANGLES), 2 * c**2 - 1, atol=1e-15)
+        np.testing.assert_allclose(fidelity._cos_multiple(3, HUGE_ANGLES), 4 * c**3 - 3 * c, atol=1e-15)
+        np.testing.assert_allclose(fidelity._cos_multiple(4, HUGE_ANGLES), 8 * c**4 - 8 * c**2 + 1, atol=1e-15)
+        mixed = np.array([0.3, 1e308])
+        assert fidelity._cos_multiple(4, mixed)[0] == np.cos(4 * 0.3)
+
+    @pytest.mark.parametrize("kind, param", [
+        (NoiseKind.AMPLITUDE_DAMPING, 0.3), (NoiseKind.PHASE_DAMPING, 0.7),
+        (NoiseKind.COLLECTIVE_DEPHASING, 1e308), (NoiseKind.COLLECTIVE_ROTATION, -1.7e308),
+    ])
+    def test_closed_forms_at_huge_angles_match_the_oracle(self, kind, param):
+        closed = fidelity.closed_form_fidelity(kind, param, HUGE_ANGLES)
+        average = fidelity.closed_form_average_fidelity(kind, param)
+        oracle = RotationAveragedOracle(channels.from_kind(kind, param), QuadratureSpec(8, 8))
+        np.testing.assert_allclose(closed, oracle.fidelity_at(HUGE_ANGLES), atol=1e-12)
+        assert average == pytest.approx(oracle.state_average(), abs=1e-12)
+
+
 class TestNumericOracle:
     def test_identity_channel_gives_unity(self):
         assert fidelity.numeric_fidelity(channels.identity_channel(), 0.3, 1.0, 2.0, 0) == pytest.approx(1.0, abs=1e-12)

@@ -405,6 +405,61 @@ class TestUniformDraws:
         with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
             protocol._uniform_draws(1, np.array([0, 2**32]), 1)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_empty_and_one_element_index_arrays(self, k):
+        assert protocol._uniform_draws(7, np.arange(0), k).shape == (0, k)
+        one = protocol._uniform_draws(7, np.array([9]), k)
+        assert one.shape == (1, k)
+        np.testing.assert_array_equal(one[0], np.random.default_rng((7, 9)).random(k))
+
+    @pytest.mark.parametrize("seed", [5, 2**64 + 5])
+    def test_strided_and_typed_index_arrays_equal_numpy(self, seed):
+        base = np.arange(2**32 - 40, 2**32, dtype=np.int64)
+        expected = np.array([np.random.default_rng((seed, int(i))).random(3) for i in base[::3]])
+        for index in (base[::3], base.astype(np.uint32)[::3], base[::3].copy()):
+            np.testing.assert_array_equal(protocol._uniform_draws(seed, index, 3), expected)
+        small = np.arange(0, 90, 3)
+        expected = np.array([np.random.default_rng((seed, int(i))).random(3) for i in small])
+        np.testing.assert_array_equal(protocol._uniform_draws(seed, small.astype(np.int32), 3), expected)
+
+    def test_random_seed_and_index_pairs_equal_numpy(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(64):
+            words = int(rng.integers(1, 6))
+            seed = sum(int(rng.integers(0, 2**32)) << (32 * i) for i in range(words))
+            index = 2**32 - 1 - int(rng.integers(0, 2**10))
+            expected = np.random.default_rng((seed, index)).random(3)
+            np.testing.assert_array_equal(protocol._uniform_draws(seed, np.array([index]), 3)[0], expected)
+            np.testing.assert_array_equal(protocol._uniform_draws(seed, index, 3), expected)
+            beyond = index + 2**10
+            np.testing.assert_array_equal(
+                protocol._uniform_draws(seed, beyond, 2), np.random.default_rng((seed, beyond)).random(2)
+            )
+
+    def test_multiplier_columns_are_the_hash_chains(self):
+        def chain(init, mult, calls):
+            values = [init]
+            for _ in range(calls):
+                values.append(values[-1] * mult % 2**32)
+            return values
+
+        def constants(columns):
+            assert columns.dtype == np.uint32
+            return columns[0, :, 0].tolist(), columns[1, :, 0].tolist()
+
+        a = chain(protocol._INIT_A, protocol._MULT_A, 16)
+        # Hash c xors with chain value c and multiplies by value c + 1.
+        assert constants(protocol._POOL_INIT) == (a[0:4], a[1:5])
+        for src, columns in enumerate(protocol._POOL_MIX):
+            xor, mult = constants(columns)
+            calls = range(4 + 3 * src, 7 + 3 * src)
+            dsts = [d for d in range(4) if d != src]
+            assert [xor[d] for d in dsts] == [a[c] for c in calls]
+            assert [mult[d] for d in dsts] == [a[c + 1] for c in calls]
+        b = chain(protocol._INIT_B, protocol._MULT_B, 8)
+        state = protocol._STATE_HASH.reshape(2, 8, 1)
+        assert constants(state) == (b[0:8], b[1:9])
+
 
 class TestStackedRound:
     @pytest.mark.parametrize("kind, param", [
