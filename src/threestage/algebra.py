@@ -26,7 +26,7 @@ def _as_mat2(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.shape[-2:] != (2, 2):
         raise ValueError(f"{name} must have shape (..., 2, 2), got {a.shape}")
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError(f"{name} has non-finite entries")
     return a
 
@@ -37,7 +37,7 @@ def rotation(theta) -> np.ndarray:
     An array of angles gives the stack of rotations, shape ``theta.shape + (2, 2)``.
     """
     theta = np.asarray(theta, dtype=float)
-    if not np.isfinite(theta).all():
+    if not np.logical_and.reduce(np.isfinite(theta), axis=None):
         raise ValueError("rotation angle must be finite")
     c, s = np.cos(theta), np.sin(theta)
     out = np.empty(theta.shape + (2, 2), dtype=complex)
@@ -54,7 +54,7 @@ def phase_gate(phi) -> np.ndarray:
     An array of angles gives the stack of gates, shape ``phi.shape + (2, 2)``.
     """
     phi = np.asarray(phi, dtype=float)
-    if not np.isfinite(phi).all():
+    if not np.logical_and.reduce(np.isfinite(phi), axis=None):
         raise ValueError("phase angle must be finite")
     out = np.zeros(phi.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = 1.0
@@ -76,7 +76,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _within_unitary(u: np.ndarray, u_dagger: np.ndarray, atol: float) -> bool:
     """max |U^dagger U - 1| <= atol over every entry (and member), given U^dagger."""
-    return bool(np.abs(u_dagger @ u - _IDENTITY).max() <= atol)
+    return bool(np.maximum.reduce(np.abs(u_dagger @ u - _IDENTITY), axis=None) <= atol)
 
 
 def is_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
@@ -97,7 +97,7 @@ def validate_state(psi) -> np.ndarray:
     a = np.asarray(psi, dtype=complex)
     if a.shape != (2,):
         raise ValueError(f"state must have shape (2,), got {a.shape}")
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError("state has non-finite amplitudes")
     norm_sq = float(np.real(np.vdot(a, a)))
     if abs(norm_sq - 1.0) > ATOL:
@@ -124,15 +124,15 @@ def validate_density(rho) -> np.ndarray:
     assume a valid input and re-symmetrize their outputs.
     """
     a = _as_mat2(rho, "density matrix")
-    if np.abs(a - a.conj().swapaxes(-1, -2)).max() > ATOL:
+    if np.maximum.reduce(np.abs(a - a.conj().swapaxes(-1, -2)), axis=None) > ATOL:
         raise ValueError("density matrix is not Hermitian within 1e-12")
     trace = a[..., 0, 0] + a[..., 1, 1]
     bad = np.abs(trace - 1.0) > ATOL
-    if bad.any():
+    if np.logical_or.reduce(bad, axis=None):
         raise ValueError(f"density matrix trace is {complex(trace[bad][0])!r}, expected 1")
     lowest = _lowest_eigenvalue(a)
     bad = lowest < -ATOL
-    if bad.any():
+    if np.logical_or.reduce(bad, axis=None):
         raise ValueError(f"density matrix has negative eigenvalue {float(lowest[bad][0])!r}")
     return a
 

@@ -52,7 +52,7 @@ def _usage(exc: ValueError, flags: dict[str, str]) -> UsageError:
 
 
 def _angle(value: float, args, flag: str) -> float:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise UsageError(f"{flag}: must be finite, got {value!r}")
     return float(np.deg2rad(value)) if args.degrees else float(value)
 
@@ -282,6 +282,11 @@ def _add_protocol_flags(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="threestage",
         description="Three-stage protocol simulator and fidelity analysis.",
@@ -336,18 +341,39 @@ def build_parser() -> argparse.ArgumentParser:
     message.add_argument("--seed", type=int, default=0)
     message.add_argument("--degrees", action="store_true")
     message.set_defaults(handler=_cmd_message)
-    return parser
+    return parser, {"run": run, "sweep": sweep, "verify": verify, "commutators": comm,
+                    "message": message}
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call and reused after."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers ``main`` uses, built on its first call and reused after."""
+    return _build_parsers()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsed once by the subcommand's own parser.
+
+    The top-level parser only finds the subcommand and hands it every later
+    argument, so a leading subcommand name goes straight to its parser, and
+    arguments it leaves over get the top-level parser's own error. Any other
+    argv (empty, ``-h``, ``--version``, an unknown command) goes through the
+    top-level parser.
+    """
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     start = time.perf_counter()

@@ -86,7 +86,7 @@ def _basis(xi) -> np.ndarray:
     Row 0 is cos(xi)|0> + sin(xi)|1>, row 1 is sin(xi)|0> - cos(xi)|1>.
     """
     angles = np.asarray(xi, dtype=float)
-    if not np.isfinite(angles).all():
+    if not np.logical_and.reduce(np.isfinite(angles), axis=None):
         raise ValueError(f"xi must be finite, got {xi!r}")
     c, s = np.cos(angles), np.sin(angles)
     out = np.empty(angles.shape + (2, 2), dtype=complex)
@@ -244,19 +244,15 @@ def _uniform_draws(seed, index, k: int) -> np.ndarray:
     """``np.random.default_rng((seed, index)).random(k)``, for many indices at once.
 
     ``index`` None stands for the entropy ``(seed,)`` and an int for one
-    index, each giving shape (k,); a 1-D array of indices in [0, 2**32) gives
-    one row per index, shape (len(index), k). The values are numpy's own
-    stream computed in closed form, SeedSequence mixing and PCG64 seeding
-    and stepping as integer arithmetic on arrays with one column per index,
-    so no generator is built per index.
+    index, each giving shape (k,) from numpy's own generator; a 1-D array of
+    indices in [0, 2**32) gives one row per index, shape (len(index), k). An
+    array's rows are numpy's stream computed in closed form, SeedSequence
+    mixing and PCG64 seeding and stepping as integer arithmetic on arrays
+    with one column per index, so no generator is built per index.
     """
-    words = _entropy_words(seed)
     if index is None or np.ndim(index) == 0:
-        if index is not None:
-            words += _entropy_words(index)
-        entropy = np.zeros((max(len(words), _POOL_WORDS), 1), dtype=np.uint32)
-        entropy[:len(words), 0] = words
-        return _pcg64_doubles(entropy, k)[:, 0]
+        return np.random.default_rng((seed,) if index is None else (seed, index)).random(k)
+    words = _entropy_words(seed)
     index = np.asarray(index)
     if index.size and not 0 <= index.min() <= index.max() <= _MASK32:
         raise ValueError("message indices must lie in [0, 2**32)")

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -312,3 +313,56 @@ class TestStacks:
         channel = channels.from_kind(NoiseKind.IDENTITY, np.zeros(4))
         assert channel.parameter == 0.0
         np.testing.assert_array_equal(channel.operators[0], np.eye(2))
+
+
+def per_call_kraus_sum(channel, rho):
+    """apply_channel as it forms each adjoint on every call."""
+    rho = np.asarray(rho, dtype=complex)
+    out = 0
+    for op in channel.operators:
+        out = out + op @ rho @ op.conj().swapaxes(-1, -2)
+    return algebra.symmetrize(out)
+
+
+ADJOINT_CHANNELS = [
+    channels.from_kind(kind, value)
+    for kind, params in STACK_PARAMETERS.items()
+    for value in (float(params[3]), params)
+] + [channels.identity_channel()]
+
+
+class TestAdjoints:
+    @pytest.mark.parametrize("channel", ADJOINT_CHANNELS, ids=repr)
+    def test_adjoints_are_read_only_conjugate_transposes(self, channel):
+        assert len(channel.adjoints) == len(channel.operators)
+        for op, adjoint in zip(channel.operators, channel.adjoints):
+            assert adjoint.shape == op.shape and not adjoint.flags.writeable
+            np.testing.assert_array_equal(adjoint, op.conj().swapaxes(-1, -2))
+            with pytest.raises(ValueError):
+                adjoint[..., 0, 1] = 5.0
+
+    def test_adjoints_take_no_part_in_repr_or_equality(self):
+        channel = channels.collective_rotation(0.4)
+        assert "adjoints" not in repr(channel)
+        # The generated __eq__ compares the compare=True fields only.
+        assert [f.name for f in dataclasses.fields(channel) if f.compare] == [
+            "kind", "operators", "parameter",
+        ]
+        assert [f.name for f in dataclasses.fields(channel) if not f.init] == ["adjoints"]
+
+    def test_replace_forms_the_adjoints_of_the_new_operators(self):
+        channel = channels.amplitude_damping(0.3)
+        other = channels.amplitude_damping(np.array([0.1, 0.8]))
+        replaced = dataclasses.replace(channel, operators=other.operators, parameter=other.parameter)
+        for op, adjoint in zip(other.operators, replaced.adjoints):
+            assert adjoint.shape == (2, 2, 2) and not adjoint.flags.writeable
+            np.testing.assert_array_equal(adjoint, op.conj().swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("channel", ADJOINT_CHANNELS, ids=repr)
+    def test_apply_channel_equals_the_per_call_formula_bit_for_bit(self, channel):
+        rng = np.random.default_rng(64)
+        single = random_density(rng)
+        stack = np.array([random_density(rng) for _ in range(9)])
+        for rho in (single, stack):
+            expected = per_call_kraus_sum(channel, rho)
+            np.testing.assert_array_equal(channels.apply_channel(channel, rho), expected)

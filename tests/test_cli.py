@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -794,3 +795,82 @@ class TestArgvFuzz:
                 strict_json(payload)
         assert set(codes) == {0, 1, 2, 3}
         assert codes.count(0) >= self.CASES // 5
+
+
+class TestParseOnce:
+    """``main`` parses with the subcommand's own parser, as the top-level parser would.
+
+    Each argv runs through ``main`` and through a reference ``main`` that
+    parses with ``build_parser().parse_args``; exit code, stdout and stderr
+    (less the manifest's ``duration_ms``) must agree.
+    """
+
+    EXPLICIT = (
+        [[], ["-h"], ["--help"], ["--version"], ["launch"], ["--noise"], ["run"]]
+        + [[command, "-h"] for command in TestArgvFuzz.COMMANDS]
+        + [[command, "--version"] for command in TestArgvFuzz.COMMANDS]
+        + [
+            ["run", "--noise", "ad", "--version"],
+            ["--version", "run", "--noise", "ad"],
+            ["run", "--noise=ad", "--param=0.25"],
+            ["run", "--noise", "ad", "--alice", "1", "--bob", "2"],
+            ["run", "--noise", "cd", "--param", "-0.5"],
+            ["run", "--noise", "ad", "--param", "-0.5"],
+            ["message", "--noise", "pd", "--param=-0.5", "--bits", "01"],
+            ["run", "--noise", "ad", "--"],
+            ["run", "--", "--noise", "ad"],
+            ["run", "--noise", "ad", "--", "extra"],
+            ["--", "run", "--noise", "ad"],
+            ["run", "--noise", "ad", "--frequency", "1"],
+            ["run", "--noise", "ad", "extra", "more"],
+            ["run", "--noise", "ad", "--bit", "1", "-x"],
+            ["verify", "--kinds", "cr", "--resolution", "8", "--xi-points", "8", "tail"],
+            ["commutators", "--eta", "0.5", "--theta", "1", "--theta", "2"],
+            ["sweep", "--noise", "xx", "--out", "-"],
+            ["sweep", "--noise", "pd", "--grid", "0:1:3", "--xi-avg", "--out", "-", "--format=json"],
+            ["run", "--noise", "ad", "--param", "0.3", "--help", "--frequency"],
+        ]
+    )
+
+    @staticmethod
+    def parsed(capsys, parse, argv):
+        """The repr of the namespace ``parse`` returns (NaN-safe), or the code it exits with."""
+        try:
+            return repr(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code
+        finally:
+            capsys.readouterr()
+
+    @staticmethod
+    def answers(capsys, argv):
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        return code, out, re.sub(r'"duration_ms": [^,}]+', '"duration_ms": 0', err)
+
+    def reference(self, capsys, monkeypatch, argv):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+            return self.answers(capsys, argv)
+
+    def test_fuzzed_and_explicit_argvs_answer_as_the_top_level_parser(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        rng = np.random.default_rng(2026)
+        fuzzed = [TestArgvFuzz().argv(rng, tmp_path) for _ in range(TestArgvFuzz.CASES)]
+        for argv in fuzzed + self.EXPLICIT:
+            assert self.parsed(capsys, cli._parse_args, argv) == self.parsed(
+                capsys, cli.build_parser().parse_args, argv), argv
+            assert self.answers(capsys, argv) == self.reference(capsys, monkeypatch, argv), argv
+
+    def test_an_ambiguous_prefix_after_the_command_is_named_by_its_parser(
+        self, capsys, monkeypatch
+    ):
+        argv = ["run", "--noise", "ad", "--=x"]
+        code, out, err = self.answers(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: threestage run ")
+        assert "threestage run: error: ambiguous option: --=x could match --help, --noise," in err
+        code, out, err = self.reference(capsys, monkeypatch, argv)
+        assert (code, out) == (2, "")
+        assert err.endswith("threestage: error: ambiguous option: --=x could match --help, --version\n")

@@ -436,6 +436,18 @@ class TestUniformDraws:
                 protocol._uniform_draws(seed, beyond, 2), np.random.default_rng((seed, beyond)).random(2)
             )
 
+    @pytest.mark.parametrize("words", [1, 2, 3, 4, 5])
+    def test_one_element_kernel_equals_the_scalar_call(self, words):
+        # A scalar index takes numpy's own generator; this pins the kernel on one column.
+        rng = np.random.default_rng(2025 + words)
+        for _ in range(8):
+            seed = sum(int(rng.integers(0, 2**32)) << (32 * i) for i in range(words))
+            index = int(rng.integers(0, 2**32))
+            np.testing.assert_array_equal(
+                protocol._uniform_draws(seed, np.array([index]), 3)[0],
+                protocol._uniform_draws(seed, index, 3),
+            )
+
     def test_multiplier_columns_are_the_hash_chains(self):
         def chain(init, mult, calls):
             values = [init]
