@@ -16,7 +16,7 @@ call applies a different channel to each state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -78,21 +78,17 @@ class QuantumChannel:
     more than 1e-12 raises ChannelError. ``parameter`` is eta for AD/PD (a
     probability), the phase angle Phi for CD, and the rotation angle Theta
     for CR, in radians: a float, or for a stacked channel an array of one
-    parameter per member. ``adjoints`` holds each operator's conjugate
-    transpose E_i^dagger, formed once here for the completeness check and for
-    every ``apply_channel``; it is derived, so it takes no part in ``repr`` or
-    ``==``. Instances are immutable; the stored arrays are read-only copies.
+    parameter per member. Instances are immutable; the stored arrays are
+    read-only copies.
     """
 
     kind: NoiseKind
     operators: tuple[np.ndarray, ...]
     parameter: float | np.ndarray
-    adjoints: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         operators = tuple(_freeze(op) for op in self.operators)
-        adjoints = tuple(_adjoint(op) for op in operators)
-        defect = completeness_defect(operators, adjoints)
+        defect = completeness_defect(operators)
         if defect > COMPLETENESS_ATOL:
             raise ChannelError(
                 f"Kraus completeness defect {defect:.3e} exceeds {COMPLETENESS_ATOL:g}"
@@ -100,34 +96,20 @@ class QuantumChannel:
         parameter = np.array(self.parameter, dtype=float)
         parameter.flags.writeable = False
         object.__setattr__(self, "operators", operators)
-        object.__setattr__(self, "adjoints", adjoints)
         object.__setattr__(self, "parameter", float(parameter) if parameter.ndim == 0 else parameter)
 
 
-def completeness_defect(operators, adjoints=None) -> float:
-    """Max-abs entry of sum E_i^dagger E_i - I, over every member of a stack.
-
-    ``adjoints``, when given, are the operators' conjugate transposes (a
-    channel passes its own); otherwise they are formed here.
-    """
-    operators = [np.asarray(op, dtype=complex) for op in operators]
-    if adjoints is None:
-        adjoints = map(algebra.dagger, operators)
+def completeness_defect(operators) -> float:
+    """Max-abs entry of sum E_i^dagger E_i - I, over every member of a stack."""
     total = 0
-    for op, adjoint in zip(operators, adjoints):
-        total = total + adjoint @ op
+    for op in operators:
+        op = np.asarray(op, dtype=complex)
+        total = total + algebra.dagger(op) @ op
     return float(np.maximum.reduce(np.abs(total - _IDENTITY), axis=None))
 
 
 def _freeze(op: np.ndarray) -> np.ndarray:
     out = np.array(op, dtype=complex)
-    out.flags.writeable = False
-    return out
-
-
-def _adjoint(op: np.ndarray) -> np.ndarray:
-    """Read-only ``algebra.dagger`` of a frozen operator: a swapped view of its conjugate."""
-    out = algebra.dagger(op)
     out.flags.writeable = False
     return out
 
@@ -229,6 +211,6 @@ def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     out = 0
-    for op, adjoint in zip(channel.operators, channel.adjoints):
-        out = out + op @ rho @ adjoint
+    for op in channel.operators:
+        out = out + op @ rho @ op.conj().swapaxes(-1, -2)
     return algebra.symmetrize(out)

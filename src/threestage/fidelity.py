@@ -123,33 +123,39 @@ def _cos_multiple(m: int, angle):
 # and 1 - cos Phi = 2 sin^2(Phi / 2), so the sign of every swing (the preferred
 # states) is exact at every interior parameter. The printed expanded forms
 # agree within 2.2e-16 and are kept in the tests as the paper's reference.
+# The CD mean (1 + cos^6(Phi / 2)) / 2 and the CR law T_3(cos Theta)^2 take
+# the cosine of Phi / 2 or Theta itself, both exact in binary, never of a
+# rounded 3 * angle, so a huge angle keeps its phase. Powers are ufunc calls,
+# so a scalar takes the same loop as an array and a sweep row equals the
+# scalar call on its values.
 
 
 def _coefficients_amplitude_damping(eta):
     root = np.sqrt(1.0 - eta)
     mean = (
         4.0 * (root + 3.0)
-        - eta * (eta**2 - 3.0 * (root + 2.0) * eta + 7.0 * root + 9.0)
+        - eta * (np.square(eta) - 3.0 * (root + 2.0) * eta + 7.0 * root + 9.0)
     ) / 16.0
-    swing = -((root * eta / (1.0 + root)) ** 3) / 16.0
+    swing = -np.power(root * eta / (1.0 + root), 3) / 16.0
     return mean, swing
 
 
 def _coefficients_phase_damping(eta):
     root = np.sqrt(1.0 - eta)
     mean = (root + 3.0) * (4.0 - eta) / 16.0
-    swing = (eta / (1.0 + root)) ** 3 / 16.0
+    swing = np.power(eta / (1.0 + root), 3) / 16.0
     return mean, swing
 
 
 def _coefficients_collective_dephasing(phi):
-    mean = (15.0 * np.cos(phi) + 6.0 * _cos_multiple(2, phi) + _cos_multiple(3, phi) + 42.0) / 64.0
-    swing = np.sin(phi / 2.0) ** 6 / 2.0
+    mean = (1.0 + np.power(np.cos(phi / 2.0), 6)) / 2.0
+    swing = np.power(np.sin(phi / 2.0), 6) / 2.0
     return mean, swing
 
 
 def _coefficients_collective_rotation(theta):
-    return _cos_multiple(3, theta) ** 2, np.zeros_like(theta)
+    c = np.cos(theta)
+    return np.square(c * (4.0 * np.square(c) - 3.0)), np.zeros_like(theta)
 
 
 _CLOSED_FORMS = {

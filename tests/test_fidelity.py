@@ -215,6 +215,9 @@ class TestHugeAngles:
     @pytest.mark.parametrize("kind, param", [
         (NoiseKind.AMPLITUDE_DAMPING, 0.3), (NoiseKind.PHASE_DAMPING, 0.7),
         (NoiseKind.COLLECTIVE_DEPHASING, 1e308), (NoiseKind.COLLECTIVE_ROTATION, -1.7e308),
+        (NoiseKind.COLLECTIVE_DEPHASING, 1234567.891), (NoiseKind.COLLECTIVE_ROTATION, 1234567.891),
+        (NoiseKind.COLLECTIVE_DEPHASING, 123456789012.345),
+        (NoiseKind.COLLECTIVE_ROTATION, 123456789012.345),
     ])
     def test_closed_forms_at_huge_angles_match_the_oracle(self, kind, param):
         closed = fidelity.closed_form_fidelity(kind, param, HUGE_ANGLES)

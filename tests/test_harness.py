@@ -156,10 +156,11 @@ class TestSweep:
         fields.pop("duration_ms")
         assert manifest.to_dict() == dataclasses.asdict(manifest)
 
-    def test_closed_form_rows_equal_scalar_calls(self):
+    @pytest.mark.parametrize("kind", fidelity.CLOSED_FORM_KINDS, ids=lambda kind: kind.value)
+    def test_closed_form_rows_equal_scalar_calls(self, kind):
         spec = spec_with(
-            kind=NoiseKind.COLLECTIVE_DEPHASING,
-            param_grid=tuple(np.linspace(0.1, 6.0, 7)),
+            kind=kind,
+            param_grid=tuple(np.linspace(*kind.natural_range, 200)),
             xi_grid=tuple(np.linspace(0.0, 3.0, 5)),
             include_state_average=True,
         )
