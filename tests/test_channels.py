@@ -338,6 +338,26 @@ class TestAdjoints:
         ]
 
     @pytest.mark.parametrize("channel", ADJOINT_CHANNELS, ids=repr)
+    def test_operators_are_read_only_and_complete(self, channel):
+        for op in channel.operators:
+            assert op.shape[-2:] == (2, 2) and not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[..., 0, 1] = 5.0
+        assert channels.completeness_defect(channel.operators) <= channels.COMPLETENESS_ATOL
+
+    def test_replace_freezes_and_checks_the_new_operators(self):
+        channel = channels.amplitude_damping(0.3)
+        other = channels.amplitude_damping(np.array([0.1, 0.8]))
+        writable = tuple(np.array(op) for op in other.operators)
+        replaced = dataclasses.replace(channel, operators=writable, parameter=other.parameter)
+        writable[0][...] = 0.0
+        for op, original in zip(replaced.operators, other.operators):
+            assert op.shape == (2, 2, 2) and not op.flags.writeable
+            np.testing.assert_array_equal(op, original)
+        with pytest.raises(ChannelError):
+            dataclasses.replace(channel, operators=other.operators[:1])
+
+    @pytest.mark.parametrize("channel", ADJOINT_CHANNELS, ids=repr)
     def test_apply_channel_equals_the_per_call_formula_bit_for_bit(self, channel):
         rng = np.random.default_rng(64)
         single = random_density(rng)
