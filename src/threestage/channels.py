@@ -16,6 +16,8 @@ call applies a different channel to each state.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -100,11 +102,9 @@ class QuantumChannel:
 
 
 def completeness_defect(operators) -> float:
-    """Max-abs entry of sum E_i^dagger E_i - I, over every member of a stack."""
-    total = 0
-    for op in operators:
-        op = np.asarray(op, dtype=complex)
-        total = total + algebra.dagger(op) @ op
+    """Max-abs entry of sum E_i^dagger E_i - I, over every member of a stack (1 for no operators)."""
+    ops = [np.asarray(op, dtype=complex) for op in operators]
+    total = functools.reduce(operator.add, [algebra.dagger(op) @ op for op in ops]) if ops else 0
     return float(np.maximum.reduce(np.abs(total - _IDENTITY), axis=None))
 
 
@@ -206,11 +206,9 @@ def from_kind(kind: NoiseKind, parameter) -> QuantumChannel:
 def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     """Kraus sum sum_i E_i rho E_i^dagger, re-symmetrized; stacks broadcast.
 
-    ``rho`` is assumed to be a valid density matrix and ``channel`` complete;
-    both were validated where they were constructed.
+    ``rho`` is assumed valid and ``channel`` complete, so it has a first term
+    to start the sum from; both were validated where they were constructed.
     """
     rho = np.asarray(rho, dtype=complex)
-    out = 0
-    for op in channel.operators:
-        out = out + op @ rho @ op.conj().swapaxes(-1, -2)
-    return algebra.symmetrize(out)
+    terms = [op @ rho @ op.conj().swapaxes(-1, -2) for op in channel.operators]
+    return algebra.symmetrize(functools.reduce(operator.add, terms))

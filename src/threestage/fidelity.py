@@ -99,23 +99,18 @@ def _assert_and_clamp(values):
     return float(out) if out.ndim == 0 else out
 
 
-# From 2**53 on, doubles lie 2 or more apart, so a rounded m * angle has lost
-# its phase (and past the largest double it is inf, whose cosine is NaN).
-_PHASE_LIMIT = 2.0**53
+def _cos_4(xi):
+    """cos(4 xi), as 8c^4 - 8c^2 + 1 with c = cos xi where |xi| >= 2**51.
 
-
-def _cos_multiple(m: int, angle):
-    """cos(m * angle), through T_m(cos angle) where m * angle reaches ``_PHASE_LIMIT``.
-
-    The Chebyshev polynomial T_m gives cos(m x) from cos x, so a huge finite
-    angle keeps a finite and accurate cosine; every smaller angle takes
-    np.cos(m * angle) as it is.
+    There 4 xi reaches 2**53, where doubles lie 2 or more apart and the
+    rounded product has lost its phase (past the largest double it is inf,
+    whose cosine is NaN); smaller angles take np.cos(4 * xi) as it is.
     """
-    huge = np.abs(angle) >= _PHASE_LIMIT / m
+    huge = np.abs(xi) >= 2.0**51
     if not huge.any():
-        return np.cos(m * angle)
-    chebyshev = np.polynomial.chebyshev.chebval(np.cos(angle), (0,) * m + (1,))
-    return np.where(huge, chebyshev, np.cos(m * np.where(huge, 0.0, angle)))
+        return np.cos(4 * xi)
+    c = np.cos(xi)
+    return np.where(huge, 8 * c**4 - 8 * c**2 + 1, np.cos(4 * np.where(huge, 0.0, xi)))
 
 
 # Each swing is (p - q)^3 / 16 for the channel's z- and x-contractions p and
@@ -190,7 +185,7 @@ def closed_form_fidelity(kind: NoiseKind, param, xi):
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
         raise ValueError("xi must be finite")
-    return _assert_and_clamp(mean + swing * _cos_multiple(4, xi))
+    return _assert_and_clamp(mean + swing * _cos_4(xi))
 
 
 def closed_form_average_fidelity(kind: NoiseKind, param):

@@ -33,14 +33,33 @@ class StagePolicy(Enum):
     """How the channel's noise parameter varies across the three crossings.
 
     FIXED is the standard model: one parameter for the whole round.
-    RESAMPLE redraws the parameter independently per crossing (each stage
-    scales the configured value by a uniform [0, 1] draw from a seeded
-    stream). It is a sensitivity-study extension, not part of the standard
-    protocol model; transcripts record the parameters actually used.
+    RESAMPLE redraws the parameter independently per crossing: each stage
+    scales the configured value by a uniform [0, 1) draw, and round i takes
+    doubles 3i to 3i + 2 of the stream ``PCG64(resample_seed)``. It is a
+    sensitivity-study extension, not part of the standard protocol model;
+    transcripts record the parameters actually used. A message's decode
+    draws come from ``PCG64(seed)``, so with ``seed == resample_seed`` the
+    two are one stream and share draws.
     """
 
     FIXED = "fixed"
     RESAMPLE = "resample"
+
+
+def _non_negative(name: str, value) -> int:
+    """``value`` as an int, rejected unless it is a non-negative integer.
+
+    Seeds and indices are checked where they enter: numpy's PCG64 would seed
+    None from OS entropy, take a list as entropy words and wrap a negative
+    ``advance``.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be a non-negative integer, got {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -63,6 +82,7 @@ class ProtocolConfig:
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        _non_negative("resample_seed", self.resample_seed)
 
 
 @dataclass(frozen=True)
@@ -109,164 +129,32 @@ def encode_bit(bit: int, xi) -> np.ndarray:
     return _basis(xi)[..., bit, :]
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64's
-# 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h). Every constant the
-# array arithmetic meets has its stage's dtype, uint32 for SeedSequence and
-# uint64 for PCG64, so products wrap at the word size under the promotion
-# rules of any numpy version.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_POOL_WORDS = 4
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
-_ONE, _SHIFT11, _SHIFT32, _SHIFT58, _SHIFT63 = (np.uint64(v) for v in (1, 11, 32, 58, 63))
-_LOW32, _WORD_BITS = np.uint64(_MASK32), np.uint64(64)
-# The low multiplier word's 32-bit halves, for the high word of lo * _PCG_MULT_LO.
-_MULT_LO_0, _MULT_LO_1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _SHIFT32
-
 # A message is sent in blocks of this many bits, so every per-bit array is at
 # most one block long whatever the message length.
 MESSAGE_BLOCK_BITS = 2**14
 
 
-def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
-    """Xor and multiply constants of SeedSequence's first ``calls`` hashes, shape (2, calls, 1).
+def _uniform_draws(seed: int, first: int, n: int, k: int) -> np.ndarray:
+    """Draws ``k * first`` to ``k * (first + n) - 1`` of ``PCG64(seed)``'s doubles, shape (n, k).
 
-    Hash ``c`` xors its input with the ``c``-th value of the chain that
-    starts at ``init`` and steps by ``mult`` mod 2**32, then multiplies it by
-    the next value; row 0 holds the xor constants, row 1 the multipliers.
+    Row i holds the ``k`` draws of index ``first + i``, so every index keeps
+    its own draws whatever block it is drawn in. PCG64's jump-ahead
+    (``advance``, O(log n) in the distance) skips the earlier draws.
     """
-    chain = [init]
-    for _ in range(calls):
-        chain.append(chain[-1] * mult & _MASK32)
-    return np.array([chain[:-1], chain[1:]], dtype=np.uint32)[..., None]
+    generator = np.random.PCG64(seed)
+    generator.advance(k * first)
+    return np.random.Generator(generator).random((n, k))
 
 
-# The hashes depend on the call count alone. A: the pool's four initial hashes,
-# then three per source word while the pool mixes (calls 4-15). B: the eight
-# hashed state words. Each mixing column has the source's own slot a dummy 0.
-_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * _POOL_WORDS)
-_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
-_POOL_INIT = _HASH_A[:, :_POOL_WORDS]
-_POOL_MIX = [
-    np.insert(_HASH_A[:, _POOL_WORDS + 3 * src:_POOL_WORDS + 3 * src + 3], src, 0, axis=1)
-    for src in range(_POOL_WORDS)
-]
-_STATE_HASH = _HASH_B.reshape(2, 2, _POOL_WORDS, 1)
+def _stage_channels(config: ProtocolConfig, first: int, n: int | None = None):
+    """The three crossings' channels, stacked over rounds ``first`` to ``first + n - 1``.
 
-
-def _entropy_words(value) -> list[int]:
-    """SeedSequence's split of a non-negative integer into 32-bit words, low first."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _hash(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of ``values`` against broadcast constant columns, uint32."""
-    out = values ^ xor
-    out *= mult
-    out ^= out >> _XSHIFT
-    return out
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of pool words ``x`` with hashed words ``y``, uint32."""
-    out = x * _MIX_L
-    out -= y * _MIX_R
-    out ^= out >> _XSHIFT
-    return out
-
-
-def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
-    """One PCG64 step, state * multiplier + inc mod 2**128, on uint64 word arrays."""
-    # High word of lo * _PCG_MULT_LO from 32-bit halves; no partial sum overflows.
-    lo_0, lo_1 = lo & _LOW32, lo >> _SHIFT32
-    t = ((lo_0 * _MULT_LO_0) >> _SHIFT32) + lo_0 * _MULT_LO_1
-    u = (t & _LOW32) + lo_1 * _MULT_LO_0
-    new_hi = lo_1 * _MULT_LO_1 + (t >> _SHIFT32) + (u >> _SHIFT32)
-    new_hi += lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi
-    new_lo = lo * _PCG_MULT_LO
-    new_lo += inc_lo
-    new_hi += new_lo < inc_lo
-    return new_hi, new_lo
-
-
-def _pcg64_doubles(entropy: np.ndarray, k: int) -> np.ndarray:
-    """First ``k`` doubles of PCG64(SeedSequence(words)) per column of ``entropy``, shape (k, n).
-
-    ``entropy`` is a (words, n) uint32 array, one column per generator, with
-    at least the pool's four rows (SeedSequence mixes zeros for missing
-    words, so shorter entropy is zero-padded). SeedSequence runs on uint32
-    arrays, whose products wrap at 2**32 as its own do: the pool is one
-    (4, n) array, and each source row's mixing step is one hash of that row
-    against its (4, 1) multiplier column, one mix of the whole pool, and the
-    source row put back. PCG64 runs on uint64 arrays, the 128-bit state as a
-    high and a low word array, seeded, then stepped once per draw and read
-    through its XSL-RR output into that draw's row of the result.
+    ``n`` None gives the one round ``first``, unstacked.
     """
-    pool = _hash(entropy[:_POOL_WORDS], *_POOL_INIT)
-    for src, (xor, mult) in enumerate(_POOL_MIX):
-        mixed = _mix(pool, _hash(pool[src], xor, mult))
-        mixed[src] = pool[src]
-        pool = mixed
-    extra = entropy[_POOL_WORDS:]
-    if len(extra):
-        # Entropy past four words (a seed of 2**96 and up with its index word):
-        # each further word mixes into every pool word.
-        calls = _HASH_A.shape[1]
-        later = _hash_constants(_INIT_A, _MULT_A, calls + _POOL_WORDS * len(extra))[:, calls:]
-        for word, xor, mult in zip(extra, *later.reshape(2, len(extra), _POOL_WORDS, 1)):
-            pool = _mix(pool, _hash(word, xor, mult))
-    # generate_state(4, uint64): eight hashed pool words, paired little-endian.
-    state = _hash(pool, *_STATE_HASH).reshape(2 * _POOL_WORDS, -1).astype(np.uint64)
-    seed_hi, seed_lo, inc_hi, inc_lo = state[0::2] | (state[1::2] << _SHIFT32)
-    inc_hi, inc_lo = (inc_hi << _ONE) | (inc_lo >> _SHIFT63), (inc_lo << _ONE) | _ONE
-    # Seeding: state = inc, plus the seed, stepped once.
-    lo = seed_lo + inc_lo
-    hi = seed_hi + inc_hi + (lo < inc_lo)
-    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-    draws = np.empty((k, entropy.shape[1]))
-    for row in draws:
-        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-        folded, turn = hi ^ lo, hi >> _SHIFT58  # XSL-RR output
-        folded = (folded >> turn) | (folded << ((_WORD_BITS - turn) & _SHIFT63))
-        np.multiply(folded >> _SHIFT11, 1.0 / 2**53, out=row)
-    return draws
-
-
-def _uniform_draws(seed, index, k: int) -> np.ndarray:
-    """``np.random.default_rng((seed, index)).random(k)``, for many indices at once.
-
-    ``index`` None stands for the entropy ``(seed,)`` and an int for one
-    index, each giving shape (k,) from numpy's own generator; a 1-D array of
-    indices in [0, 2**32) gives one row per index, shape (len(index), k). An
-    array's rows are numpy's stream computed in closed form, SeedSequence
-    mixing and PCG64 seeding and stepping as integer arithmetic on arrays
-    with one column per index, so no generator is built per index.
-    """
-    if index is None or np.ndim(index) == 0:
-        return np.random.default_rng((seed,) if index is None else (seed, index)).random(k)
-    words = _entropy_words(seed)
-    index = np.asarray(index)
-    if index.size and not 0 <= index.min() <= index.max() <= _MASK32:
-        raise ValueError("message indices must lie in [0, 2**32)")
-    entropy = np.zeros((max(len(words) + 1, _POOL_WORDS), index.size), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = index
-    return _pcg64_doubles(entropy, k).T
-
-
-def _stage_channels(config: ProtocolConfig, message_index):
-    """The channels of the three crossings; an array of indices gives channel stacks."""
     if config.stage_policy is StagePolicy.FIXED:
         return (config.channel,) * 3
-    draws = _uniform_draws(config.resample_seed, message_index, 3)
+    draws = _uniform_draws(config.resample_seed, first, 1 if n is None else n, 3)
+    draws = draws[0] if n is None else draws
     kind, parameter = config.channel.kind, config.channel.parameter
     return tuple(channels.from_kind(kind, draws[..., j] * parameter) for j in range(3))
 
@@ -286,13 +174,15 @@ def run_protocol(
 ) -> tuple[np.ndarray, Transcript]:
     """Run one round and return (final density matrix, transcript).
 
-    ``message_index`` is the round's position within a longer message; under
-    the RESAMPLE policy it folds into the per-stage draw stream so that
-    rounds see independent noise. It has no effect under FIXED.
+    ``message_index`` is the round's position within a longer message, a
+    non-negative integer (None stands for 0); under the RESAMPLE policy it
+    picks the round's three stage draws, so that rounds see independent
+    noise. It has no effect under FIXED.
     """
+    index = 0 if message_index is None else _non_negative("message_index", message_index)
     psi = encode_bit(bit, config.xi)
     # encode_bit's states are normalized by construction: no re-validation.
-    stages = _stage_channels(config, message_index)
+    stages = _stage_channels(config, index)
     states = _evolve(config, np.outer(psi, psi.conj()), stages)
     transcript = Transcript(
         stage_states=states,
@@ -340,54 +230,50 @@ def _message_bits(bits) -> np.ndarray:
     return values.astype(np.int8)
 
 
-def _round_p0(config: ProtocolConfig, bits: np.ndarray, message_index) -> np.ndarray:
-    """p0 of one stacked round per entry of ``bits``, the stages drawn for ``message_index``."""
+def _round_p0(config: ProtocolConfig, bits: np.ndarray, first: int) -> np.ndarray:
+    """p0 of one stacked round per entry of ``bits``, bit i being round ``first + i``."""
     psi = _basis(config.xi)[bits]
     rho = psi[:, :, None] * psi[:, None, :].conj()
-    final = _evolve(config, rho, _stage_channels(config, message_index))[-1]
+    final = _evolve(config, rho, _stage_channels(config, first, len(bits)))[-1]
     return decode_bit(final, config.xi)[0]
 
 
-def transmit_message(
-    bits, config: ProtocolConfig, seed: int
-) -> tuple[list[int], float]:
+def transmit_message(bits, config: ProtocolConfig, seed: int) -> tuple[list[int], float]:
     """Send a bit sequence and decode each outcome.
 
-    Every bit is checked before any round runs. The message is processed in
-    blocks of ``MESSAGE_BLOCK_BITS`` bits, so memory stays bounded at any
-    length, and each block runs as arrays, with no Python step per bit.
-    Under FIXED a round depends on the bit sent alone, so the whole message
-    runs one stacked round over its distinct bit values; under RESAMPLE the
-    stage parameters depend on the bit's index, so each block runs one
-    stacked round with one state and one set of stage channels per bit.
-    Each outcome is sampled from its (p0, p1) with the first draw of
-    numpy's ``default_rng((seed, index))``: results are independent of the
-    block size and of evaluation order, and identical inputs reproduce
-    identical outputs. The draws are that stream computed in closed form for
-    a whole block (``_uniform_draws``, pinned against numpy by the tests),
-    not one generator per bit. On a 2-core x86-64 host (numpy 2.4) one
-    250-bit block's draws take 130-220 µs, and a long message costs about
-    0.1 µs per bit under FIXED, nearly all of it the draws, and 11-14 µs per
-    bit under RESAMPLE; one generator per bit alone cost 15-27 µs.
-    Returns (decoded bits, QBER), QBER being the fraction of flipped bits.
+    Every bit is checked before any round runs. The message runs as arrays
+    in blocks of ``MESSAGE_BLOCK_BITS`` bits, so memory stays bounded: under
+    FIXED one stacked round over its distinct bit values, under RESAMPLE one
+    stacked round per block with one set of stage channels per bit. Bit i is
+    read from its (p0, p1) with double i of ``PCG64(seed)``, reached with
+    PCG64's jump-ahead, so the output is independent of the block size and
+    fixed by the inputs. The stage draws come from ``PCG64(resample_seed)``,
+    so with ``seed == resample_seed`` the two share draws. On a 2-core
+    x86-64 host (numpy 2.4) a 10^6-bit FIXED message takes about 15 ms and
+    RESAMPLE about 11 µs per bit. Returns (decoded bits, QBER), QBER being
+    the fraction of flipped bits.
     """
     decoded, qber = _transmit(bits, config, seed)
     return decoded.tolist(), qber
 
 
 def _transmit(bits, config: ProtocolConfig, seed: int) -> tuple[np.ndarray, float]:
-    """``transmit_message`` with the decoded bits as an int8 array."""
+    """``transmit_message`` with the decoded bits as an int8 array.
+
+    A block's bits are read with one jump to double ``start`` of
+    ``PCG64(seed)``, the stream the stages share when ``seed == resample_seed``.
+    """
+    seed = _non_negative("seed", seed)
     sent = _message_bits(bits)
     fixed = config.stage_policy is StagePolicy.FIXED
     if fixed:
         values = np.flatnonzero(np.bincount(sent, minlength=2))
         p0_of_bit = np.zeros(2)
-        p0_of_bit[values] = _round_p0(config, values, None)
+        p0_of_bit[values] = _round_p0(config, values, 0)
     decoded = np.empty_like(sent)
     for start in range(0, len(sent), MESSAGE_BLOCK_BITS):
         block = sent[start:start + MESSAGE_BLOCK_BITS]
-        indices = np.arange(start, start + len(block))
-        p0 = p0_of_bit[block] if fixed else _round_p0(config, block, indices)
+        p0 = p0_of_bit[block] if fixed else _round_p0(config, block, start)
         # Bit 0 is read when the draw falls below p0.
-        decoded[start:start + len(block)] = _uniform_draws(seed, indices, 1)[:, 0] >= p0
+        decoded[start:start + len(block)] = _uniform_draws(seed, start, len(block), 1)[:, 0] >= p0
     return decoded, int(np.count_nonzero(decoded != sent)) / len(sent)

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -11,19 +12,25 @@ def config_with(channel, xi=0.3, theta=1.0, phi=2.0, **kwargs):
     return ProtocolConfig(xi=xi, alice_angle=theta, bob_angle=phi, channel=channel, **kwargs)
 
 
+@functools.lru_cache(maxsize=1)
+def stream(seed, count):
+    """The first ``count`` doubles of ``PCG64(seed)``, drawn in one call with no jump-ahead."""
+    return np.random.Generator(np.random.PCG64(seed)).random(count)
+
+
 def reference_decoding(bits, config, seed, indices):
-    """Decoded bits at ``indices``, one scalar round and one numpy generator per bit."""
+    """Decoded bits at ``indices``: one scalar round per bit, bit i read with double i of the stream."""
+    draws = stream(seed, max(indices) + 1)
     decoded = []
     for index in indices:
         final, _ = protocol.run_protocol(config, bits[index], message_index=index)
         p0, _ = protocol.decode_bit(final, config.xi)
-        draw = float(np.random.default_rng((seed, index)).random())
-        decoded.append(0 if draw < p0 else 1)
+        decoded.append(0 if draws[index] < p0 else 1)
     return decoded
 
 
-# Seeds of one to five SeedSequence entropy words.
-SEEDS = [0, 3, 2**31 - 1, 2**32, 2**40 + 7, 2**64 + 5, 2**100 + 3, 2**128 + 9]
+# One, three and five SeedSequence entropy words.
+SEEDS = [0, 2**64 + 5, 2**128 + 9]
 
 
 class TestEncodeBit:
@@ -239,8 +246,9 @@ class TestTransmitMessage:
         assert [decoded[i] for i in edges] == reference_decoding(bits, config, 23, edges)
         assert qber == sum(a != b for a, b in zip(bits, decoded)) / len(bits)
 
-    def test_block_size_does_not_change_the_message(self, monkeypatch):
-        config = config_with(channels.collective_dephasing(1.1), stage_policy=StagePolicy.RESAMPLE)
+    @pytest.mark.parametrize("policy", [StagePolicy.FIXED, StagePolicy.RESAMPLE])
+    def test_block_size_does_not_change_the_message(self, monkeypatch, policy):
+        config = config_with(channels.collective_dephasing(1.1), stage_policy=policy)
         bits = [int(b) for b in np.random.default_rng(40).integers(0, 2, 100)]
         whole = protocol.transmit_message(bits, config, seed=6)
         monkeypatch.setattr(protocol, "MESSAGE_BLOCK_BITS", 7)
@@ -372,105 +380,83 @@ class TestStagePolicy:
         )
 
 
+FIRSTS = [0, 1, 2**14 - 1, 2**14, 10**6 - 1]
+
+
 class TestUniformDraws:
+    @pytest.mark.parametrize("first", FIRSTS)
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_rows_equal_numpy_generators(self, seed, k):
-        indices = np.concatenate([np.arange(300), [2**31, 2**32 - 1]])
-        expected = np.array([np.random.default_rng((seed, int(i))).random(k) for i in indices])
-        np.testing.assert_array_equal(protocol._uniform_draws(seed, indices, k), expected)
+    def test_rows_are_slices_of_one_stream(self, seed, k, first):
+        reference = stream(seed, 3 * (10**6 + 3)).reshape(-1, k)
+        for n in (1, 4):
+            np.testing.assert_array_equal(
+                protocol._uniform_draws(seed, first, n, k), reference[first:first + n]
+            )
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_one_index_and_seed_alone_equal_numpy(self, seed, k):
-        np.testing.assert_array_equal(
-            protocol._uniform_draws(seed, None, k), np.random.default_rng((seed,)).random(k)
+    def test_a_block_equals_its_parts(self, seed, k):
+        # Far past any stream a test can slice, and past 2**32.
+        first = 2**40 - 3
+        whole = protocol._uniform_draws(seed, first, 7, k)
+        parts = [protocol._uniform_draws(seed, first + i, 1, k) for i in range(7)]
+        np.testing.assert_array_equal(whole, np.concatenate(parts))
+        assert protocol._uniform_draws(seed, first, 0, k).shape == (0, k)
+
+    def test_a_single_round_draws_its_stage_row(self):
+        config = config_with(
+            channels.amplitude_damping(0.5), stage_policy=StagePolicy.RESAMPLE, resample_seed=2**64 + 5
         )
-        for index in (0, 5, 2**32, 2**70 + 1):
-            np.testing.assert_array_equal(
-                protocol._uniform_draws(seed, index, k),
-                np.random.default_rng((seed, index)).random(k),
-            )
+        reference = stream(2**64 + 5, 3 * (2**14 + 1)).reshape(-1, 3)
+        for index in (0, 1, 2**14):
+            _, transcript = protocol.run_protocol(config, 1, message_index=index)
+            assert transcript.stage_parameters == tuple(reference[index] * 0.5)
+        _, default = protocol.run_protocol(config, 1)
+        assert default.stage_parameters == tuple(reference[0] * 0.5)
+        _, far = protocol.run_protocol(config, 1, message_index=2**40)
+        assert far.stage_parameters == tuple(protocol._uniform_draws(2**64 + 5, 2**40, 1, 3)[0] * 0.5)
 
-    def test_negative_seed_rejected_like_numpy(self):
-        with pytest.raises(ValueError):
-            np.random.default_rng((-1, 0))
-        for index in (None, 0, np.arange(3)):
-            with pytest.raises(ValueError, match="non-negative"):
-                protocol._uniform_draws(-1, index, 1)
-        with pytest.raises(ValueError, match="non-negative"):
-            protocol.transmit_message([0, 1], config_with(channels.identity_channel()), seed=-3)
 
-    def test_indices_beyond_one_word_rejected(self):
-        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
-            protocol._uniform_draws(1, np.array([0, 2**32]), 1)
+NOT_NON_NEGATIVE_INTEGERS = [None, 1.5, [1, 2], -1]
 
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_empty_and_one_element_index_arrays(self, k):
-        assert protocol._uniform_draws(7, np.arange(0), k).shape == (0, k)
-        one = protocol._uniform_draws(7, np.array([9]), k)
-        assert one.shape == (1, k)
-        np.testing.assert_array_equal(one[0], np.random.default_rng((7, 9)).random(k))
 
-    @pytest.mark.parametrize("seed", [5, 2**64 + 5])
-    def test_strided_and_typed_index_arrays_equal_numpy(self, seed):
-        base = np.arange(2**32 - 40, 2**32, dtype=np.int64)
-        expected = np.array([np.random.default_rng((seed, int(i))).random(3) for i in base[::3]])
-        for index in (base[::3], base.astype(np.uint32)[::3], base[::3].copy()):
-            np.testing.assert_array_equal(protocol._uniform_draws(seed, index, 3), expected)
-        small = np.arange(0, 90, 3)
-        expected = np.array([np.random.default_rng((seed, int(i))).random(3) for i in small])
-        np.testing.assert_array_equal(protocol._uniform_draws(seed, small.astype(np.int32), 3), expected)
+class TestSeedAndIndexChecks:
+    @pytest.mark.parametrize("bad", NOT_NON_NEGATIVE_INTEGERS, ids=repr)
+    def test_resample_seed(self, bad):
+        with pytest.raises((TypeError, ValueError), match=r"^resample_seed must be a non-negative integer"):
+            config_with(channels.identity_channel(), resample_seed=bad)
 
-    def test_random_seed_and_index_pairs_equal_numpy(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(64):
-            words = int(rng.integers(1, 6))
-            seed = sum(int(rng.integers(0, 2**32)) << (32 * i) for i in range(words))
-            index = 2**32 - 1 - int(rng.integers(0, 2**10))
-            expected = np.random.default_rng((seed, index)).random(3)
-            np.testing.assert_array_equal(protocol._uniform_draws(seed, np.array([index]), 3)[0], expected)
-            np.testing.assert_array_equal(protocol._uniform_draws(seed, index, 3), expected)
-            beyond = index + 2**10
-            np.testing.assert_array_equal(
-                protocol._uniform_draws(seed, beyond, 2), np.random.default_rng((seed, beyond)).random(2)
-            )
+    @pytest.mark.parametrize("policy", [StagePolicy.FIXED, StagePolicy.RESAMPLE])
+    @pytest.mark.parametrize("bad", NOT_NON_NEGATIVE_INTEGERS, ids=repr)
+    def test_message_seed(self, bad, policy):
+        config = config_with(channels.identity_channel(), stage_policy=policy)
+        with pytest.raises((TypeError, ValueError), match=r"^seed must be a non-negative integer"):
+            protocol.transmit_message([0, 1], config, seed=bad)
 
-    @pytest.mark.parametrize("words", [1, 2, 3, 4, 5])
-    def test_one_element_kernel_equals_the_scalar_call(self, words):
-        # A scalar index takes numpy's own generator; this pins the kernel on one column.
-        rng = np.random.default_rng(2025 + words)
-        for _ in range(8):
-            seed = sum(int(rng.integers(0, 2**32)) << (32 * i) for i in range(words))
-            index = int(rng.integers(0, 2**32))
-            np.testing.assert_array_equal(
-                protocol._uniform_draws(seed, np.array([index]), 3)[0],
-                protocol._uniform_draws(seed, index, 3),
-            )
+    @pytest.mark.parametrize("policy", [StagePolicy.FIXED, StagePolicy.RESAMPLE])
+    @pytest.mark.parametrize("bad", NOT_NON_NEGATIVE_INTEGERS[1:], ids=repr)
+    def test_message_index(self, bad, policy):
+        config = config_with(channels.phase_damping(0.4), stage_policy=policy)
+        with pytest.raises((TypeError, ValueError), match=r"^message_index must be a non-negative integer"):
+            protocol.run_protocol(config, 0, message_index=bad)
 
-    def test_multiplier_columns_are_the_hash_chains(self):
-        def chain(init, mult, calls):
-            values = [init]
-            for _ in range(calls):
-                values.append(values[-1] * mult % 2**32)
-            return values
+    def test_a_message_index_of_none_is_index_zero(self):
+        config = config_with(channels.phase_damping(0.4), stage_policy=StagePolicy.RESAMPLE)
+        _, none = protocol.run_protocol(config, 0, message_index=None)
+        _, zero = protocol.run_protocol(config, 0, message_index=0)
+        assert none.stage_parameters == zero.stage_parameters
 
-        def constants(columns):
-            assert columns.dtype == np.uint32
-            return columns[0, :, 0].tolist(), columns[1, :, 0].tolist()
-
-        a = chain(protocol._INIT_A, protocol._MULT_A, 16)
-        # Hash c xors with chain value c and multiplies by value c + 1.
-        assert constants(protocol._POOL_INIT) == (a[0:4], a[1:5])
-        for src, columns in enumerate(protocol._POOL_MIX):
-            xor, mult = constants(columns)
-            calls = range(4 + 3 * src, 7 + 3 * src)
-            dsts = [d for d in range(4) if d != src]
-            assert [xor[d] for d in dsts] == [a[c] for c in calls]
-            assert [mult[d] for d in dsts] == [a[c + 1] for c in calls]
-        b = chain(protocol._INIT_B, protocol._MULT_B, 8)
-        state = protocol._STATE_HASH.reshape(2, 8, 1)
-        assert constants(state) == (b[0:8], b[1:9])
+    def test_numpy_integers_are_accepted(self):
+        config = config_with(
+            channels.phase_damping(0.4), stage_policy=StagePolicy.RESAMPLE, resample_seed=np.uint64(9)
+        )
+        _, numpy_index = protocol.run_protocol(config, 0, message_index=np.int32(3))
+        _, int_index = protocol.run_protocol(config, 0, message_index=3)
+        assert numpy_index.stage_parameters == int_index.stage_parameters
+        assert protocol.transmit_message([0, 1], config, np.int64(4)) == protocol.transmit_message(
+            [0, 1], config, 4
+        )
 
 
 class TestStackedRound:
@@ -484,7 +470,7 @@ class TestStackedRound:
         )
         bits = np.random.default_rng(42).integers(0, 2, 40).astype(np.int8)
         indices = np.arange(100, 140)
-        stacked = protocol._round_p0(config, bits, indices)
+        stacked = protocol._round_p0(config, bits, 100)
         one_by_one = [
             protocol.decode_bit(protocol.run_protocol(config, int(b), message_index=int(i))[0], config.xi)[0]
             for b, i in zip(bits, indices)

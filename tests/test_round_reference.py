@@ -79,14 +79,29 @@ def reference_decode_bit(rho_final, xi):
     return (float(p0), float(p1)) if rho.ndim == 2 else (p0, p1)
 
 
-def reference_evolve(config, rho, stages):
+def reference_apply_channel(channel, rho):
+    """The Kraus sum as first written, from the int 0: ``0 + (-0.0)`` gives ``+0.0``."""
+    rho = np.asarray(rho, dtype=complex)
+    out = 0
+    for op in channel.operators:
+        out = out + op @ rho @ op.conj().swapaxes(-1, -2)
+    return algebra.symmetrize(out)
+
+
+def reference_completeness_defect(operators):
+    total = 0
+    for op in operators:
+        op = np.asarray(op, dtype=complex)
+        total = total + algebra.dagger(op) @ op
+    return float(np.max(np.abs(total - np.eye(2))))
+
+
+def reference_evolve(config, rho, stages, apply_channel=channels.apply_channel):
     r_alice = algebra.rotation(config.alice_angle)
     r_bob = algebra.rotation(config.bob_angle)
-    after_1 = channels.apply_channel(stages[0], reference_conjugate_by(r_alice, rho))
-    after_2 = channels.apply_channel(stages[1], reference_conjugate_by(r_bob, after_1))
-    after_3 = channels.apply_channel(
-        stages[2], reference_conjugate_by(algebra.dagger(r_alice), after_2)
-    )
+    after_1 = apply_channel(stages[0], reference_conjugate_by(r_alice, rho))
+    after_2 = apply_channel(stages[1], reference_conjugate_by(r_bob, after_1))
+    after_3 = apply_channel(stages[2], reference_conjugate_by(algebra.dagger(r_alice), after_2))
     return after_1, after_2, after_3, reference_conjugate_by(algebra.dagger(r_bob), after_3)
 
 
@@ -144,8 +159,7 @@ def test_stacked_resample_block_matches_the_reference_bit_for_bit():
     rng = np.random.default_rng(91)
     for config in seeded_configs(92, 3, StagePolicy.RESAMPLE):
         bits = rng.integers(0, 2, 257).astype(np.int8)
-        indices = np.arange(1000, 1000 + len(bits))
-        stages = protocol._stage_channels(config, indices)
+        stages = protocol._stage_channels(config, 1000, len(bits))
         psi = np.where(bits[:, None] == 0, reference_encode_bit(0, config.xi),
                        reference_encode_bit(1, config.xi))
         rho = psi[:, :, None] * psi[:, None, :].conj()
@@ -156,7 +170,46 @@ def test_stacked_resample_block_matches_the_reference_bit_for_bit():
         p0, p1 = protocol.decode_bit(states[-1], config.xi)
         want_p0, want_p1 = reference_decode_bit(want_states[-1], config.xi)
         assert same_bits(p0, want_p0) and same_bits(p1, want_p1)
-        assert same_bits(protocol._round_p0(config, bits, indices), want_p0)
+        assert same_bits(protocol._round_p0(config, bits, 1000), want_p0)
+
+
+def assert_kraus_sums_equal_the_sums_from_zero(config, rho, stages):
+    got = reference_evolve(config, rho, stages)
+    want = reference_evolve(config, rho, stages, reference_apply_channel)
+    for got_state, want_state in zip(got, want):
+        assert same_bits(got_state, want_state)
+    for stage in stages:
+        assert channels.completeness_defect(stage.operators) == reference_completeness_defect(stage.operators)
+
+
+@pytest.mark.parametrize("policy, seed", [
+    (StagePolicy.FIXED, 71), (StagePolicy.FIXED, 72), (StagePolicy.RESAMPLE, 81), (StagePolicy.RESAMPLE, 82),
+])
+def test_kraus_sums_equal_the_sums_from_zero_on_seeded_rounds(policy, seed):
+    for index, config in enumerate(seeded_configs(seed, 40, policy)):
+        stages = protocol._stage_channels(config, index)
+        for bit in (0, 1):
+            psi = reference_encode_bit(bit, config.xi)
+            assert_kraus_sums_equal_the_sums_from_zero(config, np.outer(psi, psi.conj()), stages)
+
+
+# The four axis angles, both zeros and one generic angle.
+EDGE_ANGLES = [0.0, -0.0, 0.3, np.pi / 2, np.pi, 3 * np.pi / 2]
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_kraus_sums_equal_the_sums_from_zero_on_edge_inputs(kind):
+    # The kind at both ends of its range, every pair of edge secret angles,
+    # and both bits at every edge encoding angle as one stack.
+    xi = np.array(EDGE_ANGLES)
+    psi = np.concatenate([reference_encode_bit(0, xi), reference_encode_bit(1, xi)])
+    rho = psi[:, :, None] * psi[:, None, :].conj()
+    for param in kind.natural_range:
+        channel = channels.from_kind(kind, param)
+        for alice in EDGE_ANGLES:
+            for bob in EDGE_ANGLES:
+                config = ProtocolConfig(xi=0.0, alice_angle=alice, bob_angle=bob, channel=channel)
+                assert_kraus_sums_equal_the_sums_from_zero(config, rho, (channel,) * 3)
 
 
 def random_states(rng, count):
