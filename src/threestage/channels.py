@@ -178,16 +178,20 @@ def collective_rotation(theta) -> QuantumChannel:
     return QuantumChannel(NoiseKind.COLLECTIVE_ROTATION, (algebra.rotation(theta),), theta)
 
 
+# Frozen, with read-only operators, so one instance serves every caller.
+_IDENTITY_CHANNEL = QuantumChannel(NoiseKind.IDENTITY, (np.eye(2, dtype=complex),), 0.0)
+
+
 def identity_channel() -> QuantumChannel:
-    """Noiseless channel."""
-    return QuantumChannel(NoiseKind.IDENTITY, (np.eye(2, dtype=complex),), 0.0)
+    """Noiseless channel: the one shared, immutable instance."""
+    return _IDENTITY_CHANNEL
 
 
 def from_kind(kind: NoiseKind, parameter) -> QuantumChannel:
     """Construct the channel named by ``kind`` with the given parameter (or stack).
 
     The identity kind ignores the parameter's value, which must still be
-    finite, and builds the one unstacked identity channel.
+    finite, and returns the one unstacked identity channel.
     """
     if kind is NoiseKind.AMPLITUDE_DAMPING:
         return amplitude_damping(parameter)

@@ -22,6 +22,7 @@ for every choice of angles, with no averaging needed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,12 +219,20 @@ def _lift(u) -> np.ndarray:
 # stay at a few MiB however many parameters or angles a sweep holds.
 ORACLE_BLOCK = 2**10
 
+# The oracle's channel-free tensors depend on one resolution alone, so each is
+# built once per resolution and kept, read-only; a process rarely uses more
+# than a couple of resolutions, and one entry is at most 4 KiB.
+_CACHED_RESOLUTIONS = 8
 
+
+@functools.lru_cache(maxsize=_CACHED_RESOLUTIONS)
 def _rotation_moment(n: int) -> np.ndarray:
     """M_abce = mean L(R^dag)_ab L(R)_ce over the n-point midpoint grid of angles."""
     lift = _lift(algebra.rotation(midpoint_grid(n)))
     lift_dag = algebra.dagger(lift)  # L(U^dag) = L(U)^dag
-    return np.einsum("nab,nce->abce", lift_dag, lift) / n
+    m = np.einsum("nab,nce->abce", lift_dag, lift) / n
+    m.flags.writeable = False
+    return m
 
 
 def _encoded_vecs(xis) -> np.ndarray:
@@ -233,8 +242,19 @@ def _encoded_vecs(xis) -> np.ndarray:
     Re(v^H S v) = Re sum_ab S_ab W_ab with W_ab = conj(v_a) v_b, so the bit
     and xi averages act on the weight W alone, before S does.
     """
-    psi = np.stack([protocol.encode_bit(bit, xis) for bit in (0, 1)])
+    # The basis rows are the bits; made contiguous, so that the products and
+    # the reshape below give a C-ordered array.
+    psi = np.ascontiguousarray(np.moveaxis(protocol._basis(xis), -2, 0))
     return (psi[..., :, None] * psi[..., None, :].conj()).reshape(2, len(xis), 4)
+
+
+@functools.lru_cache(maxsize=_CACHED_RESOLUTIONS)
+def _state_weight(xi_points: int) -> np.ndarray:
+    """Row-major W_ab = mean conj(v_a) v_b over both bits and the xi_points-cell midpoint grid."""
+    vecs = _encoded_vecs(midpoint_grid(xi_points)).reshape(-1, 4)
+    weight = (vecs.conj().T @ vecs).reshape(16) / len(vecs)
+    weight.flags.writeable = False
+    return weight
 
 
 class RotationAveragedOracle:
@@ -247,11 +267,12 @@ class RotationAveragedOracle:
     factors through one channel-free tensor M_abce = mean L(R^dag)_ab L(R)_ce:
     the theta mean is Q_bced = mean (N L(R^dag) N)_bc (N L(R))_ed
     = sum N_bB N_Cc N_eE M_BCEd, since N does not depend on the angle, and
-    mean S_ad = sum_bce M_abce Q_bced. M is built once per oracle, in O(n);
-    each channel then costs a few 4x4 contractions, independent of n. The
-    fidelity of a pure input psi is Re(vec(P)^H S vec(P)) with
-    vec(P) = psi (x) conj(psi), exactly the midpoint average of per-point
-    ``numeric_fidelity`` values.
+    mean S_ad = sum_bce M_abce Q_bced. M is built once per resolution per
+    process, in O(n), and so is the bit- and xi-averaged weight that
+    ``state_average`` applies; each channel then costs a few 4x4
+    contractions, independent of n. The fidelity of a pure input psi is
+    Re(vec(P)^H S vec(P)) with vec(P) = psi (x) conj(psi), exactly the
+    midpoint average of per-point ``numeric_fidelity`` values.
 
     A stacked channel, whose operators have shape ``stack + (2, 2)`` (as
     ``channels.from_kind`` builds for an array of parameters), gives one S
@@ -301,9 +322,7 @@ class RotationAveragedOracle:
 
     def state_average(self) -> float | np.ndarray:
         """Mean fidelity over the encoding angle on [0, 2pi), per member of a stack."""
-        vecs = _encoded_vecs(midpoint_grid(self.quad.xi_points)).reshape(-1, 4)
-        weight = (vecs.conj().T @ vecs).reshape(16) / len(vecs)
-        return _assert_and_clamp(np.real(self._form @ weight))
+        return _assert_and_clamp(np.real(self._form @ _state_weight(self.quad.xi_points)))
 
 
 def rotation_averaged_fidelity(

@@ -143,6 +143,24 @@ class TestApplication:
         out = channels.apply_channel(channels.identity_channel(), rho)
         np.testing.assert_allclose(out, rho, atol=1e-15)
 
+    def test_identity_channel_is_one_shared_frozen_instance(self):
+        identity = channels.identity_channel()
+        assert channels.identity_channel() is identity
+        assert channels.from_kind(NoiseKind.IDENTITY, 0.7) is identity
+        assert identity.kind is NoiseKind.IDENTITY
+        assert identity.parameter == 0.0 and type(identity.parameter) is float
+        (op,) = identity.operators
+        assert op.tobytes() == np.eye(2, dtype=complex).tobytes() and not op.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            identity.parameter = 1.0
+        with pytest.raises(ValueError):
+            op[0, 1] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_identity_kind_still_checks_its_parameter(self, bad):
+        with pytest.raises(ValueError, match="parameter must be finite"):
+            channels.from_kind(NoiseKind.IDENTITY, bad)
+
     def test_full_amplitude_damping_decays_everything(self):
         rng = np.random.default_rng(23)
         ch = channels.amplitude_damping(1.0)

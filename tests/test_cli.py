@@ -413,6 +413,21 @@ class TestVerify:
         assert payload["passed"] is True
         assert [entry["kind"] for entry in payload["reports"]] == ["ad", "pd", "cd"]
 
+    def test_default_campaign_builds_each_tensor_once(self, capsys):
+        fidelity._rotation_moment.cache_clear()
+        fidelity._state_weight.cache_clear()
+        code, cold, _ = run_cli(capsys, "verify")
+        assert code == 0
+        # four oracles, one per kind, share one tensor per resolution
+        assert fidelity._rotation_moment.cache_info()[:2] == (3, 1)  # (hits, misses)
+        assert fidelity._state_weight.cache_info()[:2] == (3, 1)
+        code, warm, _ = run_cli(capsys, "verify")
+        assert code == 0 and warm == cold
+        assert fidelity._rotation_moment.cache_info()[:2] == (7, 1)
+        assert fidelity._state_weight.cache_info()[:2] == (7, 1)
+        fresh = fresh_process("verify")
+        assert fresh.returncode == 0 and fresh.stdout == cold
+
     def test_unachievable_tolerance_fails_with_exit_3(self, capsys):
         code, out, err = run_cli(
             capsys, "verify", "--kinds", "ad", "--tolerance", "1e-30",

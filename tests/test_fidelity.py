@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from threestage import algebra, channels, fidelity
+from threestage import algebra, channels, fidelity, protocol
 from threestage.channels import NoiseKind
 from threestage.fidelity import QuadratureSpec, RotationAveragedOracle
 
@@ -476,6 +476,70 @@ class TestCommutatorDiagnostics:
             fidelity.commutator_defect(2, 0.5, 1.0)
         with pytest.raises(ValueError):
             fidelity.commutator_defect(0, 1.5, 1.0)
+
+
+def clear_resolution_caches():
+    fidelity._rotation_moment.cache_clear()
+    fidelity._state_weight.cache_clear()
+
+
+class TestResolutionCaches:
+    """The channel-free tensors are built once per resolution and shared, read-only."""
+
+    QUAD = QuadratureSpec(rotation_points=16, xi_points=64)
+
+    @pytest.mark.parametrize("build, shape", [
+        (lambda: fidelity._rotation_moment(16), (4, 4, 4, 4)),
+        (lambda: fidelity._state_weight(64), (16,)),
+    ], ids=["rotation_moment", "state_weight"])
+    def test_cached_arrays_are_read_only(self, build, shape):
+        value = build()
+        assert value.shape == shape and value.dtype == complex
+        assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[(0,) * len(shape)] = 5.0
+        assert build() is value
+
+    @pytest.mark.parametrize("n", [8, 16, 256, 1024])
+    def test_cache_equals_a_fresh_build(self, n):
+        warm_m, warm_w = fidelity._rotation_moment(n), fidelity._state_weight(n)
+        clear_resolution_caches()
+        cold_m, cold_w = fidelity._rotation_moment(n), fidelity._state_weight(n)
+        assert cold_m is not warm_m and cold_w is not warm_w
+        assert cold_m.tobytes() == warm_m.tobytes()
+        assert cold_w.tobytes() == warm_w.tobytes()
+        assert fidelity._rotation_moment.__wrapped__(n).tobytes() == cold_m.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_state_weight_is_the_inline_weight(self, n):
+        # the weight state_average formed in line before it was cached
+        psi = np.stack([protocol.encode_bit(bit, fidelity.midpoint_grid(n)) for bit in (0, 1)])
+        vecs = (psi[..., :, None] * psi[..., None, :].conj()).reshape(-1, 4)
+        inline = (vecs.conj().T @ vecs).reshape(16) / len(vecs)
+        assert fidelity._state_weight(n).tobytes() == inline.tobytes()
+
+    def test_encoded_vecs_are_bit_identical_to_encode_bit(self):
+        rng = np.random.default_rng(71)
+        xis = np.concatenate([
+            fidelity.midpoint_grid(33), rng.uniform(-50.0, 50.0, 40), [0.0, -0.0, 2.0**51, -1e300],
+        ])
+        psi = np.stack([protocol.encode_bit(bit, xis) for bit in (0, 1)])
+        reference = (psi[..., :, None] * psi[..., None, :].conj()).reshape(2, len(xis), 4)
+        vecs = fidelity._encoded_vecs(xis)
+        assert vecs.shape == reference.shape and vecs.flags.c_contiguous
+        assert vecs.tobytes() == reference.tobytes()
+
+    def test_oracle_values_equal_with_cold_and_warm_caches(self):
+        channel = channels.from_kind(NoiseKind.AMPLITUDE_DAMPING, np.linspace(0.0, 1.0, 7))
+        xis = np.linspace(0.0, 2 * np.pi, 13)
+        clear_resolution_caches()
+        cold = RotationAveragedOracle(channel, self.QUAD)
+        cold_at, cold_average = cold.fidelity_at(xis), cold.state_average()
+        warm = RotationAveragedOracle(channel, self.QUAD)
+        assert warm.fidelity_at(xis).tobytes() == cold_at.tobytes()
+        assert warm.state_average().tobytes() == cold_average.tobytes()
+        assert fidelity._rotation_moment.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert fidelity._state_weight.cache_info()[:2] == (1, 1)
 
 
 class TestQuadratureSpec:
