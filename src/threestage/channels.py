@@ -75,13 +75,15 @@ class QuantumChannel:
     """A CPTP map rho -> sum_i E_i rho E_i^dagger on one qubit.
 
     ``operators`` holds the Kraus operators explicitly (two for the damping
-    channels, one for the unitary ones) so completeness can be validated once
-    at construction, direct construction included: a set that misses it by
-    more than 1e-12 raises ChannelError. ``parameter`` is eta for AD/PD (a
-    probability), the phase angle Phi for CD, and the rotation angle Theta
-    for CR, in radians: a float, or for a stacked channel an array of one
-    parameter per member. Instances are immutable; the stored arrays are
-    read-only copies.
+    channels, one for the unitary ones). Operators from outside the package
+    are checked where they enter: a direct ``QuantumChannel(...)`` or a
+    ``dataclasses.replace`` stores read-only copies and raises ChannelError
+    when completeness misses by more than 1e-12. The named constructors build
+    operators that are complete by construction, so they skip that check and
+    freeze their fresh arrays in place (see ``_built``). ``parameter`` is eta
+    for AD/PD (a probability), the phase angle Phi for CD, and the rotation
+    angle Theta for CR, in radians: a float, or for a stacked channel a
+    read-only array of one parameter per member. Instances are immutable.
     """
 
     kind: NoiseKind
@@ -95,10 +97,43 @@ class QuantumChannel:
             raise ChannelError(
                 f"Kraus completeness defect {defect:.3e} exceeds {COMPLETENESS_ATOL:g}"
             )
-        parameter = np.array(self.parameter, dtype=float)
-        parameter.flags.writeable = False
-        object.__setattr__(self, "operators", operators)
-        object.__setattr__(self, "parameter", float(parameter) if parameter.ndim == 0 else parameter)
+        _store(self, operators, self.parameter)
+
+
+def _store(channel: QuantumChannel, operators: tuple, parameter) -> None:
+    """Set ``channel``'s operators and a read-only float copy of ``parameter``."""
+    parameter = np.array(parameter, dtype=float)
+    parameter.flags.writeable = False
+    object.__setattr__(channel, "operators", operators)
+    object.__setattr__(channel, "parameter", float(parameter) if parameter.ndim == 0 else parameter)
+
+
+def _built(kind: NoiseKind, operators: tuple, parameter) -> QuantumChannel:
+    """The channel of operators a constructor here has just built from a checked parameter.
+
+    The arrays are made read-only in place, not copied, and completeness is
+    not re-checked, because it holds by construction to a few ulp, far below
+    ``COMPLETENESS_ATOL``. With u = 2^-53:
+
+    - Damping: sum E^dag E = diag(1, a^2 + b^2), with a = fl(sqrt(fl(1 - eta)))
+      and b = fl(sqrt(eta)) for eta in [0, 1]. fl(1 - eta) is within u of
+      1 - eta, and a correctly rounded square root squares back to within
+      about 2u relative, so |a^2 + b^2 - 1| <= u + 2u(1 - eta + u) + 2u eta,
+      about 3u = 3.3e-16.
+    - Collective dephasing and rotation: the one operator is unitary up to
+      c^2 + s^2 - 1, with c and s numpy's cosine and sine of the same angle,
+      each within a few ulp of the true value at any finite angle; the
+      rotation's off-diagonal c(-s) + sc is exactly 0.
+
+    ``tests/test_channels.py`` checks the defect at both ends of each
+    parameter range, subnormal eta and angles up to 1e300 included.
+    """
+    for op in operators:
+        op.flags.writeable = False
+    channel = object.__new__(QuantumChannel)
+    object.__setattr__(channel, "kind", kind)
+    _store(channel, operators, parameter)
+    return channel
 
 
 def completeness_defect(operators) -> float:
@@ -141,7 +176,7 @@ def _damping(kind: NoiseKind, eta, lost: tuple[int, int]) -> QuantumChannel:
     e0[..., 0, 0] = 1.0
     e0[..., 1, 1] = np.sqrt(1.0 - eta)
     e1[(...,) + lost] = np.sqrt(eta)
-    return QuantumChannel(kind, (e0, e1), eta)
+    return _built(kind, (e0, e1), eta)
 
 
 def amplitude_damping(eta) -> QuantumChannel:
@@ -169,13 +204,13 @@ def phase_damping(eta) -> QuantumChannel:
 def collective_dephasing(phi) -> QuantumChannel:
     """Unitary phase kick diag(1, e^{i Phi}) applied to every travel qubit."""
     check_parameter(NoiseKind.COLLECTIVE_DEPHASING, phi)
-    return QuantumChannel(NoiseKind.COLLECTIVE_DEPHASING, (algebra.phase_gate(phi),), phi)
+    return _built(NoiseKind.COLLECTIVE_DEPHASING, (algebra.phase_gate(phi),), phi)
 
 
 def collective_rotation(theta) -> QuantumChannel:
     """Unitary rotation by Theta applied to every travel qubit."""
     check_parameter(NoiseKind.COLLECTIVE_ROTATION, theta)
-    return QuantumChannel(NoiseKind.COLLECTIVE_ROTATION, (algebra.rotation(theta),), theta)
+    return _built(NoiseKind.COLLECTIVE_ROTATION, (algebra.rotation(theta),), theta)
 
 
 # Frozen, with read-only operators, so one instance serves every caller.
@@ -211,7 +246,8 @@ def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     """Kraus sum sum_i E_i rho E_i^dagger, re-symmetrized; stacks broadcast.
 
     ``rho`` is assumed valid and ``channel`` complete, so it has a first term
-    to start the sum from; both were validated where they were constructed.
+    to start the sum from; both were checked where they entered, or hold by
+    construction.
     """
     rho = np.asarray(rho, dtype=complex)
     terms = [op @ rho @ op.conj().swapaxes(-1, -2) for op in channel.operators]

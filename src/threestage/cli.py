@@ -133,7 +133,7 @@ def _protocol_config(args) -> protocol.ProtocolConfig:
 def _cmd_run(args, start: float) -> int:
     config = _protocol_config(args)
     final, _ = protocol.run_protocol(config, args.bit)
-    p0, p1 = protocol.decode_bit(final, config.xi)
+    p0, p1 = protocol._decode(final, config.xi)
     value = p0 if args.bit == 0 else p1
     _print_json({"fidelity": value, "p0": p0, "p1": p1})
     _emit_manifest(run_manifest(start))
@@ -259,13 +259,16 @@ def _cmd_commutators(args, start: float) -> int:
 def _cmd_message(args, start: float) -> int:
     if len(args.bits) > MAX_MESSAGE_BITS:
         raise UsageError(f"--bits: {len(args.bits)} bits, over the cap of {MAX_MESSAGE_BITS}")
-    if not args.bits or not set(args.bits) <= {"0", "1"}:
+    # Any character but 0 and 1 has a UTF-8 byte other than 48 or 49, which
+    # the subtraction wraps above 1; surrogatepass encodes a lone surrogate
+    # (an undecodable argv byte) instead of raising.
+    digits = np.frombuffer(args.bits.encode("utf-8", "surrogatepass"), dtype=np.uint8) - ord("0")
+    if not args.bits or np.maximum.reduce(digits) > 1:
         raise UsageError(f"--bits: must be a nonempty string of 0s and 1s, got {args.bits!r}")
     if args.seed < 0:
         raise UsageError(f"--seed: must be non-negative, got {args.seed}")
     config = _protocol_config(args)
-    bits = np.frombuffer(args.bits.encode("ascii"), dtype=np.int8) - ord("0")
-    decoded, qber = protocol._transmit(bits, config, args.seed)
+    decoded, qber = protocol._transmit(digits.view(np.int8), config, args.seed)
     # decoded holds 0s and 1s, so adding ord("0") gives their ASCII digits.
     _print_json({"decoded": (decoded + ord("0")).tobytes().decode("ascii"), "qber": qber})
     _emit_manifest(run_manifest(start, seed=args.seed))

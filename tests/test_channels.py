@@ -383,3 +383,38 @@ class TestAdjoints:
         for rho in (single, stack):
             expected = per_call_kraus_sum(channel, rho)
             np.testing.assert_array_equal(channels.apply_channel(channel, rho), expected)
+
+
+PROBABILITY_EDGES = (0.0, 5e-324, 1e-300, 0.5, float(np.nextafter(1.0, 0.0)), 1.0)
+ANGLE_EDGES = (0.0, np.pi / 2, np.pi, 1e12, 1e300)
+EDGE_CASES = [
+    (constructor, value)
+    for constructor, values in [
+        (channels.amplitude_damping, PROBABILITY_EDGES),
+        (channels.phase_damping, PROBABILITY_EDGES),
+        (channels.collective_dephasing, ANGLE_EDGES),
+        (channels.collective_rotation, ANGLE_EDGES),
+    ]
+    for value in values
+]
+
+
+class TestCompleteByConstruction:
+    """The named constructors skip the completeness check; their operators pass it anyway."""
+
+    @pytest.mark.parametrize("constructor, value", EDGE_CASES)
+    def test_edge_parameters_give_complete_read_only_operators(self, constructor, value):
+        for parameter in (value, np.full(10**4, value)):
+            channel = constructor(parameter)
+            for op in channel.operators:
+                assert op.shape == np.shape(parameter) + (2, 2) and not op.flags.writeable
+            assert channels.completeness_defect(channel.operators) <= channels.COMPLETENESS_ATOL
+
+    @pytest.mark.parametrize("kind", list(STACK_PARAMETERS))
+    def test_parameter_is_a_read_only_copy(self, kind):
+        params = STACK_PARAMETERS[kind].copy()
+        channel = channels.from_kind(kind, params)
+        params[:] = 0.5
+        np.testing.assert_array_equal(channel.parameter, STACK_PARAMETERS[kind])
+        assert not channel.parameter.flags.writeable
+        assert type(channels.from_kind(kind, np.float32(0.25)).parameter) is float

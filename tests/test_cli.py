@@ -620,7 +620,10 @@ class TestMessage:
         assert out == ""
         assert "--bits: 1000001 bits, over the cap of 1000000" in err
 
-    @pytest.mark.parametrize("bits", ["01x", "0 1", "01\u0661", "1" * 9 + "2", "-1", ""])
+    # "/" and ":" are the bytes either side of "0" and "1"; "\u00e9" is two
+    # UTF-8 bytes above 127 and "\udcff" an undecodable argv byte.
+    @pytest.mark.parametrize("bits", ["01x", "0 1", "01\u0661", "1" * 9 + "2", "-1", "",
+                                      "01\u00e9", "/", ":", "0\udcff"])
     def test_bits_usage_message_is_exact(self, capsys, bits):
         code, out, err = run_cli(capsys, "message", "--noise", "none", "--bits", bits)
         assert code == 2 and out == ""

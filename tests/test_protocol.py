@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from threestage import algebra, channels, protocol
+from threestage import algebra, channels, cli, protocol
 from threestage.protocol import ProtocolConfig, StagePolicy
 
 
@@ -181,6 +181,52 @@ class TestDecodeBit:
             fid = algebra.fidelity(protocol.encode_bit(bit, config.xi), final)
             probs = protocol.decode_bit(final, config.xi)
             assert probs[1 - bit] == pytest.approx(1.0 - fid, abs=1e-12)
+
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.5, 0.3], [0.0, 0.5]]),  # not Hermitian
+        np.diag([0.6, 0.6]),  # trace 1.2
+        np.diag([1.5, -0.5]),  # negative eigenvalue
+        np.array([[0.5, np.nan], [np.nan, 0.5]]),
+        np.eye(3) / 3,
+    ])
+    def test_invalid_density_matrix_is_rejected_as_validate_density_rejects_it(self, bad):
+        with pytest.raises(ValueError) as decoded:
+            protocol.decode_bit(bad, 0.4)
+        with pytest.raises(ValueError) as validated:
+            algebra.validate_density(bad)
+        assert str(decoded.value) == str(validated.value)
+
+
+class TestChecksWhereValuesEnter:
+    """A round re-checks neither the channels the package built nor the states it evolved."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        for module, name in ((channels, "completeness_defect"), (algebra, "validate_density")):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["ad", "pd", "cd", "cr", "none"])
+    def test_a_round_and_messages_run_no_check(self, kind, checks, capsys):
+        argv = ["--noise", kind, "--param", "0.3", "--xi", "0.2", "--alice-angle", "1", "--bob-angle", "2"]
+        assert cli.main(["run", *argv]) == 0
+        assert cli.main(["message", *argv, "--bits", "0110"]) == 0
+        channel = channels.from_kind(channels.NoiseKind(kind), 0.3)
+        for policy in StagePolicy:
+            protocol._transmit(np.array([0, 1, 1, 0] * 50), config_with(channel, stage_policy=policy), 5)
+        assert checks == []
+        # Values from outside are still checked, through the same counters.
+        protocol.decode_bit(np.eye(2) / 2, 0.3)
+        channels.QuantumChannel(channel.kind, channel.operators, channel.parameter)
+        assert checks == ["validate_density", "completeness_defect"]
 
 
 class TestTransmitMessage:
