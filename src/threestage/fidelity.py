@@ -8,11 +8,22 @@ secret rotation angles, uniformly on [0, 2pi)^2, and over the two bit values;
 from the Kraus evolution itself, with no reference to the formulas, and serve
 as the independent check that keeps the formulas honest.
 
-Every law is F = mean(param) + swing(param) cos 4xi, so its average over xi
-is ``mean`` and the sign of ``swing`` names the preferred encoding states:
-xi = pi/4 (mod pi/2) for AD (swing < 0), xi = 0 (mod pi/2) for PD and CD
-(swing > 0), none for CR (swing 0). sin^2 2xi = (1 - cos 4xi)/2 and
-cos^2 2xi = (1 + cos 4xi)/2 map the printed PD and CD laws to this form.
+One law covers every kind. As w = z + i x, the x-z part of a Bloch vector,
+the encoded states are w = +-e^{2i xi} and a rotation R(t) multiplies w by
+e^{2it}. There a channel's Pauli transfer matrix T_ij = tr(sigma_i N(sigma_j))/2
+acts as w -> alpha w + beta conj(w), alpha = (T_xx + T_zz)/2 + i (T_xz - T_zx)/2
+and beta = (T_zz - T_xx)/2 + i (T_xz + T_zx)/2, plus terms through y and a
+shift. The bit average removes the shift, and the angle average every term
+that keeps a phase: those through y, which skip a rotation, and all
+alpha/beta products along a round but alpha^3 w and |beta|^2 beta conj(w).
+With F = (1 + Re(conj(w0) w))/2 this leaves
+
+    F(xi) = 1/2 + [Re alpha^3 + |beta|^2 Re(beta e^{-4i xi})]/2,
+
+whose preferred encoding is xi* = arg(beta)/4 (mod pi/2). beta is real for
+the four kinds, so F = mean + swing cos 4xi with mean = (1 + Re alpha^3)/2
+and swing = beta^3/2: xi* = pi/4 under AD (beta < 0), 0 under PD and CD
+(beta > 0), none under CR (beta = 0).
 
 Collective rotation is special: every operator in the pipeline is a rotation,
 rotations commute, and the whole round collapses to a single rotation by three
@@ -114,44 +125,37 @@ def _cos_4(xi):
     return np.where(huge, 8 * c**4 - 8 * c**2 + 1, np.cos(4 * np.where(huge, 0.0, xi)))
 
 
-# Each swing is (p - q)^3 / 16 for the channel's z- and x-contractions p and
-# q, written without cancellation: with r = sqrt(1 - eta), 1 - r = eta / (1 + r)
-# and 1 - cos Phi = 2 sin^2(Phi / 2), so the sign of every swing (the preferred
-# states) is exact at every interior parameter. The printed expanded forms
-# agree within 2.2e-16 and are kept in the tests as the paper's reference.
-# The CD mean (1 + cos^6(Phi / 2)) / 2 and the CR law T_3(cos Theta)^2 take
-# the cosine of Phi / 2 or Theta itself, both exact in binary, never of a
-# rounded 3 * angle, so a huge angle keeps its phase. Powers are ufunc calls,
-# so a scalar takes the same loop as an array and a sweep row equals the
-# scalar call on its values.
+# Each rule returns (Re alpha^3, beta^3) of its kind's x-z block, r being
+# sqrt(1 - eta). beta is written without cancellation, 1 - r = eta / (1 + r),
+# so the sign of the swing is exact at every interior parameter. CD and CR take
+# the cosine of Phi / 2 or Theta, exact in binary, never of a rounded multiple.
+# Powers are ufuncs, so a scalar takes the same loop as an array and a sweep
+# row equals the scalar call on its values.
 
 
 def _coefficients_amplitude_damping(eta):
+    # alpha = r (1 + r) / 2, summed as (r + 1 - eta) / 2, which rounds closer;
+    # beta = -r eta / (2 (1 + r)).
     root = np.sqrt(1.0 - eta)
-    mean = (
-        4.0 * (root + 3.0)
-        - eta * (np.square(eta) - 3.0 * (root + 2.0) * eta + 7.0 * root + 9.0)
-    ) / 16.0
-    swing = -np.power(root * eta / (1.0 + root), 3) / 16.0
-    return mean, swing
+    alpha = (root + (1.0 - eta)) / 2.0
+    return np.power(alpha, 3), -np.power(root * eta / (1.0 + root), 3) / 8.0
 
 
 def _coefficients_phase_damping(eta):
+    # alpha = (1 + r) / 2, beta = eta / (2 (1 + r)).
     root = np.sqrt(1.0 - eta)
-    mean = (root + 3.0) * (4.0 - eta) / 16.0
-    swing = np.power(eta / (1.0 + root), 3) / 16.0
-    return mean, swing
+    return np.power((1.0 + root) / 2.0, 3), np.power(eta / (1.0 + root), 3) / 8.0
 
 
 def _coefficients_collective_dephasing(phi):
-    mean = (1.0 + np.power(np.cos(phi / 2.0), 6)) / 2.0
-    swing = np.power(np.sin(phi / 2.0), 6) / 2.0
-    return mean, swing
+    # alpha = cos^2(Phi / 2), beta = sin^2(Phi / 2).
+    return np.power(np.cos(phi / 2.0), 6), np.power(np.sin(phi / 2.0), 6)
 
 
 def _coefficients_collective_rotation(theta):
+    # alpha = e^{2i Theta}, beta = 0: Re alpha^3 = cos 6 Theta = 2 T_3(cos Theta)^2 - 1.
     c = np.cos(theta)
-    return np.square(c * (4.0 * np.square(c) - 3.0)), np.zeros_like(theta)
+    return 2.0 * np.square(c * (4.0 * np.square(c) - 3.0)) - 1.0, np.zeros_like(theta)
 
 
 _CLOSED_FORMS = {
@@ -166,14 +170,15 @@ CLOSED_FORM_KINDS = tuple(_CLOSED_FORMS)
 
 
 def _coefficients(kind: NoiseKind, param):
-    """(mean, swing) of the kind's law F = mean + swing cos 4xi, inputs checked."""
+    """(mean, swing) = ((1 + Re alpha^3) / 2, beta^3 / 2) of the kind's block, inputs checked."""
     if kind not in CLOSED_FORM_KINDS:
         raise ValueError(
             f"no closed form for kind {kind!r}; use parameter 0 of any noisy kind "
             "for the noiseless case"
         )
     channels.check_parameter(kind, param)
-    return _CLOSED_FORMS[kind](np.asarray(param, dtype=float))
+    alpha_cubed, beta_cubed = _CLOSED_FORMS[kind](np.asarray(param, dtype=float))
+    return (1.0 + alpha_cubed) / 2.0, beta_cubed / 2.0
 
 
 def closed_form_fidelity(kind: NoiseKind, param, xi):

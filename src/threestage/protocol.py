@@ -255,24 +255,19 @@ def transmit_message(bits, config: ProtocolConfig, seed: int) -> tuple[list[int]
     read from its (p0, p1) with double i of ``PCG64(seed)``, reached with
     PCG64's jump-ahead, so the output is independent of the block size and
     fixed by the inputs. The stage draws come from ``PCG64(resample_seed)``,
-    so with ``seed == resample_seed`` the two share draws. On a 2-core
-    x86-64 host (numpy 2.4) a 10^6-bit FIXED message takes about 11 ms, and
-    RESAMPLE about 6 µs per bit under the damping kinds and 4.5 µs under the
-    collective ones. Returns (decoded bits, QBER), QBER being the fraction of
-    flipped bits.
+    so with ``seed == resample_seed`` the two share draws. Returns (decoded
+    bits, QBER), QBER being the fraction of flipped bits.
     """
-    decoded, qber = _transmit(bits, config, seed)
+    decoded, qber = _transmit(_message_bits(bits), config, _non_negative("seed", seed))
     return decoded.tolist(), qber
 
 
-def _transmit(bits, config: ProtocolConfig, seed: int) -> tuple[np.ndarray, float]:
-    """``transmit_message`` with the decoded bits as an int8 array.
+def _transmit(sent: np.ndarray, config: ProtocolConfig, seed: int) -> tuple[np.ndarray, float]:
+    """``transmit_message`` of a checked 1-D integer bit array and seed, decoded as an array.
 
     A block's bits are read with one jump to double ``start`` of
     ``PCG64(seed)``, the stream the stages share when ``seed == resample_seed``.
     """
-    seed = _non_negative("seed", seed)
-    sent = _message_bits(bits)
     fixed = config.stage_policy is StagePolicy.FIXED
     if fixed:
         values = np.flatnonzero(np.bincount(sent, minlength=2))

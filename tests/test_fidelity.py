@@ -50,6 +50,73 @@ PRINTED_SWINGS = {
 }
 
 
+def _expanded_ad_mean(eta):
+    root = np.sqrt(1.0 - eta)
+    return (
+        4.0 * (root + 3.0)
+        - eta * (np.square(eta) - 3.0 * (root + 2.0) * eta + 7.0 * root + 9.0)
+    ) / 16.0
+
+
+def _expanded_pd_mean(eta):
+    return (np.sqrt(1.0 - eta) + 3.0) * (4.0 - eta) / 16.0
+
+
+def _expanded_cd_mean(phi):
+    return (1.0 + np.power(np.cos(phi / 2.0), 6)) / 2.0
+
+
+def _expanded_cr_mean(theta):
+    c = np.cos(theta)
+    return np.square(c * (4.0 * np.square(c) - 3.0))
+
+
+# Each kind's mean multiplied out on its own, as the library wrote it before
+# the one law over the x-z block; a reference for the law's means.
+EXPANDED_MEANS = {
+    NoiseKind.AMPLITUDE_DAMPING: _expanded_ad_mean,
+    NoiseKind.PHASE_DAMPING: _expanded_pd_mean,
+    NoiseKind.COLLECTIVE_DEPHASING: _expanded_cd_mean,
+    NoiseKind.COLLECTIVE_ROTATION: _expanded_cr_mean,
+}
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def xz_block(channel):
+    """(alpha, beta) of the channel's x-z block, straight from its Kraus operators.
+
+    T_ij = tr(sigma_i N(sigma_j)) / 2 is the Pauli transfer matrix; on the x-z
+    plane, as w = z + i x, it acts as w -> alpha w + beta conj(w). Stacks give
+    one (alpha, beta) per member.
+    """
+    ops = np.stack(np.broadcast_arrays(*channel.operators))
+
+    def transfer(out, into):
+        image = np.sum(ops @ into @ algebra.dagger(ops), axis=0)
+        return np.real(np.trace(out @ image, axis1=-2, axis2=-1)) / 2
+
+    txx, txz, tzx, tzz = (transfer(i, j) for i in (PAULI_X, PAULI_Z) for j in (PAULI_X, PAULI_Z))
+    return (txx + tzz) / 2 + 1j * (txz - tzx) / 2, (tzz - txx) / 2 + 1j * (txz + tzx) / 2
+
+
+def law_fidelity(alpha, beta, xi):
+    """F(xi) = 1/2 + [Re alpha^3 + |beta|^2 Re(beta e^{-4i xi})] / 2, for a complex beta."""
+    return 0.5 + (np.real(alpha**3) + np.abs(beta) ** 2 * np.real(beta * np.exp(-4j * xi))) / 2
+
+
+# The law's inputs: each natural range, the ends of [0, 1] and their nearest
+# doubles, and angles far beyond one turn.
+EDGE_PROBABILITIES = np.array([0.0, 5e-324, 1e-300, np.nextafter(1.0, 0.0), 1.0])
+EDGE_ANGLES = np.array([0.0, np.pi / 2, np.pi, 1234567.891, 1e12, 123456789012.345])
+
+
+def law_inputs(kind):
+    edges = EDGE_PROBABILITIES if kind.is_probability else EDGE_ANGLES
+    return np.concatenate([np.linspace(*kind.natural_range, 10001), edges])
+
+
 class TestClosedForms:
     def test_noiseless_limits(self):
         for kind in (NoiseKind.AMPLITUDE_DAMPING, NoiseKind.PHASE_DAMPING):
@@ -145,6 +212,41 @@ class TestClosedForms:
         _, swing = fidelity._coefficients(kind, params)
         gap = np.max(np.abs(swing - PRINTED_SWINGS[kind](params)))
         assert gap <= np.finfo(float).eps  # 2.2e-16
+
+    @pytest.mark.parametrize("kind", fidelity.CLOSED_FORM_KINDS, ids=lambda kind: kind.value)
+    def test_rules_are_the_cubes_of_the_channels_own_block(self, kind):
+        params = law_inputs(kind)
+        alpha_cubed, beta_cubed = fidelity._CLOSED_FORMS[kind](params)
+        alpha, beta = xz_block(channels.from_kind(kind, params))
+        assert np.max(np.abs(alpha_cubed - np.real(alpha**3))) <= 16 * np.finfo(float).eps
+        assert np.max(np.abs(beta_cubed - beta**3)) <= 16 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("kind", fidelity.CLOSED_FORM_KINDS, ids=lambda kind: kind.value)
+    def test_law_means_match_the_expanded_means(self, kind):
+        params = law_inputs(kind)
+        mean, _ = fidelity._coefficients(kind, params)
+        assert np.max(np.abs(mean - EXPANDED_MEANS[kind](params))) <= 2 * np.finfo(float).eps
+
+    def test_law_holds_for_channels_it_was_not_written_for(self):
+        rng = np.random.default_rng(48)
+        worst = 0.0
+        for _ in range(200):
+            channel = random_channel(rng, int(rng.integers(1, 5)))
+            xis = rng.uniform(0.0, 2 * np.pi, 50)
+            oracle = RotationAveragedOracle(channel, QuadratureSpec(8, 8)).fidelity_at(xis)
+            worst = max(worst, float(np.max(np.abs(law_fidelity(*xz_block(channel), xis) - oracle))))
+        assert worst <= 4e-15
+
+    def test_preferred_encoding_is_a_quarter_of_arg_beta(self):
+        rng = np.random.default_rng(49)
+        xis = fidelity.midpoint_grid(64)
+        for _ in range(20):
+            channel = random_channel(rng, int(rng.integers(1, 5)))
+            oracle = RotationAveragedOracle(channel, QuadratureSpec(8, 8))
+            preferred = np.angle(xz_block(channel)[1]) / 4 + np.array([0.0, np.pi / 2])
+            best = oracle.fidelity_at(preferred)
+            assert best[0] == pytest.approx(best[1], abs=1e-15)
+            assert np.all(oracle.fidelity_at(xis) <= best[0] + 1e-15)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -199,12 +199,14 @@ class TestDecodeBit:
 
 
 class TestChecksWhereValuesEnter:
-    """A round re-checks neither the channels the package built nor the states it evolved."""
+    """A round re-checks neither the channels the package built nor the states it evolved,
+    and ``cli message`` hands the protocol bits it has checked itself."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
         calls = []
-        for module, name in ((channels, "completeness_defect"), (algebra, "validate_density")):
+        for module, name in ((channels, "completeness_defect"), (algebra, "validate_density"),
+                             (protocol, "_message_bits")):
             original = getattr(module, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
@@ -226,7 +228,8 @@ class TestChecksWhereValuesEnter:
         # Values from outside are still checked, through the same counters.
         protocol.decode_bit(np.eye(2) / 2, 0.3)
         channels.QuantumChannel(channel.kind, channel.operators, channel.parameter)
-        assert checks == ["validate_density", "completeness_defect"]
+        protocol.transmit_message([0, 1, 1, 0], config_with(channel), 5)
+        assert checks == ["validate_density", "completeness_defect", "_message_bits"]
 
 
 class TestTransmitMessage:
