@@ -22,7 +22,7 @@ UNITARY_ATOL = 1e-10
 _IDENTITY = np.eye(2)
 
 
-def _as_mat2(m, name: str = "matrix") -> np.ndarray:
+def _as_mat2(m, name: str) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.shape[-2:] != (2, 2):
         raise ValueError(f"{name} must have shape (..., 2, 2), got {a.shape}")

@@ -29,8 +29,6 @@ from . import algebra
 # Operators are frozen there, so application trusts it.
 COMPLETENESS_ATOL = 1e-12
 
-_IDENTITY = np.eye(2)
-
 
 class ChannelError(ValueError):
     """A channel's Kraus operators fail the completeness relation."""
@@ -140,7 +138,7 @@ def completeness_defect(operators) -> float:
     """Max-abs entry of sum E_i^dagger E_i - I, over every member of a stack (1 for no operators)."""
     ops = [np.asarray(op, dtype=complex) for op in operators]
     total = functools.reduce(operator.add, [algebra.dagger(op) @ op for op in ops]) if ops else 0
-    return float(np.maximum.reduce(np.abs(total - _IDENTITY), axis=None))
+    return float(np.maximum.reduce(np.abs(total - algebra._IDENTITY), axis=None))
 
 
 def _freeze(op: np.ndarray) -> np.ndarray:

@@ -95,9 +95,9 @@ class FidelityReport:
     average_deviation: float
 
 
-def midpoint_grid(n: int, period: float = 2.0 * np.pi) -> np.ndarray:
-    """Midpoint abscissae of ``n`` uniform cells covering [0, period)."""
-    return (np.arange(n) + 0.5) * (period / n)
+def midpoint_grid(n: int) -> np.ndarray:
+    """Midpoint abscissae of ``n`` uniform cells covering [0, 2pi)."""
+    return (np.arange(n) + 0.5) * (2.0 * np.pi / n)
 
 
 def _assert_and_clamp(values):
@@ -112,20 +112,20 @@ def _assert_and_clamp(values):
 
 
 def _cos_4(xi):
-    """cos(4 xi), as 8c^4 - 8c^2 + 1 with c = cos xi where |xi| >= 2**51.
+    """cos(4 xi), as 8c^4 - 8c^2 + 1 with c = cos xi where 4 xi would overflow.
 
-    There 4 xi reaches 2**53, where doubles lie 2 or more apart and the
-    rounded product has lost its phase (past the largest double it is inf,
-    whose cosine is NaN); smaller angles take np.cos(4 * xi) as it is.
+    Multiplying by 4 is exact in binary wherever the product is finite, so
+    np.cos(4 * xi) keeps the phase up to |xi| = max / 4; past it the product
+    is inf, whose cosine is NaN.
     """
-    huge = np.abs(xi) >= 2.0**51
+    huge = np.abs(xi) > np.finfo(float).max / 4
     if not huge.any():
         return np.cos(4 * xi)
     c = np.cos(xi)
     return np.where(huge, 8 * c**4 - 8 * c**2 + 1, np.cos(4 * np.where(huge, 0.0, xi)))
 
 
-# Each rule returns (Re alpha^3, beta^3) of its kind's x-z block, r being
+# Each rule returns (1 + Re alpha^3, beta^3) of its kind's x-z block, r being
 # sqrt(1 - eta). beta is written without cancellation, 1 - r = eta / (1 + r),
 # so the sign of the swing is exact at every interior parameter. CD and CR take
 # the cosine of Phi / 2 or Theta, exact in binary, never of a rounded multiple.
@@ -138,24 +138,25 @@ def _coefficients_amplitude_damping(eta):
     # beta = -r eta / (2 (1 + r)).
     root = np.sqrt(1.0 - eta)
     alpha = (root + (1.0 - eta)) / 2.0
-    return np.power(alpha, 3), -np.power(root * eta / (1.0 + root), 3) / 8.0
+    return 1.0 + np.power(alpha, 3), -np.power(root * eta / (1.0 + root), 3) / 8.0
 
 
 def _coefficients_phase_damping(eta):
     # alpha = (1 + r) / 2, beta = eta / (2 (1 + r)).
     root = np.sqrt(1.0 - eta)
-    return np.power((1.0 + root) / 2.0, 3), np.power(eta / (1.0 + root), 3) / 8.0
+    return 1.0 + np.power((1.0 + root) / 2.0, 3), np.power(eta / (1.0 + root), 3) / 8.0
 
 
 def _coefficients_collective_dephasing(phi):
     # alpha = cos^2(Phi / 2), beta = sin^2(Phi / 2).
-    return np.power(np.cos(phi / 2.0), 6), np.power(np.sin(phi / 2.0), 6)
+    return 1.0 + np.power(np.cos(phi / 2.0), 6), np.power(np.sin(phi / 2.0), 6)
 
 
 def _coefficients_collective_rotation(theta):
-    # alpha = e^{2i Theta}, beta = 0: Re alpha^3 = cos 6 Theta = 2 T_3(cos Theta)^2 - 1.
+    # alpha = e^{2i Theta}, beta = 0: 1 + Re alpha^3 = 1 + cos 6 Theta = 2 T_3(cos Theta)^2,
+    # whose half, the mean, keeps its relative precision near the zeros of T_3.
     c = np.cos(theta)
-    return 2.0 * np.square(c * (4.0 * np.square(c) - 3.0)) - 1.0, np.zeros_like(theta)
+    return 2.0 * np.square(c * (4.0 * np.square(c) - 3.0)), np.zeros_like(theta)
 
 
 _CLOSED_FORMS = {
@@ -177,8 +178,8 @@ def _coefficients(kind: NoiseKind, param):
             "for the noiseless case"
         )
     channels.check_parameter(kind, param)
-    alpha_cubed, beta_cubed = _CLOSED_FORMS[kind](np.asarray(param, dtype=float))
-    return (1.0 + alpha_cubed) / 2.0, beta_cubed / 2.0
+    twice_mean, beta_cubed = _CLOSED_FORMS[kind](np.asarray(param, dtype=float))
+    return twice_mean / 2.0, beta_cubed / 2.0
 
 
 def closed_form_fidelity(kind: NoiseKind, param, xi):

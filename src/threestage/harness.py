@@ -257,29 +257,21 @@ _NON_FINITE = frozenset(("nan", "inf", "-inf"))  # repr of the non-finite floats
 _kind_text = operator.attrgetter("_value_")  # NoiseKind.value, without its property call
 
 
+def _field_text(missing: str, value) -> str:
+    """The field encoder: a number in shortest round-trip form, None as ``missing``."""
+    return missing if value is None else repr(float(value))
+
+
 def _field_texts(column, missing: str) -> list[str]:
-    """The field encoder: numbers in shortest round-trip form, None as ``missing``.
-
-    Each value is encoded on its own, as suits the value columns, which rarely repeat.
-    """
+    """``_field_text`` of each value, in line, as suits the value columns, which rarely repeat."""
     return [missing if value is None else repr(float(value)) for value in column]
-
-
-def _grid_texts(column, missing: str) -> list[str]:
-    """``_field_texts`` of a column that repeats, as a sweep's param and xi do.
-
-    One ``repr`` per distinct value. Zeros and None are falsy and stay on the
-    per-value path: 0.0 and -0.0 are one key with two texts.
-    """
-    known = {value: repr(float(value)) for value in set(column) if value}
-    return [known[value] if value else missing if value is None else repr(float(value))
-            for value in column]
 
 
 def _format_block(rows, pieces, xi_missing: str, missing: str, finite: bool) -> str:
     """``rows`` in one fixed template; ``finite`` rejects NaN and infinity as json does."""
     kinds, params, xis, *optional = zip(*rows)
-    columns = [map(_kind_text, kinds), _grid_texts(params, missing), _grid_texts(xis, xi_missing),
+    columns = [map(_kind_text, kinds), _grid_values(params, functools.partial(_field_text, missing)),
+               _grid_values(xis, functools.partial(_field_text, xi_missing)),
                *(_field_texts(values, missing) for values in optional)]
     if finite and not all(map(_NON_FINITE.isdisjoint, columns[1:])):
         raise ValueError("Out of range float values are not JSON compliant")
@@ -369,12 +361,9 @@ _KINDS = {kind.value: kind for kind in NoiseKind}
 
 def _decode_row(kind, param, xi, closed_form, oracle, deviation) -> ResultRow:
     """A row from its fields in CSV column order, as CSV text or JSON values."""
-    try:
-        kind = _KINDS[kind]
-    except (KeyError, TypeError):
-        kind = NoiseKind(kind)  # raises the enum's own ValueError, as the parse did
-    return ResultRow(kind, _finite_float(param), _xi_value(xi), _optional_float(closed_form),
-                     _optional_float(oracle), _optional_float(deviation))
+    # An unknown or unhashable kind raises the enum's own ValueError.
+    return ResultRow(NoiseKind(kind), _finite_float(param), _xi_value(xi),
+                     _optional_float(closed_form), _optional_float(oracle), _optional_float(deviation))
 
 
 def _decode_rows(records, path, label: str, first: int) -> list[ResultRow]:
@@ -391,14 +380,15 @@ def _decode_rows(records, path, label: str, first: int) -> list[ResultRow]:
     return rows
 
 
-def _grid_values(column, decode) -> list:
-    """``decode`` of each value of a column that repeats; the inverse of ``_grid_texts``.
+def _grid_values(column, convert) -> list:
+    """``convert`` of each value of a column that repeats, as a sweep's param and xi do.
 
-    One call per distinct value. Falsy values stay per value: 0.0 and -0.0
-    are one key with two results.
+    One call per distinct value; ``format_rows`` encodes the grid columns
+    with it and ``load_rows`` decodes them. Zeros and None are falsy and are
+    converted value by value: 0.0 and -0.0 are one key with two results.
     """
-    known = {value: decode(value) for value in set(column) if value}
-    return [known[value] if value else decode(value) for value in column]
+    known = {value: convert(value) for value in set(column) if value}
+    return [known[value] if value else convert(value) for value in column]
 
 
 def _value_column(column) -> list[float | None]:

@@ -250,7 +250,7 @@ def transmit_message(bits, config: ProtocolConfig, seed: int) -> tuple[list[int]
 
     Every bit is checked before any round runs. The message runs as arrays
     in blocks of ``MESSAGE_BLOCK_BITS`` bits, so memory stays bounded: under
-    FIXED one stacked round over its distinct bit values, under RESAMPLE one
+    FIXED one stacked round over both encoded states, under RESAMPLE one
     stacked round per block with one set of stage channels per bit. Bit i is
     read from its (p0, p1) with double i of ``PCG64(seed)``, reached with
     PCG64's jump-ahead, so the output is independent of the block size and
@@ -270,9 +270,7 @@ def _transmit(sent: np.ndarray, config: ProtocolConfig, seed: int) -> tuple[np.n
     """
     fixed = config.stage_policy is StagePolicy.FIXED
     if fixed:
-        values = np.flatnonzero(np.bincount(sent, minlength=2))
-        p0_of_bit = np.zeros(2)
-        p0_of_bit[values] = _round_p0(config, values, 0)
+        p0_of_bit = _round_p0(config, np.arange(2), 0)
     decoded = np.empty_like(sent)
     for start in range(0, len(sent), MESSAGE_BLOCK_BITS):
         block = sent[start:start + MESSAGE_BLOCK_BITS]

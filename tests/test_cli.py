@@ -594,6 +594,19 @@ class TestMessage:
         assert code == 0 and 0.0 < qber < 1.0
         assert out == json.dumps({"decoded": "".join(str(b) for b in decoded), "qber": qber}) + "\n"
 
+    @pytest.mark.parametrize("bit", ["0", "1"])
+    def test_message_of_one_bit_value_decodes_as_a_mixed_message(self, capsys, bit):
+        argv = ["message", "--noise", "pd", "--param", "0.6", "--xi", "0.3", "--seed", "11"]
+        mixed = "0110100"
+        _, out, _ = run_cli(capsys, *argv, "--bits", mixed)
+        decoded = json.loads(out)["decoded"]
+        code, out, _ = run_cli(capsys, *argv, "--bits", bit * len(mixed))
+        alone = json.loads(out)["decoded"]
+        assert code == 0 and 0 < alone.count(bit) < len(mixed)
+        assert [a for a, sent in zip(alone, mixed) if sent == bit] == [
+            d for d, sent in zip(decoded, mixed) if sent == bit
+        ]
+
     def test_collective_rotation_pi_over_six_flips_all(self, capsys):
         code, out, _ = run_cli(
             capsys, "message", "--noise", "cr", "--param", "0.5235987755982988",

@@ -216,9 +216,9 @@ class TestClosedForms:
     @pytest.mark.parametrize("kind", fidelity.CLOSED_FORM_KINDS, ids=lambda kind: kind.value)
     def test_rules_are_the_cubes_of_the_channels_own_block(self, kind):
         params = law_inputs(kind)
-        alpha_cubed, beta_cubed = fidelity._CLOSED_FORMS[kind](params)
+        twice_mean, beta_cubed = fidelity._CLOSED_FORMS[kind](params)
         alpha, beta = xz_block(channels.from_kind(kind, params))
-        assert np.max(np.abs(alpha_cubed - np.real(alpha**3))) <= 16 * np.finfo(float).eps
+        assert np.max(np.abs(twice_mean - (1 + np.real(alpha**3)))) <= 16 * np.finfo(float).eps
         assert np.max(np.abs(beta_cubed - beta**3)) <= 16 * np.finfo(float).eps
 
     @pytest.mark.parametrize("kind", fidelity.CLOSED_FORM_KINDS, ids=lambda kind: kind.value)
@@ -279,6 +279,14 @@ class TestClosedFormAverages:
         avg = fidelity.closed_form_average_fidelity(NoiseKind.COLLECTIVE_ROTATION, theta)
         assert avg == pytest.approx(np.cos(3 * theta) ** 2, abs=1e-14)
 
+    @pytest.mark.parametrize("theta", [np.pi / 6 + 1e-9, np.pi / 6 + 1e-6, np.pi / 2 + 1e-9])
+    def test_collective_rotation_mean_keeps_its_precision_near_a_zero(self, theta):
+        # 1 + cos 6 Theta formed as 2 T_3(cos Theta)^2 - 1 + 1 rounds T_3^2 ~ 1e-17 away.
+        c = np.cos(theta)
+        expected = np.square(c * (4.0 * np.square(c) - 3.0))
+        mean = fidelity.closed_form_average_fidelity(NoiseKind.COLLECTIVE_ROTATION, theta)
+        assert mean > 0.0 and mean == expected
+
     def test_phase_beats_amplitude_damping(self):
         etas = np.arange(0.0, 1.0 + 1e-12, 1e-3)
         pd = fidelity.closed_form_average_fidelity(NoiseKind.PHASE_DAMPING, etas)
@@ -313,6 +321,15 @@ class TestHugeAngles:
         got = fidelity._cos_4(mixed)
         assert got[0] == np.cos(4 * 0.3)
         np.testing.assert_allclose(got[1:], 8 * np.cos(mixed[1:])**4 - 8 * np.cos(mixed[1:])**2 + 1, atol=1e-15)
+
+    def test_cos_4_is_np_cos_wherever_4_xi_is_finite(self):
+        quarter = np.finfo(float).max / 4
+        angles = np.array([2.0**51, -(2.0**51), 2.0**53, 1e200, quarter, -quarter])
+        assert np.isfinite(4 * angles).all()
+        assert fidelity._cos_4(angles).tobytes() == np.cos(4 * angles).tobytes()
+        beyond = np.array([np.nextafter(quarter, np.inf), 1e308, np.finfo(float).max])
+        c = np.cos(beyond)
+        np.testing.assert_allclose(fidelity._cos_4(beyond), 8 * c**4 - 8 * c**2 + 1, atol=1e-15)
 
     @pytest.mark.parametrize("kind, param", [
         (NoiseKind.AMPLITUDE_DAMPING, 0.3), (NoiseKind.PHASE_DAMPING, 0.7),

@@ -320,12 +320,12 @@ class TestTransmitMessage:
 
     @pytest.mark.parametrize("bits, policy, stack", [
         ([0, 1, 1, 0, 1], StagePolicy.FIXED, 2),
-        ([0, 0, 0, 0], StagePolicy.FIXED, 1),
+        ([0, 0, 0, 0], StagePolicy.FIXED, 2),
         ([0, 1, 1, 0, 1], StagePolicy.RESAMPLE, 5),
     ])
     def test_rounds_run_per_message(self, monkeypatch, bits, policy, stack):
-        # One stacked round (three crossings) per message: over the distinct
-        # bit values under FIXED, over every bit under RESAMPLE.
+        # One stacked round (three crossings) per message: over both encoded
+        # states under FIXED, over every bit under RESAMPLE.
         rounds, crossings = [], []
         run_protocol, apply_channel = protocol.run_protocol, channels.apply_channel
         monkeypatch.setattr(
@@ -339,6 +339,23 @@ class TestTransmitMessage:
         protocol.transmit_message(bits, config, seed=1)
         assert rounds == []
         assert crossings == [(stack, 2, 2)] * 3
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 + 5])
+    @pytest.mark.parametrize("kind, param", [
+        ("ad", 0.37), ("pd", 0.61), ("cd", 1.3), ("cr", 0.41), ("none", 0.0),
+    ])
+    def test_fixed_message_of_one_bit_value_decodes_as_a_mixed_message(self, kind, param, seed):
+        # Bit i is read from the p0 of the bit sent and double i of the stream,
+        # so where a mixed message holds b it decodes as the message of b alone.
+        config = config_with(channels.from_kind(channels.NoiseKind(kind), param))
+        mixed = [int(b) for b in np.random.default_rng(42).integers(0, 2, 300)]
+        decoded, _ = protocol.transmit_message(mixed, config, seed)
+        for bit in (0, 1):
+            alone, qber = protocol.transmit_message([bit] * len(mixed), config, seed)
+            assert qber == sum(got != bit for got in alone) / len(mixed)
+            assert [a for a, sent in zip(alone, mixed) if sent == bit] == [
+                d for d, sent in zip(decoded, mixed) if sent == bit
+            ]
 
     def test_bad_bit_raises_before_any_round(self, monkeypatch):
         calls = []
