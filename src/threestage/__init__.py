@@ -49,6 +49,7 @@ from .harness import (
     RunManifest,
     SweepMode,
     SweepSpec,
+    SweepTable,
     export,
     load_rows,
     sweep,
@@ -78,6 +79,7 @@ __all__ = [
     "StagePolicy",
     "SweepMode",
     "SweepSpec",
+    "SweepTable",
     "Transcript",
     "amplitude_damping",
     "apply_channel",

@@ -172,13 +172,13 @@ def _cmd_sweep(args, start: float) -> int:
             "rotation_points": "--rotation-points",
             "xi_points": "--xi-points",
         }) from exc
-    rows, manifest = harness.sweep(spec)
+    table, manifest = harness.sweep(spec)
     if args.out == "-":
-        # Every block is made before the first write, so a JSON value that
-        # fails the finite check leaves stdout empty.
-        sys.stdout.writelines(harness._text_parts(rows, args.format, manifest))
+        # Every check runs before the first write, so a JSON value that fails
+        # the finite check leaves stdout empty; the blocks are written as made.
+        sys.stdout.writelines(harness._text_parts(table, args.format, manifest))
     else:
-        harness.export(rows, args.format, args.out, manifest)
+        harness.export(table, args.format, args.out, manifest)
     _emit_manifest(manifest)
     return EXIT_OK
 

@@ -1,9 +1,12 @@
 """Parameter sweeps, formula-vs-oracle verification, and dataset export.
 
-Sweep output is a flat list of rows over the cartesian grid of noise
-parameters and encoding angles, in deterministic param-major order, plus an
-optional state-averaged row per parameter. CSV re-exports of identical rows
-are byte-identical; floats are written in their shortest round-trip form.
+A sweep evaluates the cartesian grid of noise parameters and encoding angles
+into a ``SweepTable``: the grids and one array per value column, whose rows
+run in deterministic param-major order with an optional state-averaged row
+per parameter. Export writes a table's text straight from its arrays, block
+by block; a list of rows, as ``load_rows`` returns, exports to the same
+bytes. CSV re-exports of identical rows are byte-identical; floats are
+written in their shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import math
 import operator
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +35,8 @@ XI_AVERAGE = "avg"
 
 MAX_SWEEP_ROWS = 10**6
 
-# format_rows writes this many rows at a time, so that the text of one
-# field per row exists for one block only.
+# format_rows and export make this many rows at a time, so that the text of
+# one field per row exists for one block only.
 FORMAT_BLOCK_ROWS = 2**14
 
 
@@ -108,6 +112,41 @@ CSV_HEADER = ",".join(ResultRow._fields)
 _new_row = functools.partial(tuple.__new__, ResultRow)
 
 
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """A sweep's rows as columns: its grids and one array per value column.
+
+    ``param_grid`` and ``xi_grid`` are float arrays; each value array has
+    shape (len(param_grid), len(xi_grid) + include_state_average), with the
+    state average in the last column when ``include_state_average`` is set,
+    and is None when the sweep's mode does not compute it. The arrays are
+    read-only. Row ``i`` is parameter ``i // width`` at angle ``i % width``;
+    iterating a table gives its ``rows()``.
+    """
+
+    kind: NoiseKind
+    param_grid: np.ndarray
+    xi_grid: np.ndarray
+    include_state_average: bool
+    closed_form: np.ndarray | None
+    oracle: np.ndarray | None
+    deviation: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.param_grid) * (len(self.xi_grid) + self.include_state_average)
+
+    def rows(self) -> Iterator[ResultRow]:
+        """The table's ``ResultRow``s in param-major order; xi is None on averaged rows."""
+        xis = self.xi_grid.tolist() + [None] * self.include_state_average
+        params = np.repeat(self.param_grid, len(xis)).tolist()
+        values = (repeat(None) if a is None else a.ravel().tolist()
+                  for a in (self.closed_form, self.oracle, self.deviation))
+        # Built column by column, so that no row costs a Python-level call.
+        return map(_new_row, zip(repeat(self.kind), params, xis * len(self.param_grid), *values))
+
+    __iter__ = rows
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Provenance of one harness or CLI run; printed to standard error."""
@@ -175,26 +214,27 @@ def _evaluate_grid(kind, params, xis, average: bool, closed: bool, quad):
     return closed_values, oracle_values
 
 
-def sweep(spec: SweepSpec) -> tuple[list[ResultRow], RunManifest]:
-    """Evaluate the grid and return rows in param-major order plus a manifest.
+def sweep(spec: SweepSpec) -> tuple[SweepTable, RunManifest]:
+    """Evaluate the grid and return it as a ``SweepTable`` plus a manifest.
 
-    Within each parameter block the xi rows come first, then the optional
-    state-averaged row.
+    The table's rows run in param-major order: within each parameter block
+    the xi rows come first, then the optional state-averaged row.
     """
     start = time.perf_counter()
     quad = None if spec.mode is SweepMode.CLOSED_FORM else spec.quadrature
+    params = np.asarray(spec.param_grid, dtype=float)
+    xis = np.asarray(spec.xi_grid, dtype=float)
     closed, oracle = _evaluate_grid(
-        spec.kind, spec.param_grid, spec.xi_grid, spec.include_state_average,
+        spec.kind, params, xis, spec.include_state_average,
         closed=spec.mode is not SweepMode.ORACLE, quad=quad,
     )
     deviation = None if closed is None or oracle is None else np.abs(closed - oracle)
-    xis = [float(xi) for xi in spec.xi_grid] + [None] * spec.include_state_average
-    params = np.repeat(np.asarray(spec.param_grid, dtype=float), len(xis)).tolist()
-    values = (repeat(None) if a is None else a.ravel().tolist() for a in (closed, oracle, deviation))
-    # Built column by column, so that no row costs a Python-level call.
-    columns = zip(repeat(spec.kind), params, xis * len(spec.param_grid), *values)
+    for values in (params, xis, closed, oracle, deviation):
+        if values is not None:
+            values.flags.writeable = False
+    table = SweepTable(spec.kind, params, xis, spec.include_state_average, closed, oracle, deviation)
     worst = None if deviation is None else float(deviation.max())
-    return list(map(_new_row, columns)), run_manifest(start, spec.seed, quad, worst)
+    return table, run_manifest(start, spec.seed, quad, worst)
 
 
 def default_verification_grids(kind: NoiseKind) -> tuple[np.ndarray, np.ndarray]:
@@ -249,12 +289,14 @@ def verify_formulas(
 
 
 # Per format: the text before each field and after the row (ending in the row
-# separator), then the text of a missing xi and of another missing value.
-_CSV_LAYOUT = (("", ",", ",", ",", ",", ",", "\n"), XI_AVERAGE, "")
+# separator), the end of the last row, then the text of a missing xi and of
+# another missing value.
+_CSV_LAYOUT = (("", ",", ",", ",", ",", ",", "\n"), "\n", XI_AVERAGE, "")
 _JSON_LAYOUT = (('{"kind": "', '", "param": ', *(f', "{name}": ' for name in ResultRow._fields[2:]),
-                 "},\n"), f'"{XI_AVERAGE}"', "null")
+                 "},\n"), "}\n", f'"{XI_AVERAGE}"', "null")
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))  # repr of the non-finite floats
 _kind_text = operator.attrgetter("_value_")  # NoiseKind.value, without its property call
+_NOT_JSON = "Out of range float values are not JSON compliant"
 
 
 def _field_text(missing: str, value) -> str:
@@ -267,36 +309,97 @@ def _field_texts(column, missing: str) -> list[str]:
     return [missing if value is None else repr(float(value)) for value in column]
 
 
-def _format_block(rows, pieces, xi_missing: str, missing: str, finite: bool) -> str:
-    """``rows`` in one fixed template; ``finite`` rejects NaN and infinity as json does."""
-    kinds, params, xis, *optional = zip(*rows)
-    columns = [map(_kind_text, kinds), _grid_values(params, functools.partial(_field_text, missing)),
-               _grid_values(xis, functools.partial(_field_text, xi_missing)),
-               *(_field_texts(values, missing) for values in optional)]
-    if finite and not all(map(_NON_FINITE.isdisjoint, columns[1:])):
-        raise ValueError("Out of range float values are not JSON compliant")
-    interleaved = [repeat(pieces[0])]
-    for texts, after in zip(columns, pieces[1:]):
-        interleaved += (texts, repeat(after))
-    return "".join(chain.from_iterable(zip(*interleaved)))
+def _row_columns(rows: list, xi_missing: str, missing: str, finite: bool):
+    """The column source of a row list: ``columns(start, stop)``, the six column texts of those rows.
+
+    The rows are transposed a block at a time and the grid columns, param
+    and xi, encoded once per distinct value; ``finite`` rejects NaN and
+    infinity as json does, in the block that holds them.
+    """
+    def columns(start: int, stop: int) -> list:
+        kinds, params, xis, *optional = zip(*rows[start:stop])
+        texts = [map(_kind_text, kinds), _grid_values(params, functools.partial(_field_text, missing)),
+                 _grid_values(xis, functools.partial(_field_text, xi_missing)),
+                 *(_field_texts(values, missing) for values in optional)]
+        if finite and not all(map(_NON_FINITE.isdisjoint, texts[1:])):
+            raise ValueError(_NOT_JSON)
+        return texts
+
+    return columns
 
 
-def format_rows(rows, fmt: str, manifest: RunManifest | None = None) -> str:
-    """The text ``export`` writes: rows as csv or json.
+def _table_columns(table: SweepTable, xi_missing: str, missing: str, finite: bool):
+    """The column source of a table: ``columns(start, stop)``, made from the grid structure.
+
+    The kind, and each value column the sweep did not compute, are one text
+    for every row. Each parameter's text is made once per block and repeated
+    over its ``width`` rows; the xi texts are made once and tiled; each
+    computed value column is one ``repr`` per value. ``finite`` checks every
+    array before any text is made.
+    """
+    arrays = (table.closed_form, table.oracle, table.deviation)
+    if finite and not all(np.isfinite(a).all() for a in (table.param_grid, table.xi_grid, *arrays)
+                          if a is not None):
+        raise ValueError(_NOT_JSON)
+    values = [None if a is None else a.reshape(-1) for a in arrays]
+    xis = [*map(repr, table.xi_grid.tolist()), *[xi_missing] * table.include_state_average]
+    width = len(xis)
+
+    def columns(start: int, stop: int) -> list:
+        first, skip = divmod(start, width)
+        end = skip + stop - start
+        params = map(repr, table.param_grid[first : -(-stop // width)].tolist())
+        return [table.kind.value,
+                islice(chain.from_iterable(map(repeat, params, repeat(width))), skip, end),
+                islice(chain.from_iterable(repeat(xis)), skip, end),
+                *(missing if v is None else map(repr, v[start:stop].tolist()) for v in values)]
+
+    return columns
+
+
+def _blocks(columns, total: int, pieces, last_end: str) -> Iterator[str]:
+    """Rows 0 to ``total`` in one fixed template, ``FORMAT_BLOCK_ROWS`` at a time, as made.
+
+    A column given as one text, the same on every row, joins the template
+    text around it, so that it costs no item per row.
+    """
+    for start in range(0, total, FORMAT_BLOCK_ROWS):
+        stop = min(start + FORMAT_BLOCK_ROWS, total)
+        interleaved, between = [], pieces[0]
+        for texts, after in zip(columns(start, stop), pieces[1:]):
+            if isinstance(texts, str):
+                between += texts + after
+            else:
+                interleaved += (repeat(between), texts)
+                between = after
+        text = "".join(chain.from_iterable(zip(*interleaved, repeat(between))))
+        yield text if stop < total else text[: -len(pieces[-1])] + last_end
+
+
+def format_rows(source, fmt: str, manifest: RunManifest | None = None) -> str:
+    """The text ``export`` writes: a ``SweepTable`` or a list of rows as csv or json.
 
     CSV is rows only; JSON wraps them with the run manifest less its
     ``duration_ms``, so identical sweeps re-export byte-identically in both.
-    Both formats share one field encoder and are built ``FORMAT_BLOCK_ROWS``
-    rows at a time; within a block the grid columns, param and xi, are
-    encoded once per distinct value.
+    Both formats share one field template, written ``FORMAT_BLOCK_ROWS`` rows
+    at a time from one of two column sources: a table's arrays and grid
+    structure, or a row list transposed a block at a time. Both give the
+    same bytes for the same rows.
     """
-    return "".join(_text_parts(rows, fmt, manifest))
+    return "".join(_text_parts(source, fmt, manifest))
 
 
-def _text_parts(rows, fmt: str, manifest: RunManifest | None) -> list[str]:
-    """``format_rows`` in parts: the head, one per ``FORMAT_BLOCK_ROWS`` rows, the tail."""
-    rows = list(rows)
-    if not rows:
+def _text_parts(source, fmt: str, manifest: RunManifest | None) -> Iterator[str]:
+    """``format_rows`` in parts: the head, one per ``FORMAT_BLOCK_ROWS`` rows, the tail.
+
+    Every check runs before the first part is made, so a JSON export that
+    fails writes nothing. A table's blocks are made as they are consumed; a
+    row list's JSON blocks are all made first, since each checks its own text.
+    """
+    table = isinstance(source, SweepTable)
+    if not table:
+        source = list(source)
+    if not len(source):
         raise ValueError("rows must be nonempty")
     if fmt == "csv":
         head, layout, tail = CSV_HEADER + "\n", _CSV_LAYOUT, ""
@@ -308,23 +411,24 @@ def _text_parts(rows, fmt: str, manifest: RunManifest | None) -> list[str]:
         layout, tail = _JSON_LAYOUT, "]}\n"
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    blocks = [
-        _format_block(rows[start : start + FORMAT_BLOCK_ROWS], *layout, fmt == "json")
-        for start in range(0, len(rows), FORMAT_BLOCK_ROWS)
-    ]
-    if fmt == "json":
-        blocks[-1] = blocks[-1][:-2] + "\n"  # no comma after the last row
-    return [head, *blocks, tail]
+    pieces, last_end, xi_missing, missing = layout
+    columns = (_table_columns if table else _row_columns)(source, xi_missing, missing, fmt == "json")
+    blocks = _blocks(columns, len(source), pieces, last_end)
+    if fmt == "json" and not table:
+        blocks = list(blocks)
+    return chain((head,), blocks, (tail,))
 
 
-def export(rows, fmt: str, path, manifest: RunManifest | None = None) -> None:
-    """Write ``format_rows(rows, fmt, manifest)`` to ``path``, all or nothing.
+def export(source, fmt: str, path, manifest: RunManifest | None = None) -> None:
+    """Write ``format_rows(source, fmt, manifest)`` to ``path``, all or nothing.
 
-    A new or regular file is written beside itself, then renamed into place; a
-    device or pipe, such as /dev/null, is written through. The text is made in
-    full before the first write and written a block at a time.
+    ``source`` is a ``SweepTable`` or a list of rows. A new or regular file is
+    written beside itself, then renamed into place; a device or pipe, such as
+    /dev/null, is written through. Every check runs before the first write,
+    and each block of text is written as it is made, so a table's export
+    holds one block of text at a time.
     """
-    parts = _text_parts(rows, fmt, manifest)
+    parts = _text_parts(source, fmt, manifest)
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         with open(target, "w", encoding="utf-8", newline="") as handle:
@@ -383,8 +487,8 @@ def _decode_rows(records, path, label: str, first: int) -> list[ResultRow]:
 def _grid_values(column, convert) -> list:
     """``convert`` of each value of a column that repeats, as a sweep's param and xi do.
 
-    One call per distinct value; ``format_rows`` encodes the grid columns
-    with it and ``load_rows`` decodes them. Zeros and None are falsy and are
+    One call per distinct value; ``format_rows`` encodes a row list's grid
+    columns with it and ``load_rows`` decodes them. Zeros and None are falsy and are
     converted value by value: 0.0 and -0.0 are one key with two results.
     """
     known = {value: convert(value) for value in set(column) if value}
@@ -430,7 +534,7 @@ def load_rows(path, fmt: str) -> list[ResultRow]:
     object with a ``rows`` list raises ValueError naming the file.
 
     Rows are decoded ``FORMAT_BLOCK_ROWS`` at a time, column by column, the
-    mirror of ``format_rows``: the grid columns once per distinct value, each
+    mirror of ``format_rows`` on a row list: the grid columns once per distinct value, each
     value column in one pass. A block that fails is decoded again row by row,
     which raises the error of its first bad row.
     """

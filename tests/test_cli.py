@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -254,14 +257,84 @@ class TestSweep:
         sweep = harness.sweep
 
         def last_row_nan(spec):
-            rows, manifest = sweep(spec)
-            rows[-1] = rows[-1]._replace(closed_form=float("nan"))
-            return rows, manifest
+            table, manifest = sweep(spec)
+            closed = table.closed_form.copy()
+            closed[-1, -1] = float("nan")
+            return dataclasses.replace(table, closed_form=closed), manifest
 
         monkeypatch.setattr(harness, "sweep", last_row_nan)
         code, out, err = run_cli(capsys, *self.BLOCKS_ARGV, "--format", "json", "--out", "-")
         assert code == 2 and out == ""
         assert "JSON compliant" in err
+
+    # 113 x (144 + 1) = 2^14 + 1 rows: the last row is a block of its own.
+    LAST_BLOCK_ARGV = ("sweep", "--noise", "ad", "--grid", "0:1:113", "--xi-grid", "0:6:144",
+                       "--xi-avg", "--format", "json")
+
+    @pytest.fixture(params=["table", "rows"])
+    def last_block_nan(self, request, monkeypatch):
+        """``harness.sweep`` with a NaN in its last row only, as a table or as a row list."""
+        sweep = harness.sweep
+
+        def patched(spec):
+            table, manifest = sweep(spec)
+            assert len(table) == harness.FORMAT_BLOCK_ROWS + 1
+            closed = table.closed_form.copy()
+            closed[-1, -1] = float("nan")
+            table = dataclasses.replace(table, closed_form=closed)
+            return (table if request.param == "table" else list(table.rows())), manifest
+
+        monkeypatch.setattr(harness, "sweep", patched)
+
+    def test_a_failed_json_sweep_prints_nothing(self, capsys, last_block_nan):
+        code, out, err = run_cli(capsys, *self.LAST_BLOCK_ARGV, "--out", "-")
+        assert code == 2 and out == ""
+        assert "JSON compliant" in err
+
+    def test_a_failed_json_sweep_keeps_the_previous_file(self, capsys, tmp_path, last_block_nan):
+        path = tmp_path / "f.json"
+        path.write_bytes(b'{"previous": true}\n')
+        code, out, err = run_cli(capsys, *self.LAST_BLOCK_ARGV, "--out", str(path))
+        assert code == 2 and out == ""
+        assert "JSON compliant" in err
+        assert path.read_bytes() == b'{"previous": true}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+
+    def test_a_failed_json_sweep_writes_nothing_into_a_fifo(self, capsys, tmp_path, last_block_nan):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # A reader that never blocks, drained until the sweep returns, so that a
+        # writer could open the pipe and write all it would.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        received, done = [], threading.Event()
+
+        def drain():
+            while not done.is_set():
+                try:
+                    chunk = os.read(reader, 2**16)
+                except BlockingIOError:  # a writer has the pipe open, with nothing in it yet
+                    chunk = b""
+                if chunk:
+                    received.append(chunk)
+                else:
+                    done.wait(0.01)
+
+        thread = threading.Thread(target=drain, daemon=True)
+        thread.start()
+        try:
+            code, out, err = run_cli(capsys, *self.LAST_BLOCK_ARGV, "--out", str(fifo))
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        try:
+            while chunk := os.read(reader, 2**16):
+                received.append(chunk)
+        finally:
+            os.close(reader)
+        assert not thread.is_alive()
+        assert code == 2 and out == "" and b"".join(received) == b""
+        assert "JSON compliant" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
     @pytest.mark.parametrize("grid", ["-0.0:1:5", "-0.0,0.5,1"])
     def test_export_writes_the_sign_of_a_zero_grid_value(self, capsys, tmp_path, grid):

@@ -314,13 +314,16 @@ class TestHugeAngles:
         ])
         assert fidelity._cos_4(angles).tobytes() == np.cos(4 * angles).tobytes()
 
-    def test_cos_4_of_huge_angles_is_the_multiple_angle_formula(self):
-        c = np.cos(HUGE_ANGLES)
-        np.testing.assert_allclose(fidelity._cos_4(HUGE_ANGLES), 8 * c**4 - 8 * c**2 + 1, atol=1e-15)
-        mixed = np.array([0.3, 1e308, 2.0**51, -(2.0**51)])
-        got = fidelity._cos_4(mixed)
-        assert got[0] == np.cos(4 * 0.3)
-        np.testing.assert_allclose(got[1:], 8 * np.cos(mixed[1:])**4 - 8 * np.cos(mixed[1:])**2 + 1, atol=1e-15)
+    def test_cos_4_of_huge_angles_is_np_cos_to_a_quarter_of_max_then_the_formula(self):
+        quarter = np.finfo(float).max / 4
+        for angles in (HUGE_ANGLES, np.array([0.3, 1e308, 2.0**51, -(2.0**51)])):
+            got = fidelity._cos_4(angles)
+            within = np.abs(angles) <= quarter
+            assert got[within].tobytes() == np.cos(4 * angles[within]).tobytes()
+            c = np.cos(angles[~within])
+            np.testing.assert_allclose(got[~within], 8 * c**4 - 8 * c**2 + 1, atol=1e-15)
+        assert {2.0**53, 1e200} <= set(HUGE_ANGLES[np.abs(HUGE_ANGLES) <= quarter].tolist())
+        assert 1e308 in HUGE_ANGLES[np.abs(HUGE_ANGLES) > quarter]
 
     def test_cos_4_is_np_cos_wherever_4_xi_is_finite(self):
         quarter = np.finfo(float).max / 4

@@ -29,6 +29,12 @@ def spec_with(**kwargs):
     return SweepSpec(**base)
 
 
+def sweep_rows(spec):
+    """``harness.sweep`` with its table as a list of rows."""
+    table, manifest = harness.sweep(spec)
+    return list(table.rows()), manifest
+
+
 class TestSweepSpecValidation:
     def test_accepts_valid(self):
         spec_with()
@@ -76,13 +82,13 @@ class TestSweep:
         ]
 
     def test_average_rows_appended_per_param(self):
-        rows, _ = harness.sweep(spec_with(include_state_average=True))
+        rows, _ = sweep_rows(spec_with(include_state_average=True))
         assert len(rows) == 9
         assert [r.xi for r in rows[:3]] == [0.0, np.pi / 4, None]
 
     def test_amplitude_damping_average_endpoints(self):
         spec = spec_with(param_grid=(0.0, 1.0), xi_grid=(), include_state_average=True)
-        rows, _ = harness.sweep(spec)
+        rows, _ = sweep_rows(spec)
         assert [r.xi for r in rows] == [None, None]
         assert rows[0].closed_form == pytest.approx(1.0, abs=1e-12)
         assert rows[1].closed_form == pytest.approx(0.5, abs=1e-12)
@@ -94,7 +100,7 @@ class TestSweep:
             xi_grid=(),
             include_state_average=True,
         )
-        rows, _ = harness.sweep(spec)
+        rows, _ = sweep_rows(spec)
         assert rows[0].closed_form == pytest.approx(0.5625, abs=1e-12)
 
     def test_collective_rotation_milestones(self):
@@ -113,7 +119,7 @@ class TestSweep:
             param_grid=(np.pi,),
             xi_grid=(0.0, np.pi / 4),
         )
-        rows, _ = harness.sweep(spec)
+        rows, _ = sweep_rows(spec)
         assert rows[0].closed_form == pytest.approx(1.0, abs=1e-12)
         assert rows[1].closed_form == pytest.approx(0.0, abs=1e-12)
 
@@ -290,7 +296,7 @@ class TestExport:
         assert first.read_bytes() == second.read_bytes()
 
     def test_symlink_keeps_pointing_at_the_replaced_file(self, tmp_path):
-        rows, _ = harness.sweep(spec_with())
+        rows, _ = sweep_rows(spec_with())
         target, link = tmp_path / "target.csv", tmp_path / "link.csv"
         target.write_text("old\n")
         link.symlink_to(target)
@@ -312,13 +318,13 @@ class TestExport:
         assert pipe.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
     def test_csv_round_trip(self, tmp_path):
-        rows, _ = harness.sweep(spec_with(mode=SweepMode.BOTH, include_state_average=True))
+        rows, _ = sweep_rows(spec_with(mode=SweepMode.BOTH, include_state_average=True))
         path = tmp_path / "rows.csv"
         harness.export(rows, "csv", path)
         assert harness.load_rows(path, "csv") == rows
 
     def test_json_round_trip(self, tmp_path):
-        rows, manifest = harness.sweep(spec_with(mode=SweepMode.BOTH))
+        rows, manifest = sweep_rows(spec_with(mode=SweepMode.BOTH))
         path = tmp_path / "rows.json"
         harness.export(rows, "json", path, manifest)
         assert harness.load_rows(path, "json") == rows
@@ -637,3 +643,108 @@ class TestRowContract:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: not UTF-8 text: ')}") as info:
             harness.load_rows(path, fmt)
         assert type(info.value) is ValueError
+
+
+def rows_the_old_way(table):
+    """One ResultRow per grid point, read from the table's arrays cell by cell."""
+    xis = [*table.xi_grid.tolist(), None]
+    width = len(table.xi_grid) + table.include_state_average
+    arrays = (table.closed_form, table.oracle, table.deviation)
+    return [
+        ResultRow(table.kind, param, xis[j], *(None if a is None else float(a[i, j]) for a in arrays))
+        for i, param in enumerate(table.param_grid.tolist()) for j in range(width)
+    ]
+
+
+HUGE = (-1e300, -(2.0**51), -0.0, 2.0**51, 1e300)
+# Grids on which both column sources must give the reference bytes.
+TABLE_SPECS = {
+    "minus-zero": dict(param_grid=(-0.0, 0.5, 1.0), xi_grid=(-0.0, 0.25, np.pi),
+                       include_state_average=True),
+    "cd-huge": dict(kind=NoiseKind.COLLECTIVE_DEPHASING, param_grid=HUGE, xi_grid=HUGE,
+                    include_state_average=True),
+    "cr-huge": dict(kind=NoiseKind.COLLECTIVE_ROTATION, param_grid=HUGE, xi_grid=(-1e300, 0.5, 2.0**51)),
+    "avg-only": dict(kind=NoiseKind.PHASE_DAMPING, param_grid=(-0.0, 0.3, 1.0), xi_grid=(),
+                     include_state_average=True),
+}
+# Closed-form grids over several blocks: a block edge inside a parameter's
+# rows, and a parameter wider than a block.
+BLOCK_SPECS = {
+    "edges": dict(param_grid=(0.0, 0.5, 1.0), xi_grid=tuple(np.linspace(0.0, 6.0, 7000).tolist()),
+                  include_state_average=True),
+    "wide": dict(kind=NoiseKind.PHASE_DAMPING, param_grid=(-0.0, 1.0),
+                 xi_grid=tuple(np.linspace(-3.0, 3.0, BLOCK + 7).tolist())),
+}
+
+
+class TestSweepTable:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("mode", list(SweepMode))
+    @pytest.mark.parametrize("name", list(TABLE_SPECS))
+    def test_both_column_sources_give_the_reference_bytes(self, name, mode, fmt):
+        table, manifest = harness.sweep(spec_with(mode=mode, **TABLE_SPECS[name]))
+        rows = list(table.rows())
+        want = reference_format_rows(rows, fmt, manifest)
+        assert harness.format_rows(table, fmt, manifest) == want
+        assert harness.format_rows(rows, fmt, manifest) == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", list(BLOCK_SPECS))
+    def test_both_column_sources_give_the_reference_bytes_over_blocks(self, name, fmt):
+        table, manifest = harness.sweep(spec_with(**BLOCK_SPECS[name]))
+        assert len(table) > BLOCK
+        rows = list(table.rows())
+        want = reference_format_rows(rows, fmt, manifest)
+        assert harness.format_rows(table, fmt, manifest) == want
+        assert harness.format_rows(rows, fmt, manifest) == want
+
+    @pytest.mark.parametrize("name, mode", [
+        *((name, mode) for name in TABLE_SPECS for mode in SweepMode),
+        *((name, SweepMode.CLOSED_FORM) for name in BLOCK_SPECS),
+    ])
+    def test_rows_are_the_arrays_cell_by_cell(self, name, mode):
+        spec = spec_with(mode=mode, **{**TABLE_SPECS, **BLOCK_SPECS}[name])
+        table, _ = harness.sweep(spec)
+        rows = list(table.rows())
+        want = rows_the_old_way(table)
+        assert [tuple(map(repr, row)) for row in rows] == [tuple(map(repr, row)) for row in want]
+        assert all(type(row) is ResultRow for row in rows)
+        assert len(table) == len(rows) == len(spec.param_grid) * (
+            len(spec.xi_grid) + spec.include_state_average)
+        assert list(table) == rows
+
+    def test_table_holds_the_grids_and_read_only_arrays(self):
+        table, manifest = harness.sweep(spec_with(mode=SweepMode.BOTH, include_state_average=True))
+        assert table.kind is NoiseKind.AMPLITUDE_DAMPING and table.include_state_average
+        assert table.param_grid.tolist() == [0.0, 0.5, 1.0]
+        assert table.xi_grid.tolist() == [0.0, np.pi / 4]
+        assert table.closed_form.shape == table.oracle.shape == table.deviation.shape == (3, 3)
+        assert manifest.max_abs_deviation == float(table.deviation.max())
+        for array in (table.param_grid, table.xi_grid, table.closed_form, table.oracle, table.deviation):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.oracle = None
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_an_exported_table_loads_as_its_rows(self, tmp_path, fmt):
+        table, manifest = harness.sweep(spec_with(mode=SweepMode.BOTH, include_state_average=True))
+        path = tmp_path / f"rows.{fmt}"
+        harness.export(table, fmt, path, manifest)
+        assert harness.load_rows(path, fmt) == list(table.rows())
+
+    def test_export_memory_does_not_grow_with_the_rows(self, tmp_path):
+        xis = tuple(np.linspace(0.0, 6.0, 15).tolist())
+        peaks = []
+        for params in (2**12, 2**14):
+            grid = tuple(np.linspace(0.0, 1.0, params).tolist())
+            table, _ = harness.sweep(spec_with(param_grid=grid, xi_grid=xis, include_state_average=True))
+            assert len(table) == 16 * params
+            tracemalloc.start()
+            try:
+                harness.export(table, "csv", tmp_path / "rows.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Four times the rows; one block of text at a time either way.
+        assert peaks[1] <= 1.5 * peaks[0], peaks
