@@ -294,9 +294,7 @@ def verify_formulas(
 _CSV_LAYOUT = (("", ",", ",", ",", ",", ",", "\n"), "\n", XI_AVERAGE, "")
 _JSON_LAYOUT = (('{"kind": "', '", "param": ', *(f', "{name}": ' for name in ResultRow._fields[2:]),
                  "},\n"), "}\n", f'"{XI_AVERAGE}"', "null")
-_NON_FINITE = frozenset(("nan", "inf", "-inf"))  # repr of the non-finite floats
 _kind_text = operator.attrgetter("_value_")  # NoiseKind.value, without its property call
-_NOT_JSON = "Out of range float values are not JSON compliant"
 
 
 def _field_text(missing: str, value) -> str:
@@ -309,39 +307,30 @@ def _field_texts(column, missing: str) -> list[str]:
     return [missing if value is None else repr(float(value)) for value in column]
 
 
-def _row_columns(rows: list, xi_missing: str, missing: str, finite: bool):
+def _row_columns(rows: list, xi_missing: str, missing: str):
     """The column source of a row list: ``columns(start, stop)``, the six column texts of those rows.
 
     The rows are transposed a block at a time and the grid columns, param
-    and xi, encoded once per distinct value; ``finite`` rejects NaN and
-    infinity as json does, in the block that holds them.
+    and xi, encoded once per distinct value.
     """
     def columns(start: int, stop: int) -> list:
         kinds, params, xis, *optional = zip(*rows[start:stop])
-        texts = [map(_kind_text, kinds), _grid_values(params, functools.partial(_field_text, missing)),
-                 _grid_values(xis, functools.partial(_field_text, xi_missing)),
-                 *(_field_texts(values, missing) for values in optional)]
-        if finite and not all(map(_NON_FINITE.isdisjoint, texts[1:])):
-            raise ValueError(_NOT_JSON)
-        return texts
+        return [map(_kind_text, kinds), _grid_values(params, functools.partial(_field_text, missing)),
+                _grid_values(xis, functools.partial(_field_text, xi_missing)),
+                *(_field_texts(values, missing) for values in optional)]
 
     return columns
 
 
-def _table_columns(table: SweepTable, xi_missing: str, missing: str, finite: bool):
+def _table_columns(table: SweepTable, xi_missing: str, missing: str):
     """The column source of a table: ``columns(start, stop)``, made from the grid structure.
 
     The kind, and each value column the sweep did not compute, are one text
     for every row. Each parameter's text is made once per block and repeated
     over its ``width`` rows; the xi texts are made once and tiled; each
-    computed value column is one ``repr`` per value. ``finite`` checks every
-    array before any text is made.
+    computed value column is one ``repr`` per value.
     """
-    arrays = (table.closed_form, table.oracle, table.deviation)
-    if finite and not all(np.isfinite(a).all() for a in (table.param_grid, table.xi_grid, *arrays)
-                          if a is not None):
-        raise ValueError(_NOT_JSON)
-    values = [None if a is None else a.reshape(-1) for a in arrays]
+    values = [None if a is None else a.reshape(-1) for a in (table.closed_form, table.oracle, table.deviation)]
     xis = [*map(repr, table.xi_grid.tolist()), *[xi_missing] * table.include_state_average]
     width = len(xis)
 
@@ -355,6 +344,18 @@ def _table_columns(table: SweepTable, xi_missing: str, missing: str, finite: boo
                 *(missing if v is None else map(repr, v[start:stop].tolist()) for v in values)]
 
     return columns
+
+
+def _numbers(source) -> Iterator:
+    """A table's arrays, or a row list's fields after the kind as one array a block, less None and zeros."""
+    if isinstance(source, SweepTable):
+        arrays = (source.param_grid, source.xi_grid, source.closed_form, source.oracle, source.deviation)
+        yield from (a for a in arrays if a is not None)
+        return
+    for start in range(0, len(source), FORMAT_BLOCK_ROWS):
+        fields = list(chain.from_iterable(source[start : start + FORMAT_BLOCK_ROWS]))
+        del fields[:: len(ResultRow._fields)]  # the kinds
+        yield np.fromiter(filter(None, fields), float)  # zeros are finite
 
 
 def _blocks(columns, total: int, pieces, last_end: str) -> Iterator[str]:
@@ -381,10 +382,10 @@ def format_rows(source, fmt: str, manifest: RunManifest | None = None) -> str:
 
     CSV is rows only; JSON wraps them with the run manifest less its
     ``duration_ms``, so identical sweeps re-export byte-identically in both.
-    Both formats share one field template, written ``FORMAT_BLOCK_ROWS`` rows
-    at a time from one of two column sources: a table's arrays and grid
-    structure, or a row list transposed a block at a time. Both give the
-    same bytes for the same rows.
+    JSON has no NaN or infinity: one anywhere raises ValueError. Both formats
+    share one field template, written ``FORMAT_BLOCK_ROWS`` rows at a time
+    from a table's arrays and grid structure, or from a row list transposed
+    a block at a time, to the same bytes for the same rows.
     """
     return "".join(_text_parts(source, fmt, manifest))
 
@@ -392,9 +393,9 @@ def format_rows(source, fmt: str, manifest: RunManifest | None = None) -> str:
 def _text_parts(source, fmt: str, manifest: RunManifest | None) -> Iterator[str]:
     """``format_rows`` in parts: the head, one per ``FORMAT_BLOCK_ROWS`` rows, the tail.
 
-    Every check runs before the first part is made, so a JSON export that
-    fails writes nothing. A table's blocks are made as they are consumed; a
-    row list's JSON blocks are all made first, since each checks its own text.
+    Every check runs before the first part is made, so an export that fails
+    one writes nothing; JSON's finiteness check reads a row list a block at a
+    time. Each part is then made as it is consumed, one block of text at a time.
     """
     table = isinstance(source, SweepTable)
     if not table:
@@ -404,6 +405,8 @@ def _text_parts(source, fmt: str, manifest: RunManifest | None) -> Iterator[str]
     if fmt == "csv":
         head, layout, tail = CSV_HEADER + "\n", _CSV_LAYOUT, ""
     elif fmt == "json":
+        if not all(np.isfinite(numbers).all() for numbers in _numbers(source)):
+            raise ValueError("Out of range float values are not JSON compliant")  # json's own message
         # Wall time differs run to run; the stderr manifest keeps it.
         fields = {} if manifest is None else manifest.to_dict()
         fields.pop("duration_ms", None)
@@ -412,11 +415,8 @@ def _text_parts(source, fmt: str, manifest: RunManifest | None) -> Iterator[str]
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     pieces, last_end, xi_missing, missing = layout
-    columns = (_table_columns if table else _row_columns)(source, xi_missing, missing, fmt == "json")
-    blocks = _blocks(columns, len(source), pieces, last_end)
-    if fmt == "json" and not table:
-        blocks = list(blocks)
-    return chain((head,), blocks, (tail,))
+    columns = (_table_columns if table else _row_columns)(source, xi_missing, missing)
+    return chain((head,), _blocks(columns, len(source), pieces, last_end), (tail,))
 
 
 def export(source, fmt: str, path, manifest: RunManifest | None = None) -> None:
@@ -425,8 +425,8 @@ def export(source, fmt: str, path, manifest: RunManifest | None = None) -> None:
     ``source`` is a ``SweepTable`` or a list of rows. A new or regular file is
     written beside itself, then renamed into place; a device or pipe, such as
     /dev/null, is written through. Every check runs before the first write,
-    and each block of text is written as it is made, so a table's export
-    holds one block of text at a time.
+    and each block of text is written as it is made, so an export of either
+    source holds one block of text at a time.
     """
     parts = _text_parts(source, fmt, manifest)
     target = os.path.realpath(path)

@@ -271,18 +271,28 @@ class TestSweep:
     LAST_BLOCK_ARGV = ("sweep", "--noise", "ad", "--grid", "0:1:113", "--xi-grid", "0:6:144",
                        "--xi-avg", "--format", "json")
 
-    @pytest.fixture(params=["table", "rows"])
+    # The array, index and value of each non-finite case; the first is the last row only.
+    NON_FINITE = [("closed_form", (-1, -1), float("nan")), ("param_grid", -1, float("nan")),
+                  ("param_grid", -1, float("inf")), ("xi_grid", -1, float("-inf"))]
+
+    @pytest.fixture(params=[(source, case) for case in NON_FINITE for source in ("table", "rows")],
+                    ids=lambda p: p[0] if p[1][0] == "closed_form" else f"{p[0]}-{p[1][0]}-{p[1][2]}")
     def last_block_nan(self, request, monkeypatch):
-        """``harness.sweep`` with a NaN in its last row only, as a table or as a row list."""
+        """``harness.sweep`` with a non-finite value in its last block, as a table or as a row list.
+
+        The value is a NaN in the last row only, a NaN or infinite last param,
+        or an infinite last xi, which every param's rows hold.
+        """
         sweep = harness.sweep
+        source, (name, index, value) = request.param
 
         def patched(spec):
             table, manifest = sweep(spec)
             assert len(table) == harness.FORMAT_BLOCK_ROWS + 1
-            closed = table.closed_form.copy()
-            closed[-1, -1] = float("nan")
-            table = dataclasses.replace(table, closed_form=closed)
-            return (table if request.param == "table" else list(table.rows())), manifest
+            array = getattr(table, name).copy()
+            array[index] = value
+            table = dataclasses.replace(table, **{name: array})
+            return (table if source == "table" else list(table.rows())), manifest
 
         monkeypatch.setattr(harness, "sweep", patched)
 

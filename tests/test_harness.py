@@ -472,11 +472,20 @@ class TestFieldEncoder:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_value_in_a_later_block_raises(self, random_rows, bad):
-        rows = list(random_rows)
-        rows[BLOCK + 2] = rows[BLOCK + 2]._replace(oracle=bad)
-        with pytest.raises(ValueError, match="JSON compliant"):
-            harness.format_rows(rows, "json")
-        assert harness.format_rows(rows, "csv") == reference_format_rows(rows, "csv")
+        table, _ = harness.sweep(spec_with(**TABLE_SPECS["minus-zero"]))
+        # A value field, the param and the xi: of a row in the second block, and
+        # of a table's last row, last param and last angle.
+        for field, name, index in [("oracle", "closed_form", (-1, -1)), ("param", "param_grid", -1),
+                                   ("xi", "xi_grid", -1)]:
+            rows = list(random_rows)
+            rows[BLOCK + 2] = rows[BLOCK + 2]._replace(**{field: bad})
+            array = getattr(table, name).copy()
+            array[index] = bad
+            bad_table = dataclasses.replace(table, **{name: array})
+            for source, want in [(rows, rows), (bad_table, list(bad_table.rows()))]:
+                with pytest.raises(ValueError, match="JSON compliant"):
+                    harness.format_rows(source, "json")
+                assert harness.format_rows(source, "csv") == reference_format_rows(want, "csv")
 
     def test_an_int_field_is_written_as_a_float_in_both_formats(self):
         row = ResultRow(NoiseKind.PHASE_DAMPING, 1, 0, 0.5, None, None)
@@ -747,4 +756,22 @@ class TestSweepTable:
             finally:
                 tracemalloc.stop()
         # Four times the rows; one block of text at a time either way.
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_row_list_json_export_memory_does_not_grow_with_the_rows(self, tmp_path):
+        xis = tuple(np.linspace(0.0, 6.0, 7).tolist())
+        peaks = []
+        for params in (2**13, 2**15):
+            grid = tuple(np.linspace(0.0, 1.0, params).tolist())
+            table, _ = harness.sweep(spec_with(param_grid=grid, xi_grid=xis, include_state_average=True))
+            rows = list(table.rows())
+            assert len(rows) == 8 * params
+            tracemalloc.start()
+            try:
+                harness.export(rows, "json", tmp_path / "rows.json")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del rows
+        # Four times the rows; one block of text, and one block's check, at a time.
         assert peaks[1] <= 1.5 * peaks[0], peaks
