@@ -173,12 +173,7 @@ def _cmd_sweep(args, start: float) -> int:
             "xi_points": "--xi-points",
         }) from exc
     table, manifest = harness.sweep(spec)
-    if args.out == "-":
-        # Every check runs before the first write, so a JSON value that fails
-        # the finite check leaves stdout empty; the blocks are written as made.
-        sys.stdout.writelines(harness._text_parts(table, args.format, manifest))
-    else:
-        harness.export(table, args.format, args.out, manifest)
+    harness.export(table, args.format, sys.stdout if args.out == "-" else args.out, manifest)
     _emit_manifest(manifest)
     return EXIT_OK
 

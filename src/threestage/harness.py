@@ -3,15 +3,18 @@
 A sweep evaluates the cartesian grid of noise parameters and encoding angles
 into a ``SweepTable``: the grids and one array per value column, whose rows
 run in deterministic param-major order with an optional state-averaged row
-per parameter. Export writes a table's text straight from its arrays, block
-by block; a list of rows, as ``load_rows`` returns, exports to the same
-bytes. CSV re-exports of identical rows are byte-identical; floats are
-written in their shortest round-trip form.
+per parameter. ``export`` is the one writer of a sweep's text, to a file, a
+device or an open stream, and ``format_rows`` is that writer into a string.
+It writes a table's text straight from its arrays, block by block; a list of
+rows, as ``load_rows`` returns, is read by one flatten per block and exports
+to the same bytes. CSV re-exports of identical rows are byte-identical;
+floats are written in their shortest round-trip form.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 import operator
@@ -35,8 +38,8 @@ XI_AVERAGE = "avg"
 
 MAX_SWEEP_ROWS = 10**6
 
-# format_rows and export make this many rows at a time, so that the text of
-# one field per row exists for one block only.
+# export makes this many rows at a time, so that the text of one field per
+# row exists for one block only.
 FORMAT_BLOCK_ROWS = 2**14
 
 
@@ -310,14 +313,15 @@ def _field_texts(column, missing: str) -> list[str]:
 def _row_columns(rows: list, xi_missing: str, missing: str):
     """The column source of a row list: ``columns(start, stop)``, the six column texts of those rows.
 
-    The rows are transposed a block at a time and the grid columns, param
-    and xi, encoded once per distinct value.
+    Each block is flattened once and read by column with a stride; the grid
+    columns, param and xi, are encoded once per distinct value.
     """
     def columns(start: int, stop: int) -> list:
-        kinds, params, xis, *optional = zip(*rows[start:stop])
-        return [map(_kind_text, kinds), _grid_values(params, functools.partial(_field_text, missing)),
-                _grid_values(xis, functools.partial(_field_text, xi_missing)),
-                *(_field_texts(values, missing) for values in optional)]
+        fields = list(chain.from_iterable(rows[start:stop]))
+        return [map(_kind_text, fields[0::6]),
+                _grid_values(fields[1::6], functools.partial(_field_text, missing)),
+                _grid_values(fields[2::6], functools.partial(_field_text, xi_missing)),
+                *(_field_texts(fields[column::6], missing) for column in range(3, 6))]
 
     return columns
 
@@ -378,24 +382,29 @@ def _blocks(columns, total: int, pieces, last_end: str) -> Iterator[str]:
 
 
 def format_rows(source, fmt: str, manifest: RunManifest | None = None) -> str:
-    """The text ``export`` writes: a ``SweepTable`` or a list of rows as csv or json.
+    """The text ``export`` writes, as a string: ``export`` into an ``io.StringIO``."""
+    buffer = io.StringIO()
+    export(source, fmt, buffer, manifest)
+    return buffer.getvalue()
+
+
+def export(source, fmt: str, path, manifest: RunManifest | None = None) -> None:
+    """Write a ``SweepTable`` or a list of rows to ``path`` as csv or json, all or nothing.
 
     CSV is rows only; JSON wraps them with the run manifest less its
     ``duration_ms``, so identical sweeps re-export byte-identically in both.
-    JSON has no NaN or infinity: one anywhere raises ValueError. Both formats
-    share one field template, written ``FORMAT_BLOCK_ROWS`` rows at a time
-    from a table's arrays and grid structure, or from a row list transposed
-    a block at a time, to the same bytes for the same rows.
-    """
-    return "".join(_text_parts(source, fmt, manifest))
+    JSON has no NaN or infinity: one check reads every number of the source,
+    a table's arrays or a row list's fields a block at a time, before the
+    first write, and one anywhere raises ValueError. Both formats share one
+    field template, made ``FORMAT_BLOCK_ROWS`` rows at a time from a table's
+    arrays and grid structure, or from a row list read by one flatten per
+    block, to the same bytes for the same rows.
 
-
-def _text_parts(source, fmt: str, manifest: RunManifest | None) -> Iterator[str]:
-    """``format_rows`` in parts: the head, one per ``FORMAT_BLOCK_ROWS`` rows, the tail.
-
-    Every check runs before the first part is made, so an export that fails
-    one writes nothing; JSON's finiteness check reads a row list a block at a
-    time. Each part is then made as it is consumed, one block of text at a time.
+    ``path`` is a path or an open text stream, such as ``sys.stdout`` or an
+    ``io.StringIO``. A new or regular file is written beside itself, then
+    renamed into place; a device or pipe, such as /dev/null, and a stream are
+    written through. Each block of text is written as it is made, so an
+    export holds one block of text at a time.
     """
     table = isinstance(source, SweepTable)
     if not table:
@@ -416,19 +425,10 @@ def _text_parts(source, fmt: str, manifest: RunManifest | None) -> Iterator[str]
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     pieces, last_end, xi_missing, missing = layout
     columns = (_table_columns if table else _row_columns)(source, xi_missing, missing)
-    return chain((head,), _blocks(columns, len(source), pieces, last_end), (tail,))
-
-
-def export(source, fmt: str, path, manifest: RunManifest | None = None) -> None:
-    """Write ``format_rows(source, fmt, manifest)`` to ``path``, all or nothing.
-
-    ``source`` is a ``SweepTable`` or a list of rows. A new or regular file is
-    written beside itself, then renamed into place; a device or pipe, such as
-    /dev/null, is written through. Every check runs before the first write,
-    and each block of text is written as it is made, so an export of either
-    source holds one block of text at a time.
-    """
-    parts = _text_parts(source, fmt, manifest)
+    parts = chain((head,), _blocks(columns, len(source), pieces, last_end), (tail,))
+    if hasattr(path, "writelines"):
+        path.writelines(parts)
+        return
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         with open(target, "w", encoding="utf-8", newline="") as handle:
@@ -487,7 +487,7 @@ def _decode_rows(records, path, label: str, first: int) -> list[ResultRow]:
 def _grid_values(column, convert) -> list:
     """``convert`` of each value of a column that repeats, as a sweep's param and xi do.
 
-    One call per distinct value; ``format_rows`` encodes a row list's grid
+    One call per distinct value; ``export`` encodes a row list's grid
     columns with it and ``load_rows`` decodes them. Zeros and None are falsy and are
     converted value by value: 0.0 and -0.0 are one key with two results.
     """
@@ -534,7 +534,7 @@ def load_rows(path, fmt: str) -> list[ResultRow]:
     object with a ``rows`` list raises ValueError naming the file.
 
     Rows are decoded ``FORMAT_BLOCK_ROWS`` at a time, column by column, the
-    mirror of ``format_rows`` on a row list: the grid columns once per distinct value, each
+    mirror of ``export`` on a row list: the grid columns once per distinct value, each
     value column in one pass. A block that fails is decoded again row by row,
     which raises the error of its first bad row.
     """

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import re
@@ -485,6 +486,10 @@ class TestFieldEncoder:
             for source, want in [(rows, rows), (bad_table, list(bad_table.rows()))]:
                 with pytest.raises(ValueError, match="JSON compliant"):
                     harness.format_rows(source, "json")
+                stream = io.StringIO()
+                with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant$"):
+                    harness.export(source, "json", stream)
+                assert stream.getvalue() == ""
                 assert harness.format_rows(source, "csv") == reference_format_rows(want, "csv")
 
     def test_an_int_field_is_written_as_a_float_in_both_formats(self):
@@ -741,6 +746,12 @@ class TestSweepTable:
         path = tmp_path / f"rows.{fmt}"
         harness.export(table, fmt, path, manifest)
         assert harness.load_rows(path, fmt) == list(table.rows())
+        # An open stream is written through, to the same text, from a table and from its rows.
+        for source in (table, list(table.rows())):
+            stream = io.StringIO()
+            harness.export(source, fmt, stream, manifest)
+            assert stream.getvalue() == harness.format_rows(source, fmt, manifest)
+            assert stream.getvalue().encode() == path.read_bytes()
 
     def test_export_memory_does_not_grow_with_the_rows(self, tmp_path):
         xis = tuple(np.linspace(0.0, 6.0, 15).tolist())
