@@ -39,6 +39,12 @@ def rotation(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if not np.logical_and.reduce(np.isfinite(theta), axis=None):
         raise ValueError("rotation angle must be finite")
+    return _rotation(theta)
+
+
+def _rotation(theta) -> np.ndarray:
+    """``rotation`` of angles already checked finite, such as a config's or a channel's."""
+    theta = np.asarray(theta, dtype=float)
     c, s = np.cos(theta), np.sin(theta)
     out = np.empty(theta.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = c
@@ -56,6 +62,12 @@ def phase_gate(phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     if not np.logical_and.reduce(np.isfinite(phi), axis=None):
         raise ValueError("phase angle must be finite")
+    return _phase_gate(phi)
+
+
+def _phase_gate(phi) -> np.ndarray:
+    """``phase_gate`` of angles already checked finite, such as a channel's."""
+    phi = np.asarray(phi, dtype=float)
     out = np.zeros(phi.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = 1.0
     out[..., 1, 1] = np.exp(1j * phi)

@@ -202,13 +202,13 @@ def phase_damping(eta) -> QuantumChannel:
 def collective_dephasing(phi) -> QuantumChannel:
     """Unitary phase kick diag(1, e^{i Phi}) applied to every travel qubit."""
     check_parameter(NoiseKind.COLLECTIVE_DEPHASING, phi)
-    return _built(NoiseKind.COLLECTIVE_DEPHASING, (algebra.phase_gate(phi),), phi)
+    return _built(NoiseKind.COLLECTIVE_DEPHASING, (algebra._phase_gate(phi),), phi)
 
 
 def collective_rotation(theta) -> QuantumChannel:
     """Unitary rotation by Theta applied to every travel qubit."""
     check_parameter(NoiseKind.COLLECTIVE_ROTATION, theta)
-    return _built(NoiseKind.COLLECTIVE_ROTATION, (algebra.rotation(theta),), theta)
+    return _built(NoiseKind.COLLECTIVE_ROTATION, (algebra._rotation(theta),), theta)
 
 
 # Frozen, with read-only operators, so one instance serves every caller.

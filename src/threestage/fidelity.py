@@ -246,7 +246,7 @@ def _encoded_vecs(xis) -> np.ndarray:
     """
     # The basis rows are the bits; made contiguous, so that the products and
     # the reshape below give a C-ordered array.
-    psi = np.ascontiguousarray(np.moveaxis(protocol._basis(xis), -2, 0))
+    psi = np.ascontiguousarray(np.moveaxis(protocol._basis(protocol._finite_xi(xis)), -2, 0))
     return (psi[..., :, None] * psi[..., None, :].conj()).reshape(2, len(xis), 4)
 
 

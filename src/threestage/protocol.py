@@ -100,14 +100,21 @@ class Transcript:
     bit_sent: int
 
 
+def _finite_xi(xi) -> np.ndarray:
+    """``xi`` as a float array, rejected unless every angle is finite."""
+    angles = np.asarray(xi, dtype=float)
+    if not np.logical_and.reduce(np.isfinite(angles), axis=None):
+        raise ValueError(f"xi must be finite, got {xi!r}")
+    return angles
+
+
 def _basis(xi) -> np.ndarray:
     """Both encoded states as the rows of one matrix, shape ``xi.shape + (2, 2)``.
 
     Row 0 is cos(xi)|0> + sin(xi)|1>, row 1 is sin(xi)|0> - cos(xi)|1>.
+    ``xi`` is taken as finite: a config's, or one ``_finite_xi`` checked.
     """
     angles = np.asarray(xi, dtype=float)
-    if not np.logical_and.reduce(np.isfinite(angles), axis=None):
-        raise ValueError(f"xi must be finite, got {xi!r}")
     c, s = np.cos(angles), np.sin(angles)
     out = np.empty(angles.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = c
@@ -124,6 +131,11 @@ def encode_bit(bit: int, xi) -> np.ndarray:
     sin(xi)|0> - cos(xi)|1>. An array of angles gives the stack of states,
     shape ``xi.shape + (2,)``.
     """
+    return _encoded(bit, _finite_xi(xi))
+
+
+def _encoded(bit: int, xi) -> np.ndarray:
+    """``encode_bit`` of an ``xi`` already checked finite; the bit is still checked."""
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     return _basis(xi)[..., bit, :]
@@ -161,7 +173,7 @@ def _stage_channels(config: ProtocolConfig, first: int, n: int | None = None):
 
 def _evolve(config: ProtocolConfig, rho: np.ndarray, stages) -> tuple:
     """States after each crossing and after Bob's inverse rotation; stacks broadcast."""
-    r_alice, r_bob = rotations = algebra.rotation((config.alice_angle, config.bob_angle))
+    r_alice, r_bob = rotations = algebra._rotation((config.alice_angle, config.bob_angle))
     undo_alice, undo_bob = algebra.dagger(rotations)
     after_1 = channels.apply_channel(stages[0], algebra.conjugate_by(r_alice, rho))
     after_2 = channels.apply_channel(stages[1], algebra.conjugate_by(r_bob, after_1))
@@ -180,8 +192,9 @@ def run_protocol(
     noise. It has no effect under FIXED.
     """
     index = 0 if message_index is None else _non_negative("message_index", message_index)
-    psi = encode_bit(bit, config.xi)
-    # encode_bit's states are normalized by construction: no re-validation.
+    # The config checked xi, and encoded states are normalized by
+    # construction: neither is tested again.
+    psi = _encoded(bit, config.xi)
     stages = _stage_channels(config, index)
     states = _evolve(config, np.outer(psi, psi.conj()), stages)
     transcript = Transcript(
@@ -198,17 +211,18 @@ def decode_bit(rho_final: np.ndarray, xi: float):
     Returns (p0, p1) with p_b = <state_b|rho|state_b>, each clamped to [0, 1]:
     floats for one state, arrays for a stack of states. The two encoded
     states form an orthonormal basis, so p0 + p1 = 1 up to rounding.
-    ``rho_final`` comes from the caller, so it is validated here and a state
-    that is not a density matrix raises ValueError. The package's own rounds
-    decode the states they evolved with ``_decode``, unvalidated: a round
-    starts from a pure encoded state and applies only unitaries and complete
-    channels, re-symmetrizing after each, so its states stay valid.
+    ``rho_final`` and ``xi`` come from the caller, so they are checked here:
+    a state that is not a density matrix, or a non-finite ``xi``, raises
+    ValueError. The package's own rounds decode the states they evolved with
+    ``_decode``, unchecked: a round starts from a pure encoded state and
+    applies only unitaries and complete channels, re-symmetrizing after
+    each, so its states stay valid, and its config checked ``xi``.
     """
-    return _decode(algebra.validate_density(rho_final), xi)
+    return _decode(algebra.validate_density(rho_final), _finite_xi(xi))
 
 
 def _decode(rho: np.ndarray, xi):
-    """``decode_bit`` of a complex (..., 2, 2) density matrix known to be valid."""
+    """``decode_bit`` of a complex (..., 2, 2) density matrix known to be valid, at a finite xi."""
     basis = _basis(xi)
     # Row times matrix times column for both states at once: every member
     # takes the scalar inner product's arithmetic, so a stack decodes exactly

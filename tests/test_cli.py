@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -943,7 +944,29 @@ class TestParseOnce:
             ["sweep", "--noise", "xx", "--out", "-"],
             ["sweep", "--noise", "pd", "--grid", "0:1:3", "--xi-avg", "--out", "-", "--format=json"],
             ["run", "--noise", "ad", "--param", "0.3", "--help", "--frequency"],
+            ["run", "--noise", "ad", "--degrees", "1"],
+            ["message", "--noise", "ad", "--bits", ""],
+            ["run", "--noise", "ad", "--noise", "pd"],
+            ["run", "--noise", "ad", "--bit", "2"],
+            ["message", "--noise", "ad", "--bits", "01", "--seed", "1.5"],
+            ["run", "--param", "0.3"],
+            ["run", "--noise", "--param", "0.3"],
+            ["run", "--par", "0.3", "--noise", "ad"],
+            ["run", "--noise", "ad", "--param", "nan"],
+            ["sweep", "--noise", "ad", "--xi-avg", "--xi-avg", "--out", "-"],
         ]
+    )
+    # One plain ``--flag value`` argv per subcommand, and one shaped like the
+    # benchmark's ``run`` calls.
+    PLAIN = (
+        ["run", "--noise", "cr", "--param", "1.0471975511965976", "--xi", "0.3",
+         "--alice-angle", "2.2", "--bob-angle", "5.1", "--bit", "1"],
+        ["run", "--noise", "ad", "--degrees", "--param", "0.5", "--bit", "0", "--bit", "1"],
+        ["message", "--noise", "pd", "--param", "0.25", "--bits", "0110", "--seed", "7"],
+        ["sweep", "--noise", "cd", "--grid", "0:1:3", "--xi-avg", "--out", "out.csv",
+         "--format", "json", "--mode", "both", "--rotation-points", "16"],
+        ["verify", "--kinds", "cr", "--tolerance", "0.1", "--resolution", "8"],
+        ["commutators", "--eta", "0.5", "--theta", "1", "--degrees"],
     )
 
     @staticmethod
@@ -976,6 +999,15 @@ class TestParseOnce:
             assert self.parsed(capsys, cli._parse_args, argv) == self.parsed(
                 capsys, cli.build_parser().parse_args, argv), argv
             assert self.answers(capsys, argv) == self.reference(capsys, monkeypatch, argv), argv
+
+    def test_plain_argvs_never_reach_argparse(self, monkeypatch):
+        expected = [repr(cli.build_parser().parse_args(argv)) for argv in self.PLAIN]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a plain argv")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        assert [repr(cli._parse_args(argv)) for argv in self.PLAIN] == expected
 
     def test_an_ambiguous_prefix_after_the_command_is_named_by_its_parser(
         self, capsys, monkeypatch
