@@ -350,15 +350,18 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 
 def _parse_plain(command: argparse.ArgumentParser, name: str, tokens: list[str]):
-    """``command.parse_known_args(tokens, Namespace(command=name))[0]`` for plain argv, else None.
+    """``build_parser().parse_args([name, *tokens])`` for plain argv, else None.
 
     Plain argv is exact option strings of ``command``: a store flag takes the
     next token, which must not start with ``-``, through its type and
     choices; a ``store_true`` switch takes none; a repeated flag keeps its
-    last value. Anything else gives None, so that argparse parses it and
-    writes its own usage and errors. The namespace is filled in argparse's
-    order: the command, each action's default, the parser's own defaults,
-    then the parsed values.
+    last value; every required flag is present. Anything else gives None, so
+    that argparse parses it and writes its own usage and errors. The
+    namespace is filled in argparse's order: the command, each action's
+    default, the parser's own defaults, then the parsed values. The pass
+    relies on what ``TestParseOnce`` pins of these parsers: a store flag
+    takes one value, typed by ``int``, ``float`` or nothing, and no typed
+    flag has a string default.
     """
     parsed, seen = {}, set()
     index = 0
@@ -367,12 +370,12 @@ def _parse_plain(command: argparse.ArgumentParser, name: str, tokens: list[str])
         if type(action) is argparse._StoreTrueAction:
             parsed[action.dest] = action.const
             index += 1
-        elif (type(action) is argparse._StoreAction and action.nargs is None
+        elif (type(action) is argparse._StoreAction
               and index + 1 < len(tokens) and not tokens[index + 1].startswith("-")):
             value = tokens[index + 1]
             try:
                 value = value if action.type is None else action.type(value)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+            except ValueError:
                 return None
             if action.choices is not None and value not in action.choices:
                 return None
@@ -383,11 +386,8 @@ def _parse_plain(command: argparse.ArgumentParser, name: str, tokens: list[str])
         seen.add(action)
     namespace = {"command": name}
     for action in command._actions:
-        if action not in seen and (
-            action.required or action.type is not None and isinstance(action.default, str)
-        ):
-            # argparse reports the missing flag, or converts the string default.
-            return None
+        if action.required and action not in seen:
+            return None  # argparse reports the missing flag
         if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
             namespace.setdefault(action.dest, action.default)
     for dest, default in command._defaults.items():
@@ -397,27 +397,18 @@ def _parse_plain(command: argparse.ArgumentParser, name: str, tokens: list[str])
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, parsed once by the subcommand's own parser.
+    """``build_parser().parse_args(argv)``, with plain argv parsed in one pass.
 
-    The top-level parser only finds the subcommand and hands it every later
-    argument, so a leading subcommand name goes straight to its parser:
-    plain ``--flag value`` argv in one pass over its action table
-    (``_parse_plain``), every other argv and every error by argparse, with
-    leftover arguments given the top-level parser's error. Any other argv
-    (empty, ``-h``, ``--version``, an unknown command) goes through the
-    top-level parser.
+    An argv whose first word names a subcommand and whose later words are
+    plain (``_parse_plain``) is parsed in one pass over that subcommand
+    parser's action table. Every other argv, and every error and usage
+    line, goes to the top-level parser's own ``parse_args``.
     """
     parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _parse_plain(command, argv[0], argv[1:])
-    if args is None:
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    args = None if command is None else _parse_plain(command, argv[0], argv[1:])
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
