@@ -17,6 +17,7 @@ call applies a different channel to each state.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -99,11 +100,13 @@ class QuantumChannel:
 
 
 def _store(channel: QuantumChannel, operators: tuple, parameter) -> None:
-    """Set ``channel``'s operators and a read-only float copy of ``parameter``."""
-    parameter = np.array(parameter, dtype=float)
-    parameter.flags.writeable = False
+    """Set ``channel``'s operators and ``parameter`` as a float or a read-only float copy."""
+    if type(parameter) is not float:
+        parameter = np.array(parameter, dtype=float)
+        parameter.flags.writeable = False
+        parameter = float(parameter) if parameter.ndim == 0 else parameter
     object.__setattr__(channel, "operators", operators)
-    object.__setattr__(channel, "parameter", float(parameter) if parameter.ndim == 0 else parameter)
+    object.__setattr__(channel, "parameter", parameter)
 
 
 def _built(kind: NoiseKind, operators: tuple, parameter) -> QuantumChannel:
@@ -151,8 +154,14 @@ def check_parameter(kind: NoiseKind, values) -> None:
     """Raise ValueError unless every entry of ``values`` is a valid ``kind`` parameter.
 
     Every parameter must be finite; a probability must also lie in [0, 1]. The
-    message names the parameter symbol and the first bad value.
+    message names the parameter symbol and the first bad value. A valid
+    Python float is checked with ``math``; anything else, a bad float
+    included, takes the array check, so the messages are the same.
     """
+    if type(values) is float and math.isfinite(values) and (
+        not kind.is_probability or 0.0 <= values <= 1.0
+    ):
+        return
     values = np.asarray(values, dtype=float)
     bad = ~np.isfinite(values)
     if kind.is_probability:
@@ -166,8 +175,17 @@ def check_parameter(kind: NoiseKind, values) -> None:
 
 
 def _damping(kind: NoiseKind, eta, lost: tuple[int, int]) -> QuantumChannel:
-    """E0 = diag(1, sqrt(1 - eta)) and E1 = sqrt(eta) at entry ``lost``, stacked over eta."""
+    """E0 = diag(1, sqrt(1 - eta)) and E1 = sqrt(eta) at entry ``lost``, stacked over eta.
+
+    A Python float eta builds each 2x2 in one call from ``math.sqrt``, which
+    rounds correctly as ``np.sqrt`` does, so the bytes are the same.
+    """
     check_parameter(kind, eta)
+    if type(eta) is float:
+        e1 = [[0.0, 0.0], [0.0, 0.0]]
+        e1[lost[0]][lost[1]] = math.sqrt(eta)
+        e0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - eta)]], dtype=complex)
+        return _built(kind, (e0, np.array(e1, dtype=complex)), eta)
     eta = np.asarray(eta, dtype=float)
     e0 = np.zeros(eta.shape + (2, 2), dtype=complex)
     e1 = np.zeros(eta.shape + (2, 2), dtype=complex)

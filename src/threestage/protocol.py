@@ -19,6 +19,8 @@ and no trajectory sampling is needed.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -62,12 +64,21 @@ def _non_negative(name: str, value) -> int:
     return value
 
 
+def _is_real(value) -> bool:
+    """True for a Python real, a numpy real scalar or a 0-d real array."""
+    if isinstance(value, numbers.Real):
+        return True
+    return isinstance(value, (np.ndarray, np.generic)) and value.ndim == 0 and value.dtype.kind in "biuf"
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Angles, channel, and stage policy for one protocol instance.
 
     ``xi`` fixes the public encoding basis, ``alice_angle`` and ``bob_angle``
-    are the parties' secret rotations (all radians).
+    are the parties' secret rotations (all radians). Each angle must be a
+    real number: a Python real, a numpy real scalar or a 0-d real array.
+    Anything else raises TypeError, a NaN or infinite angle ValueError.
     """
 
     xi: float
@@ -80,7 +91,13 @@ class ProtocolConfig:
     def __post_init__(self):
         for name in ("xi", "alice_angle", "bob_angle"):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            if type(value) is not float and not _is_real(value):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         _non_negative("resample_seed", self.resample_seed)
 
@@ -113,9 +130,13 @@ def _basis(xi) -> np.ndarray:
 
     Row 0 is cos(xi)|0> + sin(xi)|1>, row 1 is sin(xi)|0> - cos(xi)|1>.
     ``xi`` is taken as finite: a config's, or one ``_finite_xi`` checked.
+    One angle builds its 2x2 in one call. The cosine and sine stay numpy's
+    for every shape: ``math.cos`` can differ from them in the last ulp.
     """
     angles = np.asarray(xi, dtype=float)
     c, s = np.cos(angles), np.sin(angles)
+    if not angles.ndim:
+        return np.array([[c, s], [s, -c]], dtype=complex)
     out = np.empty(angles.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = c
     out[..., 0, 1] = s
@@ -196,7 +217,7 @@ def run_protocol(
     # construction: neither is tested again.
     psi = _encoded(bit, config.xi)
     stages = _stage_channels(config, index)
-    states = _evolve(config, np.outer(psi, psi.conj()), stages)
+    states = _evolve(config, psi[:, None] * psi.conj(), stages)
     transcript = Transcript(
         stage_states=states,
         stage_parameters=tuple(stage.parameter for stage in stages),

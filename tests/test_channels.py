@@ -418,3 +418,46 @@ class TestCompleteByConstruction:
         np.testing.assert_array_equal(channel.parameter, STACK_PARAMETERS[kind])
         assert not channel.parameter.flags.writeable
         assert type(channels.from_kind(kind, np.float32(0.25)).parameter) is float
+
+
+# A Python float takes its own path through check_parameter, _damping and
+# _store; numpy scalars and 0-d arrays take the array path.
+SCALAR_PARAMETERS = (0.0, -0.0, 1.0, 5e-324, 1 - 2**-53) + tuple(
+    np.random.default_rng(26).uniform(0.0, 1.0, 6).tolist()
+)
+
+
+def check_message(kind, value):
+    """The message check_parameter raises for ``value``, or None when it passes."""
+    try:
+        channels.check_parameter(kind, value)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestScalarPath:
+    """The float path builds the bytes, and raises the messages, of the array path."""
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("value", SCALAR_PARAMETERS, ids=float.hex)
+    def test_float_numpy_scalar_and_0d_array_build_the_same_channel(self, kind, value):
+        built = [channels.from_kind(kind, x) for x in (value, np.float64(value), np.array(value))]
+        reference = built[-1]
+        for channel in built:
+            assert type(channel.parameter) is float
+            assert channel.parameter.hex() == reference.parameter.hex()
+            assert [op.tobytes() for op in channel.operators] == [op.tobytes() for op in reference.operators]
+            assert all(op.shape == (2, 2) and not op.flags.writeable for op in channel.operators)
+        if kind is not NoiseKind.IDENTITY:
+            assert built[0].parameter.hex() == value.hex()
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf, -1e-300, 1 + 2**-52), ids=float.hex)
+    def test_float_and_0d_array_get_the_same_message(self, kind, value):
+        message = check_message(kind, value)
+        assert message == check_message(kind, np.array(value))
+        assert (message is not None) == (kind.is_probability or not np.isfinite(value))
+        if message is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                channels.from_kind(kind, value)

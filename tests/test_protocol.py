@@ -1,4 +1,6 @@
+import fractions
 import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -562,3 +564,85 @@ class TestStackedRound:
         with pytest.raises(ValueError) as stacked:
             protocol.decode_bit(stack, 0.1)
         assert str(stacked.value) == str(alone.value)
+
+
+BASIS_ANGLES = (0.0, -0.0, np.pi / 2, -np.pi / 2, 1e300) + tuple(
+    np.random.default_rng(26).uniform(-10.0, 10.0, 6).tolist()
+)
+
+
+@pytest.mark.parametrize("angle", BASIS_ANGLES, ids=float.hex)
+def test_one_angle_builds_the_basis_bytes_of_a_stack(angle):
+    expected = protocol._basis(np.array([angle]))[0].tobytes()
+    for xi in (angle, np.float64(angle), np.array(angle)):
+        basis = protocol._basis(xi)
+        assert basis.shape == (2, 2) and basis.tobytes() == expected
+
+
+def transcript_bytes(config, bit, index):
+    final, transcript = protocol.run_protocol(config, bit, message_index=index)
+    return (
+        [state.tobytes() for state in transcript.stage_states],
+        [float(p).hex() for p in transcript.stage_parameters],
+        protocol._decode(final, config.xi),
+    )
+
+
+@pytest.mark.parametrize("kind", list(channels.NoiseKind))
+@pytest.mark.parametrize("policy", list(StagePolicy))
+def test_float_and_numpy_scalar_configs_give_the_same_transcript(kind, policy):
+    rng = np.random.default_rng(27)
+    for index in range(4):
+        param = rng.uniform(0.0, 1.0) if kind.is_probability else rng.uniform(-7.0, 7.0)
+        angles = rng.uniform(-4.0, 4.0, 3)
+        configs = [
+            ProtocolConfig(*map(cast, angles), channels.from_kind(kind, cast(param)),
+                           stage_policy=policy, resample_seed=index)
+            for cast in (float, np.float64)
+        ]
+        for bit in (0, 1):
+            assert transcript_bytes(configs[0], bit, index) == transcript_bytes(configs[1], bit, index)
+
+
+ANGLE_FIELDS = ("xi", "alice_angle", "bob_angle")
+
+
+def config_of(field, value):
+    angles = dict(xi=0.3, alice_angle=1.0, bob_angle=2.0)
+    angles[field] = value
+    return ProtocolConfig(**angles, channel=channels.amplitude_damping(0.3))
+
+
+class TestAngleChecks:
+    """A config's angles are checked where they enter: real, then finite."""
+
+    @pytest.mark.parametrize("field", ANGLE_FIELDS)
+    @pytest.mark.parametrize("bad", [
+        1j, complex(0.3, 0.0), np.complex128(0.3), np.array(0.3 + 0j),
+        np.array([0.3]), np.array([0.3, 0.4]), [0.3], "0.3", None,
+    ], ids=repr)
+    def test_a_non_real_angle_raises_type_error(self, field, bad):
+        with pytest.raises(TypeError, match=f"^{field} must be a real number, got {re.escape(repr(bad))}$"):
+            config_of(field, bad)
+
+    @pytest.mark.parametrize("field", ANGLE_FIELDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cast", [float, np.float32, np.float64, np.array], ids=repr)
+    def test_a_non_finite_angle_raises_value_error(self, field, bad, cast):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            config_of(field, cast(bad))
+
+    @pytest.mark.parametrize("field", ANGLE_FIELDS)
+    def test_an_int_beyond_the_float_range_is_not_finite(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got 1000"):
+            config_of(field, 10**400)
+
+    @pytest.mark.parametrize("field", ANGLE_FIELDS)
+    @pytest.mark.parametrize("good", [
+        2, True, 0.75, fractions.Fraction(3, 4), np.float32(0.75), np.float64(0.75),
+        np.int64(2), np.bool_(True), np.array(0.75), np.array(2),
+    ], ids=repr)
+    def test_a_real_angle_runs_as_its_float(self, field, good):
+        as_float = config_of(field, float(good))
+        for bit in (0, 1):
+            assert transcript_bytes(config_of(field, good), bit, 0) == transcript_bytes(as_float, bit, 0)
