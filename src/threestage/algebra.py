@@ -31,15 +31,21 @@ def _as_mat2(m, name: str) -> np.ndarray:
     return a
 
 
+def _finite(name: str, values) -> np.ndarray:
+    """``values`` as a float array, else ValueError "<name> must be finite, got <first bad value>"."""
+    a = np.asarray(values, dtype=float)
+    finite = np.isfinite(a)
+    if not np.logical_and.reduce(finite, axis=None):
+        raise ValueError(f"{name} must be finite, got {float(a[~finite][0])!r}")
+    return a
+
+
 def rotation(theta) -> np.ndarray:
     """Real rotation [[cos t, -sin t], [sin t, cos t]] by angle ``theta`` (radians).
 
     An array of angles gives the stack of rotations, shape ``theta.shape + (2, 2)``.
     """
-    theta = np.asarray(theta, dtype=float)
-    if not np.logical_and.reduce(np.isfinite(theta), axis=None):
-        raise ValueError("rotation angle must be finite")
-    return _rotation(theta)
+    return _rotation(_finite("rotation angle", theta))
 
 
 def _rotation(theta) -> np.ndarray:
@@ -59,10 +65,7 @@ def phase_gate(phi) -> np.ndarray:
 
     An array of angles gives the stack of gates, shape ``phi.shape + (2, 2)``.
     """
-    phi = np.asarray(phi, dtype=float)
-    if not np.logical_and.reduce(np.isfinite(phi), axis=None):
-        raise ValueError("phase angle must be finite")
-    return _phase_gate(phi)
+    return _phase_gate(_finite("phase angle", phi))
 
 
 def _phase_gate(phi) -> np.ndarray:

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import channels, fidelity, harness, protocol
+from . import algebra, channels, fidelity, harness, protocol
 from ._version import __version__
 from .channels import NoiseKind
 from .fidelity import QuadratureSpec
@@ -51,24 +51,17 @@ def _usage(exc: ValueError, flags: dict[str, str]) -> UsageError:
     return UsageError(message)
 
 
-def _angle(value: float, args, flag: str) -> float:
-    if not math.isfinite(value):
-        raise UsageError(f"{flag}: must be finite, got {value!r}")
-    return float(np.deg2rad(value)) if args.degrees else float(value)
-
-
-def _angle_grid(grid: tuple[float, ...], args, flag: str) -> tuple[float, ...]:
-    """``_angle`` of every grid value, as one array operation."""
-    values = np.asarray(grid, dtype=float)
-    bad = values[~np.isfinite(values)]
-    if bad.size:
-        raise UsageError(f"{flag}: must be finite, got {float(bad[0])!r}")
-    return tuple((np.deg2rad(values) if args.degrees else values).tolist())
+def _radians(values, args):
+    """An angle flag's float, or a grid's tuple of floats, in radians: unchanged unless --degrees."""
+    if not args.degrees:
+        return values
+    radians = np.deg2rad(values).tolist()
+    return radians if type(radians) is float else tuple(radians)
 
 
 def _channel_from_args(args) -> channels.QuantumChannel:
     kind = NoiseKind(args.noise)
-    param = args.param if kind.is_probability else _angle(args.param, args, "--param")
+    param = args.param if kind.is_probability else _radians(args.param, args)
     try:
         return channels.from_kind(kind, param)
     except ValueError as exc:
@@ -122,12 +115,18 @@ def _status(passed: bool) -> str:
 
 
 def _protocol_config(args) -> protocol.ProtocolConfig:
-    return protocol.ProtocolConfig(
-        xi=_angle(args.xi, args, "--xi"),
-        alice_angle=_angle(args.alice_angle, args, "--alice-angle"),
-        bob_angle=_angle(args.bob_angle, args, "--bob-angle"),
-        channel=_channel_from_args(args),
-    )
+    channel = _channel_from_args(args)
+    try:
+        return protocol.ProtocolConfig(
+            xi=_radians(args.xi, args),
+            alice_angle=_radians(args.alice_angle, args),
+            bob_angle=_radians(args.bob_angle, args),
+            channel=channel,
+        )
+    except ValueError as exc:
+        raise _usage(exc, {
+            "xi": "--xi:", "alice_angle": "--alice-angle:", "bob_angle": "--bob-angle:",
+        }) from exc
 
 
 def _cmd_run(args, start: float) -> int:
@@ -144,15 +143,13 @@ def _cmd_sweep(args, start: float) -> int:
     kind = NoiseKind(args.noise)
     if args.grid is not None:
         grid = _parse_grid(args.grid, "--grid")
-        if not kind.is_probability and args.degrees:
-            grid = tuple(np.deg2rad(grid).tolist())
+        if not kind.is_probability:
+            grid = _radians(grid, args)
     else:
         grid = tuple(np.linspace(*kind.natural_range, 101).tolist())
     xi_grid: tuple[float, ...] = ()
     if args.xi_grid is not None:
-        xi_grid = _angle_grid(_parse_grid(args.xi_grid, "--xi-grid"), args, "--xi-grid")
-    if not xi_grid and not args.xi_avg:
-        raise UsageError("--xi-grid: required unless --xi-avg is given")
+        xi_grid = _radians(_parse_grid(args.xi_grid, "--xi-grid"), args)
     try:
         spec = SweepSpec(
             kind=kind,
@@ -169,6 +166,7 @@ def _cmd_sweep(args, start: float) -> int:
         raise _usage(exc, {
             "param_grid": "--grid",
             "xi_grid": "--xi-grid",
+            "include_state_average": "--xi-avg",
             "rotation_points": "--rotation-points",
             "xi_points": "--xi-points",
         }) from exc
@@ -234,7 +232,8 @@ def _cmd_commutators(args, start: float) -> int:
         channels.check_parameter(NoiseKind.AMPLITUDE_DAMPING, args.eta)
     except ValueError as exc:
         raise UsageError(f"--eta: {exc}") from exc
-    theta = _angle(args.theta, args, "--theta")
+    algebra._finite("--theta:", args.theta)
+    theta = _radians(args.theta, args)
     entries = []
     for index in (0, 1):
         computed = fidelity.commutator_defect(index, args.eta, theta)

@@ -185,10 +185,7 @@ def closed_form_fidelity(kind: NoiseKind, param, xi):
     Scalars broadcast against arrays; outputs are clamped to [0, 1].
     """
     mean, swing = _coefficients(kind, param)
-    xi = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("xi must be finite")
-    return _assert_and_clamp(mean + swing * _cos_4(xi))
+    return _assert_and_clamp(mean + swing * _cos_4(algebra._finite("xi", xi)))
 
 
 def closed_form_average_fidelity(kind: NoiseKind, param):
@@ -246,7 +243,7 @@ def _encoded_vecs(xis) -> np.ndarray:
     """
     # The basis rows are the bits; made contiguous, so that the products and
     # the reshape below give a C-ordered array.
-    psi = np.ascontiguousarray(np.moveaxis(protocol._basis(protocol._finite_xi(xis)), -2, 0))
+    psi = np.ascontiguousarray(np.moveaxis(protocol._basis(algebra._finite("xi", xis)), -2, 0))
     return (psi[..., :, None] * psi[..., None, :].conj()).reshape(2, len(xis), 4)
 
 
@@ -357,8 +354,7 @@ def commutator_closed_form(kraus_index: int, eta: float, theta: float) -> np.nda
     """
     if kraus_index not in (0, 1):
         raise ValueError(f"kraus_index must be 0 or 1, got {kraus_index!r}")
-    if not np.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+    algebra._finite("theta", theta)
     channels.check_parameter(NoiseKind.AMPLITUDE_DAMPING, eta)
     if kraus_index == 0:
         scale = -(1.0 - np.sqrt(1.0 - eta)) * np.sin(theta)

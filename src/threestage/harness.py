@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import channels, fidelity
+from . import algebra, channels, fidelity
 from ._version import __version__
 from .channels import NoiseKind
 from .fidelity import FidelityReport, QuadratureSpec, RotationAveragedOracle
@@ -85,9 +85,7 @@ class SweepSpec:
 def _check_grid(name: str, grid) -> None:
     if len(grid) == 0:
         raise ValueError(f"{name}: grid must be nonempty")
-    values = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name}: grid values must be finite")
+    values = algebra._finite(f"{name}: grid values", grid)
     # A comparison, not np.diff: the difference of huge values can overflow.
     if np.any(values[1:] <= values[:-1]):
         raise ValueError(f"{name}: grid must be strictly increasing")
@@ -463,8 +461,11 @@ def _xi_value(value) -> float | None:
 _KINDS = {kind.value: kind for kind in NoiseKind}
 
 
-def _decode_row(kind, param, xi, closed_form, oracle, deviation) -> ResultRow:
-    """A row from its fields in CSV column order, as CSV text or JSON values."""
+def _decode_row(fields) -> ResultRow:
+    """A row from its six fields in CSV column order, as CSV text or JSON values."""
+    if len(fields) != 6:
+        raise ValueError(f"expected 6 fields, got {len(fields)}")
+    kind, param, xi, closed_form, oracle, deviation = fields
     # An unknown or unhashable kind raises the enum's own ValueError.
     return ResultRow(NoiseKind(kind), _finite_float(param), _xi_value(xi),
                      _optional_float(closed_form), _optional_float(oracle), _optional_float(deviation))
@@ -476,7 +477,7 @@ def _decode_rows(records, path, label: str, first: int) -> list[ResultRow]:
     # The row being decoded when an error is raised is the next one: len(rows).
     try:
         for fields in records:
-            rows.append(_decode_row(*fields))
+            rows.append(_decode_row(fields))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r} in row {first + len(rows)}") from None
     except (TypeError, ValueError, OverflowError) as exc:

@@ -117,19 +117,11 @@ class Transcript:
     bit_sent: int
 
 
-def _finite_xi(xi) -> np.ndarray:
-    """``xi`` as a float array, rejected unless every angle is finite."""
-    angles = np.asarray(xi, dtype=float)
-    if not np.logical_and.reduce(np.isfinite(angles), axis=None):
-        raise ValueError(f"xi must be finite, got {xi!r}")
-    return angles
-
-
 def _basis(xi) -> np.ndarray:
     """Both encoded states as the rows of one matrix, shape ``xi.shape + (2, 2)``.
 
     Row 0 is cos(xi)|0> + sin(xi)|1>, row 1 is sin(xi)|0> - cos(xi)|1>.
-    ``xi`` is taken as finite: a config's, or one ``_finite_xi`` checked.
+    ``xi`` is taken as finite: a config's, or one ``algebra._finite`` checked.
     One angle builds its 2x2 in one call. The cosine and sine stay numpy's
     for every shape: ``math.cos`` can differ from them in the last ulp.
     """
@@ -152,7 +144,7 @@ def encode_bit(bit: int, xi) -> np.ndarray:
     sin(xi)|0> - cos(xi)|1>. An array of angles gives the stack of states,
     shape ``xi.shape + (2,)``.
     """
-    return _encoded(bit, _finite_xi(xi))
+    return _encoded(bit, algebra._finite("xi", xi))
 
 
 def _encoded(bit: int, xi) -> np.ndarray:
@@ -239,7 +231,7 @@ def decode_bit(rho_final: np.ndarray, xi: float):
     applies only unitaries and complete channels, re-symmetrizing after
     each, so its states stay valid, and its config checked ``xi``.
     """
-    return _decode(algebra.validate_density(rho_final), _finite_xi(xi))
+    return _decode(algebra.validate_density(rho_final), algebra._finite("xi", xi))
 
 
 def _decode(rho: np.ndarray, xi):

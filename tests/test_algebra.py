@@ -262,6 +262,22 @@ def raised(call, *args):
     return str(info.value)
 
 
+class TestFinite:
+    @pytest.mark.parametrize("values, first", [
+        (float("nan"), "nan"),
+        (np.array(-np.inf), "-inf"),
+        (np.array([[0.5, 1.0], [np.inf, np.nan]]), "inf"),
+    ], ids=["float", "0-d", "2-d"])
+    def test_message_names_the_first_non_finite_value(self, values, first):
+        assert raised(algebra._finite, "angle", values) == f"angle must be finite, got {first}"
+
+    @pytest.mark.parametrize("values", [0.3, -0.0, 7, np.float32(0.1), np.array(2.5),
+                                        (1.0, -0.0, 1e308), [[0.5, 2], [-3.25, 4]]])
+    def test_accepted_values_come_back_as_float_arrays(self, values):
+        got, want = algebra._finite("angle", values), np.asarray(values, dtype=float)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 class TestStacks:
     def test_stacked_phase_gates_equal_the_scalar_gates_exactly(self):
         angles = np.random.default_rng(20).uniform(-50, 50, size=(3, 7))

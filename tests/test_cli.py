@@ -394,15 +394,15 @@ class TestSweep:
             want = tuple(float(token) for token in text.split(","))
         grid = cli._parse_grid(text, "--grid")
         assert grid == want and all(type(v) is float for v in grid)
-        converted = cli._angle_grid(grid, args, "--xi-grid")
-        assert [v.hex() for v in converted] == [cli._angle(v, args, "--xi-grid").hex() for v in want]
+        converted = cli._radians(grid, args)
+        assert [v.hex() for v in converted] == [cli._radians(v, args).hex() for v in want]
 
     @pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
     def test_first_non_finite_xi_is_named(self, capsys, tmp_path, bad):
         code, _, err = run_cli(capsys, "sweep", "--noise", "cd", "--xi-grid", f"0,{bad},inf",
                                "--out", str(tmp_path / "f.csv"))
         assert code == 2
-        assert f"error: --xi-grid: must be finite, got {float(bad)!r}" in err
+        assert f"error: --xi-grid: grid values must be finite, got {float(bad)!r}" in err
 
     def test_degrees_converts_the_angle_grids(self, capsys, tmp_path):
         degrees, radians = tmp_path / "d.csv", tmp_path / "r.csv"
@@ -425,6 +425,30 @@ class TestSweep:
         )
         assert code == 1
         assert "error" in err
+
+
+# Each input that the library's entry point, not the CLI, rejects: the flag
+# that names it, and its argv.
+LIBRARY_CHECKED = (
+    [(flag, [command, "--noise", "cd", f"{flag}={bad}", *extra, *degrees])
+     for command, extra in (("run", []), ("message", ["--bits", "01"]))
+     for flag in ("--xi", "--alice-angle", "--bob-angle")
+     for bad in ("nan", "inf", "-inf")
+     for degrees in ([], ["--degrees"])]
+    + [("--param", ["run", "--noise", kind, "--param", bad])
+       for kind in ("cd", "cr") for bad in ("nan", "inf")]
+    + [("--xi-grid", ["sweep", "--noise", "ad", "--xi-grid", grid, "--out", "-"])
+       for grid in ("0,inf", "nan,1")]
+    + [("--xi-grid", ["sweep", "--noise", "ad", "--out", "-"])]
+)
+
+
+@pytest.mark.parametrize("flag, argv", LIBRARY_CHECKED, ids=[" ".join(a) for _, a in LIBRARY_CHECKED])
+def test_a_library_check_names_the_flag_in_one_usage_line(capsys, flag, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag}: ")
 
 
 class TestHugeGridValues:

@@ -579,8 +579,7 @@ class TestRowContract:
 
     @pytest.mark.parametrize("text, message", [
         ("zz,1.0,avg,0.5,,", "line 2: malformed row: 'zz' is not a valid NoiseKind"),
-        ("pd,1.0,avg", "line 2: malformed row: _decode_row() missing 3 required positional "
-                       "arguments: 'closed_form', 'oracle', and 'deviation'"),
+        ("pd,1.0,avg", "line 2: malformed row: expected 6 fields, got 3"),
     ])
     def test_csv_error_messages(self, tmp_path, text, message):
         path = tmp_path / "rows.csv"

@@ -1,7 +1,7 @@
 """``harness.load_rows`` against the per-row reader it was optimised from.
 
-The ``reference_*`` functions and ``_decode_row`` below are the earlier
-reader: one ``_decode_row`` call per CSV line or JSON row, which raises for
+The ``reference_*`` functions below are the earlier reader: one
+``reference_decode_row`` call per CSV line or JSON row, which raises for
 the first bad one. The package now decodes ``FORMAT_BLOCK_ROWS`` rows at a
 time as columns and falls back to that loop for a block that fails. Its rows
 must equal the reference's with the same field types and signs of zero, and
@@ -36,8 +36,10 @@ def reference_optional_float(value):
     return None if value is None or value == "" else reference_finite_float(value)
 
 
-# Named as in the package: its name shows in the message of a wrong field count.
-def _decode_row(kind, param, xi, closed_form, oracle, deviation):
+def reference_decode_row(fields):
+    if len(fields) != len(FIELDS):
+        raise ValueError(f"expected {len(FIELDS)} fields, got {len(fields)}")
+    kind, param, xi, closed_form, oracle, deviation = fields
     try:
         kind = _KINDS[kind]
     except (KeyError, TypeError):
@@ -63,7 +65,7 @@ def reference_load_rows(path, fmt):
     rows = []
     try:
         for fields in records:
-            rows.append(_decode_row(*fields))
+            rows.append(reference_decode_row(fields))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r} in row {len(rows)}") from None
     except (TypeError, ValueError) as exc:
@@ -233,14 +235,14 @@ def test_one_bad_field_raises_as_the_reference(tmp_path, block_files, fmt, index
 def test_csv_field_counts_raise_as_the_reference(tmp_path, block_files, index, line):
     path = write_with_row(tmp_path, block_files["csv"], "csv", index, line)
     kind, message = assert_same_outcome(path, "csv")
-    assert kind is ValueError and f"line {index + 2}: malformed row: _decode_row() " in message
+    assert kind is ValueError and f"line {index + 2}: malformed row: expected 6 fields, got " in message
 
 
 def test_field_counts_that_even_out_in_a_block_raise_as_the_reference(tmp_path):
     # Five fields then seven: the block still splits into whole rows of six.
     lines = ["pd,0.5,0.25,0.5,0.5", "0.5,pd,0.5,0.25,0.5,0.5,0.5", "pd,0.5,avg,,,"]
     kind, message = assert_same_outcome(write_csv_lines(tmp_path, lines), "csv")
-    assert kind is ValueError and "line 2: malformed row: _decode_row() missing 1" in message
+    assert kind is ValueError and "line 2: malformed row: expected 6 fields, got 5" in message
 
 
 @pytest.mark.parametrize("index", [0, BLOCK + 7])

@@ -60,8 +60,9 @@ def reference_encode_bit(bit, xi):
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     angles = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(angles)):
-        raise ValueError(f"xi must be finite, got {xi!r}")
+    bad = angles[~np.isfinite(angles)]
+    if bad.size:
+        raise ValueError(f"xi must be finite, got {float(bad[0])!r}")
     c, s = np.cos(angles), np.sin(angles)
     out = np.empty(angles.shape + (2,), dtype=complex)
     out[..., 0], out[..., 1] = (c, s) if bit == 0 else (s, -c)
