@@ -33,11 +33,23 @@ def _as_mat2(m, name: str) -> np.ndarray:
 
 def _finite(name: str, values) -> np.ndarray:
     """``values`` as a float array, else ValueError "<name> must be finite, got <first bad value>"."""
-    a = np.asarray(values, dtype=float)
+    try:
+        a = np.asarray(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} must be finite, got {_first_overflow(values)!r}") from None
     finite = np.isfinite(a)
     if not np.logical_and.reduce(finite, axis=None):
         raise ValueError(f"{name} must be finite, got {float(a[~finite][0])!r}")
     return a
+
+
+def _first_overflow(values):
+    """The first entry of ``values`` that a float cannot hold, such as the int 10**400."""
+    for value in np.asarray(values, dtype=object).flat:
+        try:
+            float(value)
+        except OverflowError:
+            return value
 
 
 def rotation(theta) -> np.ndarray:
@@ -158,18 +170,43 @@ def density_from_pure(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _clearly_unitary(row_0, row_1) -> bool:
+    """Whether the 2x2 with these rows is unitary within ``UNITARY_ATOL / 2``, in Python arithmetic.
+
+    Each of the three distinct entries of U^dagger U - I must be at most half
+    the bound. numpy's test then accepts too: a diagonal defect that small
+    keeps every entry's magnitude at most about 1, where Python's rounding and
+    numpy's FMA rounding of those entries differ by about 1e-15, far inside
+    the other half. False decides nothing; the caller runs the numpy test.
+    The comparisons are joined by ``and`` so that a NaN fails (``max`` would
+    drop one that is not its first argument), and the diagonal goes first so
+    that the off-diagonal is formed only from entries of magnitude at most
+    about 1 and cannot overflow.
+    """
+    (a, b), (c, d) = row_0, row_1
+    half = UNITARY_ATOL / 2
+    return (
+        abs((a * a.conjugate() + c * c.conjugate()).real - 1.0) <= half
+        and abs((b * b.conjugate() + d * d.conjugate()).real - 1.0) <= half
+        and abs(a.conjugate() * b + c.conjugate() * d) <= half
+    )
+
+
 def conjugate_by(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """U rho U^dagger for unitary U, re-symmetrized; stacks of either broadcast.
 
     Raises ValueError when ``u`` (every member of a stack) is not unitary
-    within 1e-10.
+    within 1e-10. A single 2x2 that ``_clearly_unitary`` accepts skips the
+    numpy test; a stack, a wrong shape, a non-finite entry or a matrix near
+    or over the bound takes it.
     """
-    u = _as_mat2(u, "unitary")
-    u_dagger = u.conj().swapaxes(-1, -2)
-    if not _within_unitary(u, u_dagger, UNITARY_ATOL):
-        raise ValueError("operator is not unitary within 1e-10")
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2) or not _clearly_unitary(*u.tolist()):
+        u = _as_mat2(u, "unitary")
+        if not _within_unitary(u, u.conj().swapaxes(-1, -2), UNITARY_ATOL):
+            raise ValueError("operator is not unitary within 1e-10")
     rho = np.asarray(rho, dtype=complex)
-    return symmetrize(u @ rho @ u_dagger)
+    return symmetrize(u @ rho @ u.conj().swapaxes(-1, -2))
 
 
 def fidelity(psi, rho) -> float:

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import algebra, channels, fidelity, harness, protocol
+from . import channels, fidelity, harness, protocol
 from ._version import __version__
 from .channels import NoiseKind
 from .fidelity import QuadratureSpec
@@ -232,11 +232,13 @@ def _cmd_commutators(args, start: float) -> int:
         channels.check_parameter(NoiseKind.AMPLITUDE_DAMPING, args.eta)
     except ValueError as exc:
         raise UsageError(f"--eta: {exc}") from exc
-    algebra._finite("--theta:", args.theta)
     theta = _radians(args.theta, args)
     entries = []
     for index in (0, 1):
-        computed = fidelity.commutator_defect(index, args.eta, theta)
+        try:
+            computed = fidelity.commutator_defect(index, args.eta, theta)
+        except ValueError as exc:
+            raise _usage(exc, {"theta": "--theta:"}) from exc
         expected = fidelity.commutator_closed_form(index, args.eta, theta)
         entries.append(
             {

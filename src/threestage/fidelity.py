@@ -371,5 +371,6 @@ def commutator_defect(kraus_index: int, eta: float, theta: float) -> np.ndarray:
     """
     if kraus_index not in (0, 1):
         raise ValueError(f"kraus_index must be 0 or 1, got {kraus_index!r}")
+    rotation = algebra._rotation(algebra._finite("theta", theta))
     ops = channels.amplitude_damping(eta).operators
-    return algebra.commutator(ops[kraus_index], algebra.rotation(theta))
+    return algebra.commutator(ops[kraus_index], rotation)

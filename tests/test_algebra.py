@@ -271,6 +271,15 @@ class TestFinite:
     def test_message_names_the_first_non_finite_value(self, values, first):
         assert raised(algebra._finite, "angle", values) == f"angle must be finite, got {first}"
 
+    @pytest.mark.parametrize("values", [10**400, -(10**400), (0.5, 10**400, 10**401), [[1.0], [10**400]]],
+                             ids=["int", "negative", "tuple", "nested"])
+    def test_an_int_beyond_the_float_range_is_named_as_not_finite(self, values):
+        first = next(v for v in np.ravel(np.asarray(values, dtype=object)) if abs(v) > 1e308)
+        assert raised(algebra._finite, "angle", values) == f"angle must be finite, got {first!r}"
+
+    def test_rotation_of_an_int_beyond_the_float_range_is_not_finite(self):
+        assert raised(algebra.rotation, 10**400) == f"rotation angle must be finite, got {10**400!r}"
+
     @pytest.mark.parametrize("values", [0.3, -0.0, 7, np.float32(0.1), np.array(2.5),
                                         (1.0, -0.0, 1e308), [[0.5, 2], [-3.25, 4]]])
     def test_accepted_values_come_back_as_float_arrays(self, values):

@@ -681,6 +681,12 @@ class TestCommutators:
         assert code == 2
         assert "--eta" in err
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("degrees", [[], ["--degrees"]], ids=["radians", "degrees"])
+    def test_non_finite_theta_is_usage_error(self, capsys, theta, degrees):
+        code, out, err = run_cli(capsys, "commutators", "--eta", "0.3", f"--theta={theta}", *degrees)
+        assert (code, out, err) == (2, "", f"error: --theta: must be finite, got {theta}\n")
+
 
 class TestMessage:
     def test_noiseless_transmission(self, capsys):

@@ -599,6 +599,14 @@ class TestCommutatorDiagnostics:
         with pytest.raises(ValueError):
             fidelity.commutator_defect(0, 1.5, 1.0)
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_theta_is_named_theta_by_both_forms(self, theta):
+        for index in (0, 1):
+            for form in (fidelity.commutator_defect, fidelity.commutator_closed_form):
+                with pytest.raises(ValueError) as info:
+                    form(index, 0.5, theta)
+                assert str(info.value) == f"theta must be finite, got {theta!r}"
+
 
 def clear_resolution_caches():
     fidelity._rotation_moment.cache_clear()

@@ -58,6 +58,11 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match="xi_grid"):
             spec_with(xi_grid=())
 
+    def test_rejects_an_int_beyond_the_float_range_in_the_xi_grid(self):
+        with pytest.raises(ValueError) as info:
+            SweepSpec(kind=NoiseKind.COLLECTIVE_ROTATION, param_grid=(0.0,), xi_grid=(10**400,))
+        assert str(info.value) == f"xi_grid: grid values must be finite, got {10**400!r}"
+
     def test_allows_empty_xi_grid_with_average(self):
         spec_with(xi_grid=(), include_state_average=True)
 

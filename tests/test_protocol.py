@@ -71,6 +71,11 @@ class TestEncodeBit:
         with pytest.raises(ValueError, match="xi must be finite"):
             protocol.encode_bit(0, xis)
 
+    def test_an_int_beyond_the_float_range_is_not_finite(self):
+        with pytest.raises(ValueError) as info:
+            protocol.encode_bit(0, 10**400)
+        assert str(info.value) == f"xi must be finite, got {10**400!r}"
+
 
 class TestRunProtocol:
     def test_noiseless_round_trip_is_exact(self):
@@ -232,6 +237,18 @@ class TestChecksWhereValuesEnter:
         channels.QuantumChannel(channel.kind, channel.operators, channel.parameter)
         protocol.transmit_message([0, 1, 1, 0], config_with(channel), 5)
         assert checks == ["validate_density", "completeness_defect", "_message_bits"]
+
+    @pytest.mark.parametrize("kind", ["ad", "pd", "cd", "cr", "none"])
+    def test_a_round_s_rotations_take_only_the_scalar_unitarity_test(self, kind, monkeypatch):
+        def exact(*args):
+            raise AssertionError("a round's rotation reached the exact unitarity test")
+
+        channel = channels.from_kind(channels.NoiseKind(kind), 0.3)
+        monkeypatch.setattr(algebra, "_within_unitary", exact)
+        for policy in StagePolicy:
+            for bit in (0, 1):
+                protocol.run_protocol(config_with(channel, stage_policy=policy), bit, message_index=3)
+        protocol.transmit_message([0, 1, 1, 0] * 50, config_with(channel), 5)
 
 
 class TestTransmitMessage:

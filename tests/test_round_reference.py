@@ -5,7 +5,8 @@ The ``reference_*`` functions below are the earlier ``algebra`` and
 ``eigvalsh`` for the lowest eigenvalue, one ``encode_bit`` per basis state in
 ``decode_bit`` and one ``rotation`` per secret angle. The package now shares
 the adjoint, takes the 2x2 eigenvalue in closed form and builds the basis
-once; its transcripts, outcome probabilities and error messages must equal
+once, and tries a single 2x2 unitary in scalar arithmetic before the numpy
+test; its transcripts, outcome probabilities and error messages must equal
 these bit for bit.
 """
 
@@ -277,6 +278,8 @@ def test_density_check_messages_equal_the_reference(rho):
     [[np.nan, 0.0], [0.0, 1.0]],
     [[1.0, 0.0], [-np.inf, 1.0]],
     np.eye(3),
+    [[0.6, 0.8], [0.8, 0.6]],  # unit columns that are not orthogonal
+    [[1.0, 1j], [0.0, 0.0]],
 ])
 def test_unitarity_check_messages_equal_the_reference(u):
     want = error_of(reference_conjugate_by, u, GOOD)
@@ -295,6 +298,50 @@ def test_unitarity_verdicts_equal_the_reference():
             assert algebra.is_unitary(u) == reference_is_unitary(u)
             assert algebra.is_unitary(u, atol=1e-6) == reference_is_unitary(u, atol=1e-6)
         assert algebra.is_unitary(noisy) == reference_is_unitary(noisy)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "-inf", "nan-imag"])
+@pytest.mark.parametrize("position", [(0, 0), (0, 1), (1, 0), (1, 1)], ids=str)
+def test_a_non_finite_entry_raises_as_the_reference(position, value):
+    # A test that took max() of the three defects would accept a NaN at
+    # (0, 1) or (1, 1): max drops a NaN that is not its first argument.
+    u = algebra.rotation(0.4)
+    u[position] = value
+    want = error_of(reference_conjugate_by, u, GOOD)
+    assert want == "unitary has non-finite entries"
+    assert error_of(algebra.conjugate_by, u, GOOD) == want
+    stack = np.stack([np.eye(2), u, algebra.rotation(0.7)])
+    assert error_of(algebra.conjugate_by, stack, GOOD) == want
+    assert error_of(reference_conjugate_by, stack, GOOD) == want
+
+
+# Each noise scale, and which tests accept its operators: up to 1e-11 the
+# scalar accept takes most or all of them; from 1e-10 none is within half
+# the bound, so each goes to the exact test, which rejects every one from 1e-9.
+NOISE_SCALES = [(0.0, "scalar"), (1e-11, "both"), (4e-11, "both"), (6e-11, "both"),
+                (1e-10, "exact"), (1e-9, "exact"), (1e-3, "exact")]
+
+
+@pytest.mark.parametrize("scale, paths", NOISE_SCALES)
+def test_single_operator_verdicts_and_values_equal_the_reference(monkeypatch, scale, paths):
+    exact = []  # one entry per call of the numpy test
+    within_unitary = algebra._within_unitary
+    monkeypatch.setattr(algebra, "_within_unitary", lambda *args: exact.append(args) or within_unitary(*args))
+    rng = np.random.default_rng(96)
+    rotations = algebra.rotation(rng.uniform(-7.0, 7.0, 300))
+    noisy = rotations + scale * (rng.normal(size=rotations.shape) + 1j * rng.normal(size=rotations.shape))
+    rho = random_states(rng, 1)[0]
+    for u in noisy:
+        try:
+            want = reference_conjugate_by(u, rho)
+        except ValueError as exc:
+            assert error_of(algebra.conjugate_by, u, rho) == str(exc)
+        else:
+            assert same_bits(algebra.conjugate_by(u, rho), want)
+    scalar_accepts = len(noisy) - len(exact)
+    assert (scalar_accepts > 0, len(exact) > 0) == {
+        "scalar": (True, False), "both": (True, True), "exact": (False, True)}[paths]
 
 
 @pytest.mark.parametrize("bit, xi", [(2, 0.0), (-1, 0.0), (0, np.nan), (1, np.inf),
