@@ -205,8 +205,22 @@ def conjugate_by(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
         u = _as_mat2(u, "unitary")
         if not _within_unitary(u, u.conj().swapaxes(-1, -2), UNITARY_ATOL):
             raise ValueError("operator is not unitary within 1e-10")
-    rho = np.asarray(rho, dtype=complex)
-    return symmetrize(u @ rho @ u.conj().swapaxes(-1, -2))
+    return symmetrize(_sandwich(u, np.asarray(rho, dtype=complex)))
+
+
+def _sandwich(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """U rho U^dagger of complex arrays, not re-symmetrized; stacks of either broadcast.
+
+    A single 2x2 pair multiplies through ``ndarray.dot``, a stack through
+    ``@``. On C- or F-ordered operands, such as a round's, ``dot`` makes the
+    same BLAS call as ``@`` (same order, same transpose flags) without the
+    matmul ufunc's dispatch, so the bytes are the same;
+    ``tests/test_round_reference.py`` pins them against ``@`` on other
+    layouts too.
+    """
+    if u.ndim == 2 and rho.ndim == 2:
+        return u.dot(rho).dot(u.conj().T)
+    return u @ rho @ u.conj().swapaxes(-1, -2)
 
 
 def fidelity(psi, rho) -> float:

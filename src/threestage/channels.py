@@ -154,24 +154,28 @@ def check_parameter(kind: NoiseKind, values) -> None:
     """Raise ValueError unless every entry of ``values`` is a valid ``kind`` parameter.
 
     Every parameter must be finite; a probability must also lie in [0, 1]. The
-    message names the parameter symbol and the first bad value. A valid
-    Python float is checked with ``math``; anything else, a bad float
-    included, takes the array check, so the messages are the same.
+    message names the parameter symbol and the first bad value, or the first
+    int beyond the float range when there is one. A valid Python float is
+    checked with ``math``; anything else, a bad float included, takes the
+    array check, so the messages are the same.
     """
     if type(values) is float and math.isfinite(values) and (
         not kind.is_probability or 0.0 <= values <= 1.0
     ):
         return
-    values = np.asarray(values, dtype=float)
-    bad = ~np.isfinite(values)
-    if kind.is_probability:
-        bad |= (values < 0.0) | (values > 1.0)
-    if np.logical_or.reduce(bad, axis=None):
-        domain = "lie in [0, 1]" if kind.is_probability else "be finite"
-        raise ValueError(
-            f"{kind.parameter_symbol or 'parameter'} must {domain}, "
-            f"got {float(values[bad][0])!r}"
-        )
+    try:
+        array = np.asarray(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        first = algebra._first_overflow(values)
+    else:
+        bad = ~np.isfinite(array)
+        if kind.is_probability:
+            bad |= (array < 0.0) | (array > 1.0)
+        if not np.logical_or.reduce(bad, axis=None):
+            return
+        first = float(array[bad][0])
+    domain = "lie in [0, 1]" if kind.is_probability else "be finite"
+    raise ValueError(f"{kind.parameter_symbol or 'parameter'} must {domain}, got {first!r}")
 
 
 def _damping(kind: NoiseKind, eta, lost: tuple[int, int]) -> QuantumChannel:
@@ -266,5 +270,5 @@ def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     construction.
     """
     rho = np.asarray(rho, dtype=complex)
-    terms = [op @ rho @ op.conj().swapaxes(-1, -2) for op in channel.operators]
+    terms = [algebra._sandwich(op, rho) for op in channel.operators]
     return algebra.symmetrize(functools.reduce(operator.add, terms))

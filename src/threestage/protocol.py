@@ -144,14 +144,14 @@ def encode_bit(bit: int, xi) -> np.ndarray:
     sin(xi)|0> - cos(xi)|1>. An array of angles gives the stack of states,
     shape ``xi.shape + (2,)``.
     """
-    return _encoded(bit, algebra._finite("xi", xi))
+    return _basis(algebra._finite("xi", xi))[..., _bit(bit), :]
 
 
-def _encoded(bit: int, xi) -> np.ndarray:
-    """``encode_bit`` of an ``xi`` already checked finite; the bit is still checked."""
+def _bit(bit) -> int:
+    """``bit`` as the int it equals, 0 or 1 (True and 1.0 give 1), else ValueError."""
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    return _basis(xi)[..., bit, :]
+    return 0 if bit == 0 else 1
 
 
 # A message is sent in blocks of this many bits, so every per-bit array is at
@@ -207,7 +207,8 @@ def run_protocol(
     index = 0 if message_index is None else _non_negative("message_index", message_index)
     # The config checked xi, and encoded states are normalized by
     # construction: neither is tested again.
-    psi = _encoded(bit, config.xi)
+    bit = _bit(bit)
+    psi = _basis(config.xi)[bit]
     stages = _stage_channels(config, index)
     states = _evolve(config, psi[:, None] * psi.conj(), stages)
     transcript = Transcript(

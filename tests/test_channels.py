@@ -90,6 +90,19 @@ class TestConstruction:
             channels.from_kind(kind, bad)
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("huge", [10**400, -(10**400)], ids=["positive", "negative"])
+    def test_from_kind_names_an_int_beyond_the_float_range(self, kind, huge):
+        domain = "lie in [0, 1]" if kind.is_probability else "be finite"
+        with pytest.raises(ValueError) as info:
+            channels.from_kind(kind, huge)
+        assert str(info.value) == f"{kind.parameter_symbol or 'parameter'} must {domain}, got {huge!r}"
+
+    def test_check_parameter_names_an_int_beyond_the_float_range_in_a_list(self):
+        with pytest.raises(ValueError) as info:
+            channels.check_parameter(NoiseKind.PHASE_DAMPING, [0.5, 10**400])
+        assert str(info.value) == f"eta must lie in [0, 1], got {10**400!r}"
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_check_parameter_accepts_the_natural_range(self, kind):
         lo, hi = kind.natural_range
         channels.check_parameter(kind, np.linspace(lo, hi, 11))

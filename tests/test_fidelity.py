@@ -164,6 +164,11 @@ class TestClosedForms:
             )
             assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
+    def test_an_int_beyond_the_float_range_is_not_finite(self):
+        with pytest.raises(ValueError) as info:
+            fidelity.closed_form_fidelity(NoiseKind.COLLECTIVE_ROTATION, 10**400, 0.1)
+        assert str(info.value) == f"Theta must be finite, got {10**400!r}"
+
     @pytest.mark.parametrize("kind", fidelity.CLOSED_FORM_KINDS)
     def test_law_is_mean_plus_cos_4xi_swing(self, kind):
         lo, hi = kind.natural_range

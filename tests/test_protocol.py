@@ -157,6 +157,15 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             config_with(channels.identity_channel(), xi=np.nan)
 
+    @pytest.mark.parametrize("bit, as_int", [(True, 1), (False, 0), (1.0, 1), (0.0, 0), (np.int64(1), 1)])
+    def test_a_bit_equal_to_0_or_1_runs_as_that_int(self, bit, as_int):
+        config = config_with(channels.amplitude_damping(0.3))
+        _, transcript = protocol.run_protocol(config, bit)
+        _, want = protocol.run_protocol(config, as_int)
+        assert type(transcript.bit_sent) is int and transcript.bit_sent == as_int
+        for got, expected in zip(transcript.stage_states, want.stage_states):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
 
 class TestDecodeBit:
     def test_pure_encoded_state_decodes_sharply(self):

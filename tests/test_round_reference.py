@@ -5,10 +5,14 @@ The ``reference_*`` functions below are the earlier ``algebra`` and
 ``eigvalsh`` for the lowest eigenvalue, one ``encode_bit`` per basis state in
 ``decode_bit`` and one ``rotation`` per secret angle. The package now shares
 the adjoint, takes the 2x2 eigenvalue in closed form and builds the basis
-once, and tries a single 2x2 unitary in scalar arithmetic before the numpy
-test; its transcripts, outcome probabilities and error messages must equal
+once, tries a single 2x2 unitary in scalar arithmetic before the numpy
+test, and multiplies a single 2x2 pair with ``ndarray.dot`` in place of
+``@``; its transcripts, outcome probabilities and error messages must equal
 these bit for bit.
 """
+
+import functools
+import operator
 
 import numpy as np
 import pytest
@@ -344,7 +348,119 @@ def test_single_operator_verdicts_and_values_equal_the_reference(monkeypatch, sc
         "scalar": (True, False), "both": (True, True), "exact": (False, True)}[paths]
 
 
+def outcome(function, *args):
+    """The message of the ValueError ``function`` raises, else its value's shape, dtype and bytes."""
+    try:
+        value = np.asarray(function(*args))
+    except ValueError as exc:
+        return str(exc)
+    return value.shape, value.dtype, value.tobytes()
+
+
 @pytest.mark.parametrize("bit, xi", [(2, 0.0), (-1, 0.0), (0, np.nan), (1, np.inf),
-                                     (0, np.array([0.0, -np.inf]))])
+                                     (0, np.array([0.0, -np.inf])),
+                                     (True, 0.3), (False, 0.3), (1.0, 0.3), (0.0, 0.3), (np.int64(1), 0.3),
+                                     (True, np.array([0.3, -1.2]))])
 def test_encoding_messages_equal_the_reference(bit, xi):
-    assert error_of(protocol.encode_bit, bit, xi) == error_of(reference_encode_bit, bit, xi)
+    assert outcome(protocol.encode_bit, bit, xi) == outcome(reference_encode_bit, bit, xi)
+
+
+def matmul_conjugate_by(u, rho):
+    """``conjugate_by``'s product as ``@`` forms it, for every shape."""
+    return algebra.symmetrize(u @ rho @ u.conj().swapaxes(-1, -2))
+
+
+def matmul_kraus_sum(channel, rho):
+    """``apply_channel`` as ``@`` forms it, for every shape, summed in the same order."""
+    terms = [op @ rho @ op.conj().swapaxes(-1, -2) for op in channel.operators]
+    return algebra.symmetrize(functools.reduce(operator.add, terms))
+
+
+def layouts(m):
+    """The 2x2 ``m`` in several memory layouts, each a different matrix or the same one.
+
+    C- and F-ordered and read-only copies, the daggered view ``@`` and
+    ``dot`` form of an adjoint, views with negative strides, and a view into
+    a larger buffer whose rows are not adjacent.
+    """
+    read_only = np.array(m)
+    read_only.flags.writeable = False
+    padded = np.zeros((4, 4), dtype=complex)
+    padded[::2, ::2] = m
+    return [np.ascontiguousarray(m), np.asfortranarray(m), read_only, algebra.dagger(m),
+            m[::-1], m[:, ::-1], padded[::2, ::2]]
+
+
+TINY = 5e-324  # the smallest subnormal double
+
+
+def seeded_unitaries(rng, count):
+    """Unitaries from QR, rotations and phase gates at edge angles, and one with subnormal entries."""
+    gaussian = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    random = list(np.linalg.qr(gaussian)[0])
+    edges = [algebra.rotation(a) for a in EDGE_ANGLES] + [algebra.phase_gate(a) for a in EDGE_ANGLES]
+    subnormal = np.array([[1.0, complex(TINY, -0.0)], [-TINY, complex(-0.0, 1.0)]])
+    return random + edges + [subnormal]
+
+
+def edge_states(rng, count):
+    """Seeded mixed and pure states, and matrices with signed zeros and subnormal entries."""
+    signed = np.array([[1.0, complex(-0.0, 0.0)], [complex(0.0, -0.0), complex(-0.0, -0.0)]])
+    subnormal = np.array([[0.5, complex(TINY, -TINY)], [complex(TINY, TINY), 0.5]])
+    return list(random_states(rng, count)) + [signed, subnormal, -subnormal]
+
+
+def test_a_single_conjugation_equals_the_matmul_product_bit_for_bit():
+    rng = np.random.default_rng(97)
+    for unitary in seeded_unitaries(rng, 6):
+        for rho in edge_states(rng, 3):
+            for u in layouts(unitary):
+                # Each layout of rho, and rho sharing u's buffer, plain and transposed.
+                for r in layouts(rho) + [u, u.T]:
+                    assert same_bits(algebra.conjugate_by(u, r), matmul_conjugate_by(u, r))
+
+
+def with_f_ordered_operators(channel):
+    """``channel`` with its operators stored F-ordered, as ``QuantumChannel`` keeps a given order."""
+    operators = tuple(np.asfortranarray(op) for op in channel.operators)
+    return channels.QuantumChannel(channel.kind, operators, channel.parameter)
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_a_single_kraus_sum_equals_the_matmul_sum_bit_for_bit(kind):
+    rng = np.random.default_rng(98)
+    lo, hi = kind.natural_range
+    for param in (lo, TINY, 0.3, hi):
+        built = channels.from_kind(kind, param)
+        for channel in (built, with_f_ordered_operators(built)):
+            for op in channel.operators:
+                assert not op.flags.writeable
+            for rho in edge_states(rng, 2):
+                # Each layout of rho, and rho sharing the first operator's buffer transposed.
+                for r in layouts(rho) + [channel.operators[0].T]:
+                    assert same_bits(channels.apply_channel(channel, r), matmul_kraus_sum(channel, r))
+
+
+@pytest.mark.parametrize("policy", list(StagePolicy))
+def test_stacks_keep_the_matmul_products(policy):
+    rng = np.random.default_rng(99)
+    stack = np.stack(edge_states(rng, 4))
+    for u in seeded_unitaries(rng, 3):
+        assert same_bits(algebra.conjugate_by(u, stack), matmul_conjugate_by(u, stack))
+    for config in seeded_configs(100, 2, policy):
+        stages = protocol._stage_channels(config, 7, len(stack))
+        for stage in stages:
+            assert same_bits(channels.apply_channel(stage, stack), matmul_kraus_sum(stage, stack))
+
+
+def test_a_fixed_two_member_round_equals_its_single_rounds_bit_for_bit():
+    for config in seeded_configs(101, 20):
+        basis = protocol._basis(config.xi)
+        rho = basis[:, :, None] * basis[:, None, :].conj()
+        stacked = protocol._evolve(config, rho, (config.channel,) * 3)
+        p0 = protocol._round_p0(config, np.arange(2), 0)
+        for bit in (0, 1):
+            final, transcript = protocol.run_protocol(config, bit)
+            for got, want in zip(transcript.stage_states, stacked):
+                assert same_bits(got, want[bit])
+            assert same_bits(protocol.decode_bit(final, config.xi)[0], p0[bit])
