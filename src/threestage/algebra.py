@@ -103,7 +103,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _within_unitary(u: np.ndarray, u_dagger: np.ndarray, atol: float) -> bool:
     """max |U^dagger U - 1| <= atol over every entry (and member), given U^dagger."""
-    return bool(np.maximum.reduce(np.abs(u_dagger @ u - _IDENTITY), axis=None) <= atol)
+    return bool(np.maximum.reduce(np.abs(u_dagger @ u - _IDENTITY), axis=None, initial=0.0) <= atol)
 
 
 def is_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
@@ -151,7 +151,7 @@ def validate_density(rho) -> np.ndarray:
     assume a valid input and re-symmetrize their outputs.
     """
     a = _as_mat2(rho, "density matrix")
-    if np.maximum.reduce(np.abs(a - a.conj().swapaxes(-1, -2)), axis=None) > ATOL:
+    if np.maximum.reduce(np.abs(a - a.conj().swapaxes(-1, -2)), axis=None, initial=0.0) > ATOL:
         raise ValueError("density matrix is not Hermitian within 1e-12")
     trace = a[..., 0, 0] + a[..., 1, 1]
     bad = np.abs(trace - 1.0) > ATOL
@@ -211,15 +211,31 @@ def conjugate_by(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def _sandwich(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """U rho U^dagger of complex arrays, not re-symmetrized; stacks of either broadcast.
 
-    A single 2x2 pair multiplies through ``ndarray.dot``, a stack through
-    ``@``. On C- or F-ordered operands, such as a round's, ``dot`` makes the
-    same BLAS call as ``@`` (same order, same transpose flags) without the
-    matmul ufunc's dispatch, so the bytes are the same;
-    ``tests/test_round_reference.py`` pins them against ``@`` on other
-    layouts too.
+    Three cases, each with the bytes of ``u @ rho @ u.conj().swapaxes(-1, -2)``:
+
+    - A single 2x2 pair multiplies through ``ndarray.dot``. On C- or
+      F-ordered operands, such as a round's, it makes the same BLAS call as
+      ``@`` (same order, same transpose flags) without the matmul ufunc's
+      dispatch.
+    - One 2x2 ``u`` and a stack ``rho``: the left products ``u @ rho`` stay
+      one BLAS call per member, and the right products, which share
+      U^dagger, are one call on the members' rows laid end to end. numpy
+      hands BLAS the transposed row-major problem, U^dagger^T times the
+      rows as columns, so the output has two rows there at any stack size,
+      and each entry is formed from the same operands in the same order as
+      in a member's own call. The left product cannot batch the same way:
+      laying its members end to end needs ``rho^T U^T``, which hands BLAS
+      the two factors in the other order, and a complex product rounds
+      differently when its factors swap.
+    - A stacked ``u`` multiplies through ``@``.
+
+    ``tests/test_round_reference.py`` pins every case against ``@``.
     """
     if u.ndim == 2 and rho.ndim == 2:
         return u.dot(rho).dot(u.conj().T)
+    if u.ndim == 2:
+        left = u @ rho
+        return left.reshape(-1, 2).dot(u.conj().T).reshape(left.shape)
     return u @ rho @ u.conj().swapaxes(-1, -2)
 
 

@@ -141,7 +141,7 @@ def completeness_defect(operators) -> float:
     """Max-abs entry of sum E_i^dagger E_i - I, over every member of a stack (1 for no operators)."""
     ops = [np.asarray(op, dtype=complex) for op in operators]
     total = functools.reduce(operator.add, [algebra.dagger(op) @ op for op in ops]) if ops else 0
-    return float(np.maximum.reduce(np.abs(total - algebra._IDENTITY), axis=None))
+    return float(np.maximum.reduce(np.abs(total - algebra._IDENTITY), axis=None, initial=0.0))
 
 
 def _freeze(op: np.ndarray) -> np.ndarray:

@@ -82,6 +82,14 @@ class SweepSpec:
             raise ValueError("xi_grid: empty grid requires include_state_average")
 
 
+def _nonempty(name: str, grid) -> np.ndarray:
+    """``grid`` as a float array, else ValueError "<name>: grid must be nonempty"."""
+    values = np.asarray(grid, dtype=float)
+    if values.size == 0:
+        raise ValueError(f"{name}: grid must be nonempty")
+    return values
+
+
 def _check_grid(name: str, grid) -> None:
     if len(grid) == 0:
         raise ValueError(f"{name}: grid must be nonempty")
@@ -262,18 +270,23 @@ def verify_formulas(
     optionally replaces the default encoding-angle grid. Returns one report
     per kind, in canonical kind order, each carrying the worst grid point and
     the largest state-average deviation, the oracle's taken with
-    ``quad.xi_points`` cells. A kind with no closed form raises ValueError.
+    ``quad.xi_points`` cells. A kind with no closed form, or an empty grid,
+    raises ValueError.
     """
     kinds = list(kinds)
     unknown = [kind for kind in kinds if kind not in fidelity.CLOSED_FORM_KINDS]
     if unknown:
         raise ValueError(f"kinds: {unknown[0]!r} has no closed form to verify")
-    reports = []
+    # Every given grid is checked before the first oracle is built.
+    given_xis = None if xi_grid is None else _nonempty("xi_grid", xi_grid)
+    grids = []
     for kind in (known for known in fidelity.CLOSED_FORM_KINDS if known in kinds):
         params, default_xis = default_verification_grids(kind)
         if param_grids is not None and kind in param_grids:
-            params = np.asarray(param_grids[kind], dtype=float)
-        xis = default_xis if xi_grid is None else np.asarray(xi_grid, dtype=float)
+            params = _nonempty(f"param_grids[{kind.value}]", param_grids[kind])
+        grids.append((kind, params, default_xis if given_xis is None else given_xis))
+    reports = []
+    for kind, params, xis in grids:
         closed, oracle = _evaluate_grid(kind, params, xis, True, closed=True, quad=quad)
         average_deviation = float(np.max(np.abs(closed[:, -1] - oracle[:, -1])))
         closed, oracle = closed[:, :-1], oracle[:, :-1]

@@ -342,3 +342,12 @@ class TestStacks:
     def test_validate_density_rejects_a_wrong_trailing_shape(self):
         with pytest.raises(ValueError, match="shape"):
             algebra.validate_density(np.zeros((4, 3, 3)))
+
+    def test_an_empty_stack_has_no_bad_member(self):
+        # rotation builds an empty stack; every check of one passes, with no member to fail.
+        empty = algebra.rotation(np.zeros(0))
+        assert empty.shape == (0, 2, 2)
+        assert algebra.is_unitary(empty)
+        assert algebra.conjugate_by(empty, np.eye(2) / 2).shape == (0, 2, 2)
+        assert algebra.conjugate_by(algebra.rotation(0.3), empty).shape == (0, 2, 2)
+        assert algebra.validate_density(empty).shape == (0, 2, 2)

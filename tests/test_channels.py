@@ -320,6 +320,18 @@ class TestStacks:
         worst = max(channels.completeness_defect(ops[:, i]) for i in range(5))
         assert channels.completeness_defect(tuple(ops)) == worst
 
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_an_empty_stack_has_no_bad_member(self, kind):
+        # The identity kind returns its one unstacked channel for any parameter.
+        built = channels.from_kind(kind, np.zeros(0))
+        assert channels.completeness_defect(built.operators) == 0.0
+        direct = channels.QuantumChannel(kind, built.operators, built.parameter)
+        for op, built_op in zip(direct.operators, built.operators, strict=True):
+            assert op.shape == built_op.shape == ((2, 2) if kind is NoiseKind.IDENTITY else (0, 2, 2))
+        empty = algebra.rotation(np.zeros(0))
+        assert channels.apply_channel(built, empty).shape == (0, 2, 2)
+        assert channels.completeness_defect(()) == 1.0
+
     def test_stack_with_one_incomplete_member_raises_as_alone(self):
         e0, e1 = channels.amplitude_damping(np.linspace(0.1, 0.9, 5)).operators
         e0 = e0.copy()

@@ -232,6 +232,22 @@ class TestVerifyFormulas:
         with pytest.raises(ValueError, match=named):
             harness.verify_formulas(kinds, quad=FAST_QUAD)
 
+    @pytest.mark.parametrize("grids, message", [
+        ({"param_grids": {NoiseKind.PHASE_DAMPING: []}}, "param_grids[pd]: grid must be nonempty"),
+        ({"xi_grid": []}, "xi_grid: grid must be nonempty"),
+        ({"xi_grid": np.zeros(0)}, "xi_grid: grid must be nonempty"),
+    ])
+    def test_an_empty_grid_is_rejected_before_any_oracle_is_built(self, monkeypatch, grids, message):
+        def no_build(*args):
+            raise AssertionError("an oracle was built")
+
+        monkeypatch.setattr(RotationAveragedOracle, "__init__", no_build)
+        # ad comes before pd in kind order, so its oracle would be built first.
+        kinds = {NoiseKind.AMPLITUDE_DAMPING, NoiseKind.PHASE_DAMPING}
+        with pytest.raises(ValueError) as info:
+            harness.verify_formulas(kinds, quad=FAST_QUAD, **grids)
+        assert str(info.value) == message
+
     def test_one_oracle_per_kind_equals_one_per_parameter(self, monkeypatch):
         builds = []
         init = RotationAveragedOracle.__init__

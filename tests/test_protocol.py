@@ -168,6 +168,11 @@ class TestRunProtocol:
 
 
 class TestDecodeBit:
+    def test_an_empty_stack_decodes_to_empty_arrays(self):
+        rho = algebra.density_from_pure(protocol.encode_bit(0, 0.6)) + np.zeros((0, 2, 2))
+        p0, p1 = protocol.decode_bit(rho, 0.6)
+        assert p0.shape == p1.shape == (0,)
+
     def test_pure_encoded_state_decodes_sharply(self):
         xi = 0.6
         rho = algebra.density_from_pure(protocol.encode_bit(0, xi))

@@ -6,12 +6,14 @@ The ``reference_*`` functions below are the earlier ``algebra`` and
 ``decode_bit`` and one ``rotation`` per secret angle. The package now shares
 the adjoint, takes the 2x2 eigenvalue in closed form and builds the basis
 once, tries a single 2x2 unitary in scalar arithmetic before the numpy
-test, and multiplies a single 2x2 pair with ``ndarray.dot`` in place of
-``@``; its transcripts, outcome probabilities and error messages must equal
-these bit for bit.
+test, multiplies a single 2x2 pair with ``ndarray.dot`` in place of ``@``,
+and forms the right products of one 2x2 operator against a stack in one
+``dot``; its transcripts, outcome probabilities and error messages must
+equal these bit for bit.
 """
 
 import functools
+import math
 import operator
 
 import numpy as np
@@ -464,3 +466,62 @@ def test_a_fixed_two_member_round_equals_its_single_rounds_bit_for_bit():
             for got, want in zip(transcript.stage_states, stacked):
                 assert same_bits(got, want[bit])
             assert same_bits(protocol.decode_bit(final, config.xi)[0], p0[bit])
+
+
+# Stack shapes of states: empty, one to three members, an odd size, a full
+# message block and 37 more, and two leading axes.
+STACK_SHAPES = [(0,), (1,), (2,), (3,), (257,), (protocol.MESSAGE_BLOCK_BITS + 37,), (3, 5)]
+
+
+def seeded_stack(rng, shape):
+    """States of stack shape ``shape``: the signed-zero and subnormal matrices first, then seeded states."""
+    count = math.prod(shape)
+    states = np.concatenate([np.stack(edge_states(rng, 0)), random_states(rng, count)])
+    return states[:count].reshape(shape + (2, 2))
+
+
+# A stack as given, and three views of it.
+VIEWS = {
+    "plain": lambda stack: stack,
+    "every-other": lambda stack: stack[::2],
+    "transposed": lambda stack: stack.swapaxes(-1, -2),
+    "reversed": lambda stack: stack[::-1],
+}
+
+
+@pytest.mark.parametrize("view", VIEWS.values(), ids=VIEWS.keys())
+@pytest.mark.parametrize("shape", STACK_SHAPES, ids=str)
+def test_one_unitary_against_a_stack_equals_the_matmul_product_bit_for_bit(shape, view):
+    rng = np.random.default_rng(102)
+    rho = view(seeded_stack(rng, shape))
+    for unitary in seeded_unitaries(rng, 2):
+        for u in layouts(unitary):
+            assert same_bits(algebra.conjugate_by(u, rho), matmul_conjugate_by(u, rho))
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+@pytest.mark.parametrize("shape", STACK_SHAPES, ids=str)
+def test_a_fixed_channel_on_a_stack_equals_the_matmul_sum_bit_for_bit(shape, kind):
+    rng = np.random.default_rng(103)
+    stack = seeded_stack(rng, shape)
+    lo, hi = kind.natural_range
+    for param in (lo, TINY, 0.3, hi):
+        built = channels.from_kind(kind, param)
+        for channel in (built, with_f_ordered_operators(built)):
+            for rho in (view(stack) for view in VIEWS.values()):
+                assert same_bits(channels.apply_channel(channel, rho), matmul_kraus_sum(channel, rho))
+
+
+@pytest.mark.parametrize("policy", list(StagePolicy))
+def test_a_full_block_round_matches_the_matmul_reference_bit_for_bit(policy):
+    rng = np.random.default_rng(104)
+    for config in seeded_configs(105, 1, policy):
+        bits = rng.integers(0, 2, protocol.MESSAGE_BLOCK_BITS + 37).astype(np.int8)
+        stages = protocol._stage_channels(config, 5000, len(bits))
+        psi = protocol._basis(config.xi)[bits]
+        rho = psi[:, :, None] * psi[:, None, :].conj()
+        want_states = reference_evolve(config, rho, stages, matmul_kraus_sum)
+        for got, want in zip(protocol._evolve(config, rho, stages), want_states):
+            assert same_bits(got, want)
+        want_p0, _ = reference_decode_bit(want_states[-1], config.xi)
+        assert same_bits(protocol._round_p0(config, bits, 5000), want_p0)
