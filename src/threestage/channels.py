@@ -77,9 +77,11 @@ class QuantumChannel:
     channels, one for the unitary ones). Operators from outside the package
     are checked where they enter: a direct ``QuantumChannel(...)`` or a
     ``dataclasses.replace`` stores read-only copies and raises ChannelError
-    when completeness misses by more than 1e-12. The named constructors build
-    operators that are complete by construction, so they skip that check and
-    freeze their fresh arrays in place (see ``_built``). ``parameter`` is eta
+    when completeness misses by more than 1e-12, and ValueError unless
+    ``check_parameter`` accepts the kind and parameter. The named
+    constructors build operators that are complete by construction, so they
+    skip that check and freeze their fresh arrays in place (see ``_built``),
+    through the one unchecked builder ``_build``. ``parameter`` is eta
     for AD/PD (a probability), the phase angle Phi for CD, and the rotation
     angle Theta for CR, in radians: a float, or for a stacked channel a
     read-only array of one parameter per member. Instances are immutable.
@@ -96,6 +98,7 @@ class QuantumChannel:
             raise ChannelError(
                 f"Kraus completeness defect {defect:.3e} exceeds {COMPLETENESS_ATOL:g}"
             )
+        check_parameter(self.kind, self.parameter)
         _store(self, operators, self.parameter)
 
 
@@ -151,7 +154,7 @@ def _freeze(op: np.ndarray) -> np.ndarray:
 
 
 def check_parameter(kind: NoiseKind, values) -> None:
-    """Raise ValueError unless every entry of ``values`` is a valid ``kind`` parameter.
+    """Raise ValueError unless ``kind`` is a NoiseKind and every entry of ``values`` is valid for it.
 
     Every parameter must be finite; a probability must also lie in [0, 1]. The
     message names the parameter symbol and the first bad value, or the first
@@ -159,6 +162,8 @@ def check_parameter(kind: NoiseKind, values) -> None:
     checked with ``math``; anything else, a bad float included, takes the
     array check, so the messages are the same.
     """
+    if not isinstance(kind, NoiseKind):
+        raise ValueError(f"unknown noise kind {kind!r}")
     if type(values) is float and math.isfinite(values) and (
         not kind.is_probability or 0.0 <= values <= 1.0
     ):
@@ -179,12 +184,11 @@ def check_parameter(kind: NoiseKind, values) -> None:
 
 
 def _damping(kind: NoiseKind, eta, lost: tuple[int, int]) -> QuantumChannel:
-    """E0 = diag(1, sqrt(1 - eta)) and E1 = sqrt(eta) at entry ``lost``, stacked over eta.
+    """E0 = diag(1, sqrt(1 - eta)) and E1 = sqrt(eta) at entry ``lost``, stacked over eta in [0, 1].
 
     A Python float eta builds each 2x2 in one call from ``math.sqrt``, which
     rounds correctly as ``np.sqrt`` does, so the bytes are the same.
     """
-    check_parameter(kind, eta)
     if type(eta) is float:
         e1 = [[0.0, 0.0], [0.0, 0.0]]
         e1[lost[0]][lost[1]] = math.sqrt(eta)
@@ -207,7 +211,8 @@ def amplitude_damping(eta) -> QuantumChannel:
         E0 = [[1, 0], [0, sqrt(1 - eta)]]
         E1 = [[0, sqrt(eta)], [0, 0]]
     """
-    return _damping(NoiseKind.AMPLITUDE_DAMPING, eta, (0, 1))
+    check_parameter(NoiseKind.AMPLITUDE_DAMPING, eta)
+    return _build(NoiseKind.AMPLITUDE_DAMPING, eta)
 
 
 def phase_damping(eta) -> QuantumChannel:
@@ -218,19 +223,20 @@ def phase_damping(eta) -> QuantumChannel:
         E0 = [[1, 0], [0, sqrt(1 - eta)]]
         E1 = [[0, 0], [0, sqrt(eta)]]
     """
-    return _damping(NoiseKind.PHASE_DAMPING, eta, (1, 1))
+    check_parameter(NoiseKind.PHASE_DAMPING, eta)
+    return _build(NoiseKind.PHASE_DAMPING, eta)
 
 
 def collective_dephasing(phi) -> QuantumChannel:
     """Unitary phase kick diag(1, e^{i Phi}) applied to every travel qubit."""
     check_parameter(NoiseKind.COLLECTIVE_DEPHASING, phi)
-    return _built(NoiseKind.COLLECTIVE_DEPHASING, (algebra._phase_gate(phi),), phi)
+    return _build(NoiseKind.COLLECTIVE_DEPHASING, phi)
 
 
 def collective_rotation(theta) -> QuantumChannel:
     """Unitary rotation by Theta applied to every travel qubit."""
     check_parameter(NoiseKind.COLLECTIVE_ROTATION, theta)
-    return _built(NoiseKind.COLLECTIVE_ROTATION, (algebra._rotation(theta),), theta)
+    return _build(NoiseKind.COLLECTIVE_ROTATION, theta)
 
 
 # Frozen, with read-only operators, so one instance serves every caller.
@@ -248,18 +254,21 @@ def from_kind(kind: NoiseKind, parameter) -> QuantumChannel:
     The identity kind ignores the parameter's value, which must still be
     finite, and returns the one unstacked identity channel.
     """
+    check_parameter(kind, parameter)
+    return _build(kind, parameter)
+
+
+def _build(kind: NoiseKind, parameter) -> QuantumChannel:
+    """``from_kind`` of a parameter (or stack) known to be valid for ``kind``, unchecked."""
     if kind is NoiseKind.AMPLITUDE_DAMPING:
-        return amplitude_damping(parameter)
+        return _damping(kind, parameter, (0, 1))
     if kind is NoiseKind.PHASE_DAMPING:
-        return phase_damping(parameter)
+        return _damping(kind, parameter, (1, 1))
     if kind is NoiseKind.COLLECTIVE_DEPHASING:
-        return collective_dephasing(parameter)
+        return _built(kind, (algebra._phase_gate(parameter),), parameter)
     if kind is NoiseKind.COLLECTIVE_ROTATION:
-        return collective_rotation(parameter)
-    if kind is NoiseKind.IDENTITY:
-        check_parameter(kind, parameter)
-        return identity_channel()
-    raise ValueError(f"unknown noise kind {kind!r}")
+        return _built(kind, (algebra._rotation(parameter),), parameter)
+    return _IDENTITY_CHANNEL
 
 
 def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:

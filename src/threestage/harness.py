@@ -71,32 +71,33 @@ class SweepSpec:
         rows = len(self.param_grid) * (len(self.xi_grid) + int(self.include_state_average))
         if rows > MAX_SWEEP_ROWS:
             raise ValueError(f"param_grid, xi_grid: {rows} rows, over the cap of {MAX_SWEEP_ROWS}")
-        _check_grid("param_grid", self.param_grid)
-        try:
-            channels.check_parameter(self.kind, self.param_grid)
-        except ValueError as exc:
-            raise ValueError(f"param_grid: {exc}") from None
+        _check_grid("param_grid", self.param_grid, self.kind)
         if self.xi_grid:
             _check_grid("xi_grid", self.xi_grid)
         elif not self.include_state_average:
             raise ValueError("xi_grid: empty grid requires include_state_average")
 
 
-def _nonempty(name: str, grid) -> np.ndarray:
-    """``grid`` as a float array, else ValueError "<name>: grid must be nonempty"."""
-    values = np.asarray(grid, dtype=float)
+def _check_grid(name: str, grid, kind: NoiseKind | None = None) -> np.ndarray:
+    """``grid`` as a float array, else ValueError "<name>: ..." naming the broken rule.
+
+    A grid is one-dimensional, nonempty, finite and strictly increasing and,
+    when ``kind`` is given, holds valid parameters of that kind.
+    """
+    values = algebra._finite(f"{name}: grid values", grid)
+    if values.ndim != 1:
+        raise ValueError(f"{name}: grid must be one-dimensional, got shape {values.shape}")
     if values.size == 0:
         raise ValueError(f"{name}: grid must be nonempty")
-    return values
-
-
-def _check_grid(name: str, grid) -> None:
-    if len(grid) == 0:
-        raise ValueError(f"{name}: grid must be nonempty")
-    values = algebra._finite(f"{name}: grid values", grid)
     # A comparison, not np.diff: the difference of huge values can overflow.
     if np.any(values[1:] <= values[:-1]):
         raise ValueError(f"{name}: grid must be strictly increasing")
+    if kind is not None:
+        try:
+            channels.check_parameter(kind, values)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return values
 
 
 class ResultRow(NamedTuple):
@@ -270,20 +271,21 @@ def verify_formulas(
     optionally replaces the default encoding-angle grid. Returns one report
     per kind, in canonical kind order, each carrying the worst grid point and
     the largest state-average deviation, the oracle's taken with
-    ``quad.xi_points`` cells. A kind with no closed form, or an empty grid,
-    raises ValueError.
+    ``quad.xi_points`` cells. A kind with no closed form, or a given grid
+    that breaks a sweep's grid rules (``_check_grid``), raises ValueError
+    that names it, before any oracle is built.
     """
     kinds = list(kinds)
     unknown = [kind for kind in kinds if kind not in fidelity.CLOSED_FORM_KINDS]
     if unknown:
         raise ValueError(f"kinds: {unknown[0]!r} has no closed form to verify")
     # Every given grid is checked before the first oracle is built.
-    given_xis = None if xi_grid is None else _nonempty("xi_grid", xi_grid)
+    given_xis = None if xi_grid is None else _check_grid("xi_grid", xi_grid)
     grids = []
     for kind in (known for known in fidelity.CLOSED_FORM_KINDS if known in kinds):
         params, default_xis = default_verification_grids(kind)
         if param_grids is not None and kind in param_grids:
-            params = _nonempty(f"param_grids[{kind.value}]", param_grids[kind])
+            params = _check_grid(f"param_grids[{kind.value}]", param_grids[kind], kind)
         grids.append((kind, params, default_xis if given_xis is None else given_xis))
     reports = []
     for kind, params, xis in grids:

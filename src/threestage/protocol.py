@@ -174,21 +174,33 @@ def _uniform_draws(seed: int, first: int, n: int, k: int) -> np.ndarray:
 def _stage_channels(config: ProtocolConfig, first: int, n: int | None = None):
     """The three crossings' channels, stacked over rounds ``first`` to ``first + n - 1``.
 
-    ``n`` None gives the one round ``first``, unstacked.
+    ``n`` None gives the one round ``first``, unstacked. A RESAMPLE stage's
+    parameter u * p is not checked again: the channel's p was checked where
+    it entered, and a draw u in [0, 1) keeps the product in p's domain. For
+    a probability, rounding is monotone, so 0 <= fl(u * p) <= fl(1 * p) = p
+    <= 1; an angle's product is at most |p| in magnitude, so finite.
     """
     if config.stage_policy is StagePolicy.FIXED:
         return (config.channel,) * 3
     draws = _uniform_draws(config.resample_seed, first, 1 if n is None else n, 3)
     draws = draws[0] if n is None else draws
     kind, parameter = config.channel.kind, config.channel.parameter
-    return tuple(channels.from_kind(kind, draws[..., j] * parameter) for j in range(3))
+    return tuple(channels._build(kind, draws[..., j] * parameter) for j in range(3))
 
 
-def _evolve(config: ProtocolConfig, rho: np.ndarray, stages) -> tuple:
-    """States after each crossing and after Bob's inverse rotation; stacks broadcast."""
+def _evolve(config: ProtocolConfig, rho: np.ndarray, stages, members=None) -> tuple:
+    """States after each crossing and after Bob's inverse rotation; stacks broadcast.
+
+    ``members`` given, the state Alice sends in round i is member
+    ``members[i]`` of her rotated ``rho``: a block rotates its two encoded
+    states once and gathers one per bit. ``_sandwich`` forms each member's
+    products the same way at any stack size, so the bytes are those of
+    rotating ``rho[members]``.
+    """
     r_alice, r_bob = rotations = algebra._rotation((config.alice_angle, config.bob_angle))
     undo_alice, undo_bob = algebra.dagger(rotations)
-    after_1 = channels.apply_channel(stages[0], algebra.conjugate_by(r_alice, rho))
+    sent = algebra.conjugate_by(r_alice, rho)
+    after_1 = channels.apply_channel(stages[0], sent if members is None else sent[members])
     after_2 = channels.apply_channel(stages[1], algebra.conjugate_by(r_bob, after_1))
     after_3 = channels.apply_channel(stages[2], algebra.conjugate_by(undo_alice, after_2))
     return after_1, after_2, after_3, algebra.conjugate_by(undo_bob, after_3)
@@ -237,22 +249,31 @@ def decode_bit(rho_final: np.ndarray, xi: float):
 
 def _decode(rho: np.ndarray, xi):
     """``decode_bit`` of a complex (..., 2, 2) density matrix known to be valid, at a finite xi."""
-    basis = _basis(xi)
-    # Row times matrix times column for both states at once: every member
-    # takes the scalar inner product's arithmetic, so a stack decodes exactly
-    # as its members one by one.
-    value = (basis.conj()[..., :, None, :] @ rho[..., None, :, :] @ basis[..., :, :, None]).real
-    p = np.minimum(np.maximum(value[..., 0, 0], 0.0), 1.0)
+    p = _outcome_probabilities(rho, _basis(xi))
     return (float(p[0]), float(p[1])) if rho.ndim == 2 else (p[..., 0], p[..., 1])
+
+
+def _outcome_probabilities(rho: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """<state|rho|state> clamped to [0, 1] per row of ``states``, shape ``rho.shape[:-2] + (rows,)``.
+
+    Row times matrix times column for every state at once: every member
+    takes the scalar inner product's arithmetic, so a stack decodes exactly
+    as its members one by one, and a subset of the states as the full set.
+    """
+    value = (states.conj()[..., :, None, :] @ rho[..., None, :, :] @ states[..., :, :, None]).real
+    return np.minimum(np.maximum(value[..., 0, 0], 0.0), 1.0)
 
 
 def _message_bits(bits) -> np.ndarray:
     """The message as an int8 array, every entry checked to be 0 or 1.
 
-    A 1-D integer array is checked as it is; any other iterable is read
-    entry by entry, so a bad entry is named as it was given.
+    A 1-D integer array is checked as it is, and an array of another shape
+    raises ValueError naming it; any other iterable is read entry by entry,
+    so a bad entry is named as it was given.
     """
-    if isinstance(bits, np.ndarray) and bits.ndim == 1 and bits.dtype.kind in "iu":
+    if isinstance(bits, np.ndarray) and bits.ndim != 1:
+        raise ValueError(f"message must be a 1-D sequence of bits, got an array of shape {bits.shape}")
+    if isinstance(bits, np.ndarray) and bits.dtype.kind in "iu":
         values = bits
     else:
         values = np.fromiter(bits, dtype=object)
@@ -266,11 +287,15 @@ def _message_bits(bits) -> np.ndarray:
 
 
 def _round_p0(config: ProtocolConfig, bits: np.ndarray, first: int) -> np.ndarray:
-    """p0 of one stacked round per entry of ``bits``, bit i being round ``first + i``."""
-    psi = _basis(config.xi)[bits]
-    rho = psi[:, :, None] * psi[:, None, :].conj()
-    final = _evolve(config, rho, _stage_channels(config, first, len(bits)))[-1]
-    return _decode(final, config.xi)[0]
+    """p0 of one stacked round per entry of ``bits``, bit i being round ``first + i``.
+
+    Alice's rotation runs once on the two encoded states, and only p0 is
+    measured; the bytes are those of a round per bit decoded in full.
+    """
+    basis = _basis(config.xi)
+    encoded = basis[:, :, None] * basis[:, None, :].conj()
+    final = _evolve(config, encoded, _stage_channels(config, first, len(bits)), bits)[-1]
+    return _outcome_probabilities(final, basis[:1])[:, 0]
 
 
 def transmit_message(bits, config: ProtocolConfig, seed: int) -> tuple[list[int], float]:

@@ -230,6 +230,17 @@ class TestApplication:
                 parameter=0.5,
             )
 
+    @pytest.mark.parametrize("kind, bad", DOMAIN_VIOLATIONS + [("ad", 0.3)])
+    def test_direct_construction_checks_the_kind_and_parameter(self, kind, bad):
+        # A RESAMPLE round rebuilds a config's channel from its kind and
+        # parameter unchecked, so a channel built directly must hold valid ones.
+        operators = (np.eye(2, dtype=complex),)
+        message = check_message(kind, bad) if isinstance(kind, NoiseKind) else "unknown noise kind 'ad'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            channels.QuantumChannel(kind, operators, bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(channels.identity_channel(), kind=kind, parameter=bad)
+
     def test_direct_construction_freezes_a_copy(self):
         op = np.eye(2, dtype=complex)
         ch = channels.QuantumChannel(kind=NoiseKind.IDENTITY, operators=(op,), parameter=0)

@@ -236,8 +236,17 @@ class TestVerifyFormulas:
         ({"param_grids": {NoiseKind.PHASE_DAMPING: []}}, "param_grids[pd]: grid must be nonempty"),
         ({"xi_grid": []}, "xi_grid: grid must be nonempty"),
         ({"xi_grid": np.zeros(0)}, "xi_grid: grid must be nonempty"),
+        ({"xi_grid": [[0.1, 0.2]]}, "xi_grid: grid must be one-dimensional, got shape (1, 2)"),
+        ({"xi_grid": 0.3}, "xi_grid: grid must be one-dimensional, got shape ()"),
+        ({"xi_grid": [0.1, np.nan]}, "xi_grid: grid values must be finite, got nan"),
+        ({"param_grids": {NoiseKind.PHASE_DAMPING: np.zeros((2, 2))}},
+         "param_grids[pd]: grid must be one-dimensional, got shape (2, 2)"),
+        ({"param_grids": {NoiseKind.PHASE_DAMPING: 0.5}},
+         "param_grids[pd]: grid must be one-dimensional, got shape ()"),
+        ({"param_grids": {NoiseKind.PHASE_DAMPING: [0.5, 2.0]}}, "param_grids[pd]: eta must lie in [0, 1], got 2.0"),
+        ({"param_grids": {NoiseKind.PHASE_DAMPING: [0.5, 0.5]}}, "param_grids[pd]: grid must be strictly increasing"),
     ])
-    def test_an_empty_grid_is_rejected_before_any_oracle_is_built(self, monkeypatch, grids, message):
+    def test_a_bad_grid_is_rejected_before_any_oracle_is_built(self, monkeypatch, grids, message):
         def no_build(*args):
             raise AssertionError("an oracle was built")
 

@@ -390,6 +390,15 @@ class TestTransmitMessage:
                 d for d, sent in zip(decoded, mixed) if sent == bit
             ]
 
+    @pytest.mark.parametrize("bits", [
+        np.zeros((2, 3), dtype=int), np.array([[0, 1, 1]], dtype=np.int8), np.array(1), np.ones((2, 2)),
+    ], ids=["2x3 int", "1x3 int8", "0-d", "2x2 float"])
+    def test_an_array_that_is_not_1d_is_named_by_its_shape(self, bits):
+        config = config_with(channels.identity_channel())
+        message = f"message must be a 1-D sequence of bits, got an array of shape {bits.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            protocol.transmit_message(bits, config, 0)
+
     def test_bad_bit_raises_before_any_round(self, monkeypatch):
         calls = []
         monkeypatch.setattr(protocol, "run_protocol", lambda *a, **k: calls.append(a))
@@ -477,6 +486,30 @@ class TestStagePolicy:
         assert protocol.transmit_message(bits, config, seed=3) == protocol.transmit_message(
             bits, config, seed=3
         )
+
+
+# Draws at both ends of [0, 1) and one between, against each kind's edge parameters.
+EDGE_DRAWS = np.array([[0.0, 1 - 2**-53, 0.5], [1 - 2**-53, 0.0, 2**-53]])
+
+
+@pytest.mark.parametrize("kind, param", [
+    (kind, param)
+    for kind, params in [("ad", (0.0, 5e-324, 1.0)), ("pd", (0.0, 5e-324, 1.0)),
+                         ("cd", (0.0, 1e12, -1e300)), ("cr", (1e12, 1e300, -1e300)), ("none", (0.0,))]
+    for param in params
+])
+def test_resample_stage_channels_equal_the_checked_channels_at_the_domain_edges(monkeypatch, kind, param):
+    # The stages skip check_parameter; from_kind would raise on a product
+    # outside the domain, and builds the same bytes inside it.
+    monkeypatch.setattr(protocol, "_uniform_draws", lambda seed, first, n, k: EDGE_DRAWS[:n, :k])
+    channel = channels.from_kind(channels.NoiseKind(kind), param)
+    config = config_with(channel, stage_policy=StagePolicy.RESAMPLE)
+    for n, draws in ((2, EDGE_DRAWS), (None, EDGE_DRAWS[0])):
+        for j, stage in enumerate(protocol._stage_channels(config, 0, n)):
+            checked = channels.from_kind(channel.kind, draws[..., j] * param)
+            assert stage.kind is checked.kind
+            assert np.asarray(stage.parameter).tobytes() == np.asarray(checked.parameter).tobytes()
+            assert [op.tobytes() for op in stage.operators] == [op.tobytes() for op in checked.operators]
 
 
 FIRSTS = [0, 1, 2**14 - 1, 2**14, 10**6 - 1]

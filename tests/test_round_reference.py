@@ -7,8 +7,10 @@ The ``reference_*`` functions below are the earlier ``algebra`` and
 the adjoint, takes the 2x2 eigenvalue in closed form and builds the basis
 once, tries a single 2x2 unitary in scalar arithmetic before the numpy
 test, multiplies a single 2x2 pair with ``ndarray.dot`` in place of ``@``,
-and forms the right products of one 2x2 operator against a stack in one
-``dot``; its transcripts, outcome probabilities and error messages must
+forms the right products of one 2x2 operator against a stack in one
+``dot``, and in a message block rotates the two encoded states once, builds
+the stage channels without re-checking their parameters and measures p0
+alone; its transcripts, outcome probabilities and error messages must
 equal these bit for bit.
 """
 
@@ -179,6 +181,38 @@ def test_stacked_resample_block_matches_the_reference_bit_for_bit():
         want_p0, want_p1 = reference_decode_bit(want_states[-1], config.xi)
         assert same_bits(p0, want_p0) and same_bits(p1, want_p1)
         assert same_bits(protocol._round_p0(config, bits, 1000), want_p0)
+
+
+def reference_stage_channels(config, first, n):
+    """The three crossings' channels over rounds ``first`` to ``first + n - 1``, each built by ``from_kind``."""
+    if config.stage_policy is StagePolicy.FIXED:
+        return (config.channel,) * 3
+    draws = protocol._uniform_draws(config.resample_seed, first, n, 3)
+    kind, parameter = config.channel.kind, config.channel.parameter
+    return tuple(channels.from_kind(kind, draws[:, j] * parameter) for j in range(3))
+
+
+BLOCKS = {
+    "zeros": np.zeros(6, dtype=np.int8),
+    "ones": np.ones(6, dtype=np.int8),
+    "single": np.ones(1, dtype=np.int8),
+    "mixed": np.random.default_rng(93).integers(0, 2, 257).astype(np.int8),
+}
+
+
+@pytest.mark.parametrize("policy", list(StagePolicy))
+@pytest.mark.parametrize("block", list(BLOCKS))
+def test_a_block_p0_equals_the_reference_round_bit_for_bit(policy, block):
+    # The reference rotates every bit's state and decodes both outcomes;
+    # _round_p0 rotates the two encoded states once and measures p0 alone.
+    bits = BLOCKS[block]
+    for config in seeded_configs(94, 3, policy):
+        psi = np.where(bits[:, None] == 0, reference_encode_bit(0, config.xi),
+                       reference_encode_bit(1, config.xi))
+        rho = psi[:, :, None] * psi[:, None, :].conj()
+        final = reference_evolve(config, rho, reference_stage_channels(config, 700, len(bits)))[-1]
+        want_p0, _ = reference_decode_bit(final, config.xi)
+        assert same_bits(protocol._round_p0(config, bits, 700), want_p0)
 
 
 def assert_kraus_sums_equal_the_sums_from_zero(config, rho, stages):
