@@ -59,15 +59,6 @@ def _radians(values, args):
     return radians if type(radians) is float else tuple(radians)
 
 
-def _channel_from_args(args) -> channels.QuantumChannel:
-    kind = NoiseKind(args.noise)
-    param = args.param if kind.is_probability else _radians(args.param, args)
-    try:
-        return channels.from_kind(kind, param)
-    except ValueError as exc:
-        raise UsageError(f"--param: {exc}") from exc
-
-
 def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
     try:
         if ":" not in text:
@@ -115,7 +106,12 @@ def _status(passed: bool) -> str:
 
 
 def _protocol_config(args) -> protocol.ProtocolConfig:
-    channel = _channel_from_args(args)
+    kind = NoiseKind(args.noise)
+    try:
+        channel = channels.from_kind(
+            kind, args.param if kind.is_probability else _radians(args.param, args))
+    except ValueError as exc:
+        raise UsageError(f"--param: {exc}") from exc
     try:
         return protocol.ProtocolConfig(
             xi=_radians(args.xi, args),
@@ -133,8 +129,7 @@ def _cmd_run(args, start: float) -> int:
     config = _protocol_config(args)
     final, _ = protocol.run_protocol(config, args.bit)
     p0, p1 = protocol._decode(final, config.xi)
-    value = p0 if args.bit == 0 else p1
-    _print_json({"fidelity": value, "p0": p0, "p1": p1})
+    _print_json({"fidelity": (p0, p1)[args.bit], "p0": p0, "p1": p1})
     _emit_manifest(run_manifest(start))
     return EXIT_OK
 
@@ -271,13 +266,56 @@ def _cmd_message(args, start: float) -> int:
     return EXIT_OK
 
 
-def _add_protocol_flags(sub) -> None:
-    sub.add_argument("--noise", required=True, choices=[kind.value for kind in NoiseKind])
-    sub.add_argument("--param", type=float, default=0.0,
-                     help="noise parameter: eta in [0,1] for ad/pd, angle Phi/Theta for cd/cr")
-    sub.add_argument("--xi", type=float, default=0.0, help="encoding basis angle")
-    sub.add_argument("--alice-angle", type=float, default=0.0)
-    sub.add_argument("--bob-angle", type=float, default=0.0)
+_PROTOCOL_FLAGS = (
+    ("--noise", dict(required=True, choices=[kind.value for kind in NoiseKind])),
+    ("--param", dict(type=float, default=0.0,
+                     help="noise parameter: eta in [0,1] for ad/pd, angle Phi/Theta for cd/cr")),
+    ("--xi", dict(type=float, default=0.0, help="encoding basis angle")),
+    ("--alice-angle", dict(type=float, default=0.0)),
+    ("--bob-angle", dict(type=float, default=0.0)),
+)
+_DEGREES = ("--degrees", dict(action="store_true"))
+
+# Each subcommand once, in help order: its help, its handler and each flag's
+# add_argument keywords. The argparse parsers and _PLAIN are built from it.
+_COMMANDS = {
+    "run": ("run one protocol round", _cmd_run, _PROTOCOL_FLAGS + (
+        ("--bit", dict(type=int, choices=(0, 1), default=0)),
+        ("--degrees", dict(action="store_true", help="interpret angles as degrees")),
+    )),
+    "sweep": ("evaluate fidelity over a grid", _cmd_sweep, (
+        ("--noise", dict(required=True, choices=[k.value for k in fidelity.CLOSED_FORM_KINDS])),
+        ("--grid", dict(help="parameter grid, 'lo:hi:n' or comma list "
+                             "(default: 101 points over the natural range)")),
+        ("--xi-grid", dict(help="encoding angles, 'lo:hi:n' or comma list")),
+        ("--xi-avg", dict(action="store_true", help="add a state-averaged row per parameter")),
+        ("--mode", dict(choices=[m.value for m in SweepMode], default=SweepMode.CLOSED_FORM.value)),
+        ("--out", dict(required=True, help="output file path, '-' for stdout")),
+        ("--format", dict(choices=("csv", "json"), default="csv")),
+        ("--seed", dict(type=int, default=0)),
+        ("--rotation-points", dict(type=int, default=_QUADRATURE.rotation_points)),
+        ("--xi-points", dict(type=int, default=_QUADRATURE.xi_points)),
+        _DEGREES,
+    )),
+    "verify": ("closed form vs oracle campaign", _cmd_verify, (
+        ("--kinds", dict(default="ad,pd,cd,cr", help="comma-separated subset of ad,pd,cd,cr")),
+        ("--tolerance", dict(type=float, default=1e-6)),
+        ("--resolution", dict(type=int, default=_QUADRATURE.rotation_points,
+                              help="rotation-average quadrature points per axis")),
+        ("--xi-points", dict(type=int, default=_QUADRATURE.xi_points,
+                             help="state-average quadrature points")),
+    )),
+    "commutators": ("damping Kraus operators vs rotation commutators", _cmd_commutators, (
+        ("--eta", dict(type=float, required=True)),
+        ("--theta", dict(type=float, required=True)),
+        _DEGREES,
+    )),
+    "message": ("transmit a bit string", _cmd_message, _PROTOCOL_FLAGS + (
+        ("--bits", dict(required=True, help="message as a 0/1 string")),
+        ("--seed", dict(type=int, default=0)),
+        _DEGREES,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,131 +323,84 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name."""
+    """The top-level parser and its subcommand parsers by name, built from ``_COMMANDS``."""
     parser = argparse.ArgumentParser(
-        prog="threestage",
-        description="Three-stage protocol simulator and fidelity analysis.",
-    )
+        prog="threestage", description="Three-stage protocol simulator and fidelity analysis.")
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    run = subparsers.add_parser("run", help="run one protocol round")
-    _add_protocol_flags(run)
-    run.add_argument("--bit", type=int, choices=(0, 1), default=0)
-    run.add_argument("--degrees", action="store_true", help="interpret angles as degrees")
-    run.set_defaults(handler=_cmd_run)
-
-    sweep = subparsers.add_parser("sweep", help="evaluate fidelity over a grid")
-    sweep.add_argument("--noise", required=True,
-                       choices=[kind.value for kind in fidelity.CLOSED_FORM_KINDS])
-    sweep.add_argument("--grid", help="parameter grid, 'lo:hi:n' or comma list "
-                                      "(default: 101 points over the natural range)")
-    sweep.add_argument("--xi-grid", help="encoding angles, 'lo:hi:n' or comma list")
-    sweep.add_argument("--xi-avg", action="store_true",
-                       help="add a state-averaged row per parameter")
-    sweep.add_argument("--mode", choices=[m.value for m in SweepMode],
-                       default=SweepMode.CLOSED_FORM.value)
-    sweep.add_argument("--out", required=True, help="output file path, '-' for stdout")
-    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--rotation-points", type=int, default=_QUADRATURE.rotation_points)
-    sweep.add_argument("--xi-points", type=int, default=_QUADRATURE.xi_points)
-    sweep.add_argument("--degrees", action="store_true")
-    sweep.set_defaults(handler=_cmd_sweep)
-
-    verify = subparsers.add_parser("verify", help="closed form vs oracle campaign")
-    verify.add_argument("--kinds", default="ad,pd,cd,cr",
-                        help="comma-separated subset of ad,pd,cd,cr")
-    verify.add_argument("--tolerance", type=float, default=1e-6)
-    verify.add_argument("--resolution", type=int, default=_QUADRATURE.rotation_points,
-                        help="rotation-average quadrature points per axis")
-    verify.add_argument("--xi-points", type=int, default=_QUADRATURE.xi_points,
-                        help="state-average quadrature points")
-    verify.set_defaults(handler=_cmd_verify)
-
-    comm = subparsers.add_parser("commutators",
-                                 help="damping Kraus operators vs rotation commutators")
-    comm.add_argument("--eta", type=float, required=True)
-    comm.add_argument("--theta", type=float, required=True)
-    comm.add_argument("--degrees", action="store_true")
-    comm.set_defaults(handler=_cmd_commutators)
-
-    message = subparsers.add_parser("message", help="transmit a bit string")
-    _add_protocol_flags(message)
-    message.add_argument("--bits", required=True, help="message as a 0/1 string")
-    message.add_argument("--seed", type=int, default=0)
-    message.add_argument("--degrees", action="store_true")
-    message.set_defaults(handler=_cmd_message)
-    return parser, {"run": run, "sweep": sweep, "verify": verify, "commutators": comm,
-                    "message": message}
+    commands = {}
+    for name, (help_text, handler, flags) in _COMMANDS.items():
+        command = commands[name] = subparsers.add_parser(name, help=help_text)
+        for flag, keywords in flags:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(handler=handler)
+    return parser, commands
 
 
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parsers ``main`` uses, built on its first call and reused after."""
-    return _build_parsers()
+# The parser main hands an argv that is not plain, built on the first such argv.
+_parsers = functools.cache(build_parser)
 
 
-def _parse_plain(command: argparse.ArgumentParser, name: str, tokens: list[str]):
+def _plain_lookup(name: str, handler, flags) -> tuple[dict, set, dict]:
+    """Per option string (dest, type, choices, switch), the required dests, and the
+    namespace of no flags in argparse's order: command, each flag's default, handler."""
+    table, required, defaults = {}, set(), {"command": name}
+    for flag, keywords in flags:
+        dest, switch = flag[2:].replace("-", "_"), keywords.get("action") == "store_true"
+        table[flag] = (dest, keywords.get("type"), keywords.get("choices"), switch)
+        if keywords.get("required"):
+            required.add(dest)
+        defaults[dest] = keywords.get("default", False if switch else None)
+    return table, required, {**defaults, "handler": handler}
+
+
+_PLAIN = {name: _plain_lookup(name, *command[1:]) for name, command in _COMMANDS.items()}
+
+
+def _parse_plain(name: str, tokens: list[str]):
     """``build_parser().parse_args([name, *tokens])`` for plain argv, else None.
 
-    Plain argv is exact option strings of ``command``: a store flag takes the
-    next token, which must not start with ``-``, through its type and
-    choices; a ``store_true`` switch takes none; a repeated flag keeps its
-    last value; every required flag is present. Anything else gives None, so
-    that argparse parses it and writes its own usage and errors. The
-    namespace is filled in argparse's order: the command, each action's
-    default, the parser's own defaults, then the parsed values. The pass
-    relies on what ``TestParseOnce`` pins of these parsers: a store flag
-    takes one value, typed by ``int``, ``float`` or nothing, and no typed
-    flag has a string default.
+    Plain argv is exact option strings of ``_PLAIN[name]``: a store flag
+    takes the next token, which must not start with ``-``, through its type
+    and choices; a switch takes none; a repeated flag keeps its last value;
+    every required flag is present. Anything else gives None, for
+    argparse to parse with its own usage and errors. ``TestParseOnce`` pins
+    what the pass relies on: a store flag takes one value, typed by ``int``,
+    ``float`` or nothing, and no typed flag has a string default.
     """
-    parsed, seen = {}, set()
-    index = 0
-    while index < len(tokens):
-        action = command._option_string_actions.get(tokens[index])
-        if type(action) is argparse._StoreTrueAction:
-            parsed[action.dest] = action.const
-            index += 1
-        elif (type(action) is argparse._StoreAction
-              and index + 1 < len(tokens) and not tokens[index + 1].startswith("-")):
-            value = tokens[index + 1]
-            try:
-                value = value if action.type is None else action.type(value)
-            except ValueError:
-                return None
-            if action.choices is not None and value not in action.choices:
-                return None
-            parsed[action.dest] = value
-            index += 2
-        else:
+    (table, required, defaults), parsed, words = _PLAIN[name], {}, iter(tokens)
+    for word in words:
+        if word not in table:
             return None
-        seen.add(action)
-    namespace = {"command": name}
-    for action in command._actions:
-        if action.required and action not in seen:
-            return None  # argparse reports the missing flag
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            namespace.setdefault(action.dest, action.default)
-    for dest, default in command._defaults.items():
-        namespace.setdefault(dest, default)
-    namespace.update(parsed)
-    return argparse.Namespace(**namespace)
+        dest, kind, choices, switch = table[word]
+        if switch:
+            parsed[dest] = True
+            continue
+        value = next(words, "-")  # no value left is not plain either
+        if value.startswith("-"):
+            return None
+        try:
+            value = value if kind is None else kind(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        parsed[dest] = value
+    if not required.issubset(parsed):
+        return None  # argparse reports the missing flag
+    return argparse.Namespace(**{**defaults, **parsed})
 
 
 def _parse_args(argv) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, with plain argv parsed in one pass.
 
     An argv whose first word names a subcommand and whose later words are
-    plain (``_parse_plain``) is parsed in one pass over that subcommand
-    parser's action table. Every other argv, and every error and usage
-    line, goes to the top-level parser's own ``parse_args``.
+    plain (``_parse_plain``) builds no parser. Every other argv, and every
+    error and usage line, goes to the top-level parser's own ``parse_args``.
     """
-    parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = commands.get(argv[0]) if argv else None
-    args = None if command is None else _parse_plain(command, argv[0], argv[1:])
-    return parser.parse_args(argv) if args is None else args
+    args = _parse_plain(argv[0], argv[1:]) if argv and argv[0] in _PLAIN else None
+    return _parsers().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -68,11 +68,16 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in fidelity.CLOSED_FORM_KINDS:
             raise ValueError(f"kind: {self.kind!r} has no closed form to sweep")
-        rows = len(self.param_grid) * (len(self.xi_grid) + int(self.include_state_average))
+        try:
+            rows = len(self.param_grid) * (len(self.xi_grid) + int(self.include_state_average))
+        except TypeError:  # a grid with no len(): _check_grid names it
+            _check_grid("param_grid", self.param_grid, self.kind)
+            _check_grid("xi_grid", self.xi_grid)
+            raise
         if rows > MAX_SWEEP_ROWS:
             raise ValueError(f"param_grid, xi_grid: {rows} rows, over the cap of {MAX_SWEEP_ROWS}")
         _check_grid("param_grid", self.param_grid, self.kind)
-        if self.xi_grid:
+        if len(self.xi_grid):
             _check_grid("xi_grid", self.xi_grid)
         elif not self.include_state_average:
             raise ValueError("xi_grid: empty grid requires include_state_average")

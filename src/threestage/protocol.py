@@ -78,7 +78,8 @@ class ProtocolConfig:
     ``xi`` fixes the public encoding basis, ``alice_angle`` and ``bob_angle``
     are the parties' secret rotations (all radians). Each angle must be a
     real number: a Python real, a numpy real scalar or a 0-d real array.
-    Anything else raises TypeError, a NaN or infinite angle ValueError.
+    Anything else raises TypeError, a NaN or infinite angle ValueError. A
+    round takes one channel: a stacked ``channel`` raises ValueError.
     """
 
     xi: float
@@ -100,6 +101,9 @@ class ProtocolConfig:
             if not finite:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         _non_negative("resample_seed", self.resample_seed)
+        channel = self.channel
+        if type(channel.parameter) is not float or any(op.shape != (2, 2) for op in channel.operators):
+            raise ValueError(f"channel must not be a stack, got parameter {channel.parameter!r}")
 
 
 @dataclass(frozen=True)

@@ -989,8 +989,8 @@ class TestParseOnce:
             ["run", "--noise", "ad", "--=x"],
         ]
     )
-    # One plain ``--flag value`` argv per subcommand, and one shaped like the
-    # benchmark's ``run`` calls.
+    # One plain ``--flag value`` argv per subcommand, one per subcommand that
+    # sets every declared flag, and one shaped like the benchmark's ``run`` calls.
     PLAIN = (
         ["run", "--noise", "cr", "--param", "1.0471975511965976", "--xi", "0.3",
          "--alice-angle", "2.2", "--bob-angle", "5.1", "--bit", "1"],
@@ -1000,6 +1000,14 @@ class TestParseOnce:
          "--format", "json", "--mode", "both", "--rotation-points", "16"],
         ["verify", "--kinds", "cr", "--tolerance", "0.1", "--resolution", "8"],
         ["commutators", "--eta", "0.5", "--theta", "1", "--degrees"],
+        ["run", "--degrees", "--noise", "none", "--param", "30", "--xi", "10", "--alice-angle", "45",
+         "--bob-angle", "90", "--bit", "1"],
+        ["sweep", "--noise", "cr", "--grid", "0,1", "--xi-grid", "0:6:3", "--xi-avg", "--mode",
+         "oracle", "--out", "out.csv", "--format", "csv", "--seed", "3", "--rotation-points", "8",
+         "--xi-points", "8", "--degrees"],
+        ["verify", "--kinds", "ad,cr", "--tolerance", "1e-3", "--resolution", "8", "--xi-points", "8"],
+        ["message", "--noise", "cd", "--param", "20", "--xi", "0.5", "--alice-angle", "12",
+         "--bob-angle", "70", "--bits", "10", "--seed", "4", "--degrees"],
     )
 
     @staticmethod
@@ -1041,6 +1049,35 @@ class TestParseOnce:
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
         assert [repr(cli._parse_args(argv)) for argv in self.PLAIN] == expected
+
+    def test_plain_argvs_set_every_declared_flag_of_every_subcommand(self):
+        for name, (_, _, flags) in cli._COMMANDS.items():
+            declared = {flag for flag, _ in flags}
+            assert any(argv[0] == name and declared <= set(argv) for argv in self.PLAIN), name
+
+    def test_a_plain_argv_builds_no_parser(self, capsys):
+        cli._parsers.cache_clear()
+        try:
+            assert cli.main(["run", "--noise", "ad", "--param", "0.3", "--bit", "1"]) == 0
+            assert cli._parsers.cache_info().currsize == 0
+            assert cli.main(["run", "--noise=ad"]) == 0
+            assert cli._parsers.cache_info().currsize == 1
+        finally:
+            capsys.readouterr()
+
+    def test_the_plain_lookup_is_each_subcommand_parser_s_action_table(self):
+        for name, command in cli._build_parsers()[1].items():
+            table, required, defaults = cli._PLAIN[name]
+            actions = [a for a in command._actions if type(a) is not argparse._HelpAction]
+            assert table == {
+                a.option_strings[0]: (a.dest, a.type, a.choices, type(a) is argparse._StoreTrueAction)
+                for a in actions
+            }, name
+            assert [a.option_strings for a in actions] == [[flag] for flag in table], name
+            assert required == {a.dest for a in actions if a.required}, name
+            assert list(defaults.items()) == [
+                ("command", name), *((a.dest, a.default) for a in actions), *command._defaults.items()
+            ], name
 
     def test_every_subcommand_action_is_one_the_plain_pass_parses_as_argparse_does(self):
         # _parse_plain gives each store flag one value through int or float,

@@ -63,6 +63,30 @@ class TestSweepSpecValidation:
             SweepSpec(kind=NoiseKind.COLLECTIVE_ROTATION, param_grid=(0.0,), xi_grid=(10**400,))
         assert str(info.value) == f"xi_grid: grid values must be finite, got {10**400!r}"
 
+    @pytest.mark.parametrize("field", ["param_grid", "xi_grid"])
+    @pytest.mark.parametrize("grid", [0.3, np.float64(0.3), np.array(0.3)], ids=repr)
+    def test_a_grid_with_no_len_is_named(self, field, grid):
+        message = f"^{field}: grid must be one-dimensional, got shape \\(\\)$"
+        with pytest.raises(ValueError, match=message):
+            spec_with(**{field: grid})
+        with pytest.raises(ValueError, match=message):
+            spec_with(**{field: grid}, include_state_average=True)
+
+    def test_an_over_cap_sequence_is_refused_before_it_is_read(self):
+        class Huge:
+            def __len__(self):
+                return harness.MAX_SWEEP_ROWS + 1
+
+            def __getitem__(self, index):
+                raise AssertionError("the grid was read before the row cap")
+
+        with pytest.raises(ValueError, match=r"^param_grid, xi_grid: 2000002 rows"):
+            spec_with(param_grid=Huge())
+
+    def test_array_grids_are_accepted(self):
+        spec = spec_with(param_grid=np.array([0.0, 0.5]), xi_grid=np.array([0.0, 1.0]))
+        assert len(harness.sweep(spec)[0]) == 4
+
     def test_allows_empty_xi_grid_with_average(self):
         spec_with(xi_grid=(), include_state_average=True)
 

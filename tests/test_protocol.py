@@ -1,3 +1,4 @@
+import dataclasses
 import fractions
 import functools
 import re
@@ -675,6 +676,36 @@ def config_of(field, value):
     angles = dict(xi=0.3, alice_angle=1.0, bob_angle=2.0)
     angles[field] = value
     return ProtocolConfig(**angles, channel=channels.amplitude_damping(0.3))
+
+
+class TestStackedChannel:
+    """A round takes one channel: a config with a stacked one is refused where it enters."""
+
+    AD = channels.NoiseKind.AMPLITUDE_DAMPING
+
+    @pytest.fixture(params=["list", "one-member array", "array parameter", "stacked operators"])
+    def stacked(self, request):
+        single, pair = channels.from_kind(self.AD, 0.1), channels.from_kind(self.AD, [0.1, 0.2])
+        return {
+            "list": pair,
+            "one-member array": channels.from_kind(self.AD, np.array([0.1])),
+            "array parameter": channels.QuantumChannel(self.AD, single.operators, np.array([0.1])),
+            "stacked operators": channels.QuantumChannel(self.AD, pair.operators, 0.1),
+        }[request.param]
+
+    def test_run_protocol_refuses_it(self, stacked):
+        with pytest.raises(ValueError, match="^channel must not be a stack, got parameter "):
+            protocol.run_protocol(config_with(stacked), 0)
+
+    @pytest.mark.parametrize("policy", list(StagePolicy))
+    def test_transmit_message_refuses_it(self, stacked, policy):
+        with pytest.raises(ValueError, match="^channel must not be a stack"):
+            protocol.transmit_message([0, 1, 1], config_with(stacked, stage_policy=policy), 0)
+
+    def test_replace_refuses_it(self, stacked):
+        config = config_with(channels.from_kind(self.AD, 0.1))
+        with pytest.raises(ValueError, match="^channel must not be a stack"):
+            dataclasses.replace(config, channel=stacked)
 
 
 class TestAngleChecks:
