@@ -170,42 +170,27 @@ def density_from_pure(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _clearly_unitary(row_0, row_1) -> bool:
-    """Whether the 2x2 with these rows is unitary within ``UNITARY_ATOL / 2``, in Python arithmetic.
-
-    Each of the three distinct entries of U^dagger U - I must be at most half
-    the bound. numpy's test then accepts too: a diagonal defect that small
-    keeps every entry's magnitude at most about 1, where Python's rounding and
-    numpy's FMA rounding of those entries differ by about 1e-15, far inside
-    the other half. False decides nothing; the caller runs the numpy test.
-    The comparisons are joined by ``and`` so that a NaN fails (``max`` would
-    drop one that is not its first argument), and the diagonal goes first so
-    that the off-diagonal is formed only from entries of magnitude at most
-    about 1 and cannot overflow.
-    """
-    (a, b), (c, d) = row_0, row_1
-    half = UNITARY_ATOL / 2
-    return (
-        abs((a * a.conjugate() + c * c.conjugate()).real - 1.0) <= half
-        and abs((b * b.conjugate() + d * d.conjugate()).real - 1.0) <= half
-        and abs(a.conjugate() * b + c.conjugate() * d) <= half
-    )
-
-
-def conjugate_by(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def conjugate_by(u: np.ndarray, rho: np.ndarray, *, _built: bool = False) -> np.ndarray:
     """U rho U^dagger for unitary U, re-symmetrized; stacks of either broadcast.
 
     Raises ValueError when ``u`` (every member of a stack) is not unitary
-    within 1e-10. A single 2x2 that ``_clearly_unitary`` accepts skips the
-    numpy test; a stack, a wrong shape, a non-finite entry or a matrix near
-    or over the bound takes it.
+    within 1e-10, or has a wrong shape or a non-finite entry. Every operator
+    from outside the package takes that one numpy test.
+
+    ``_built=True`` is for the rotations and their daggers that a round
+    builds itself with ``_rotation``, from angles its config checked finite:
+    it takes complex arrays as they are and skips the test, because those
+    operators are unitary by construction. With c = fl(cos t) and
+    s = fl(sin t), the diagonal of U^dagger U - I is c^2 + s^2 - 1, within a
+    few ulp of 0; the off-diagonal c(-s) + sc is exactly 0; and ``dagger``
+    is an exact conjugate transpose.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not _clearly_unitary(*u.tolist()):
+    if not _built:
         u = _as_mat2(u, "unitary")
         if not _within_unitary(u, u.conj().swapaxes(-1, -2), UNITARY_ATOL):
             raise ValueError("operator is not unitary within 1e-10")
-    return symmetrize(_sandwich(u, np.asarray(rho, dtype=complex)))
+        rho = np.asarray(rho, dtype=complex)
+    return symmetrize(_sandwich(u, rho))
 
 
 def _sandwich(u: np.ndarray, rho: np.ndarray) -> np.ndarray:

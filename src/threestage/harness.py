@@ -86,10 +86,18 @@ class SweepSpec:
 def _check_grid(name: str, grid, kind: NoiseKind | None = None) -> np.ndarray:
     """``grid`` as a float array, else ValueError "<name>: ..." naming the broken rule.
 
-    A grid is one-dimensional, nonempty, finite and strictly increasing and,
-    when ``kind`` is given, holds valid parameters of that kind.
+    A grid is a sequence of real numbers, one-dimensional, nonempty, finite
+    and strictly increasing and, when ``kind`` is given, holds valid
+    parameters of that kind.
     """
-    values = algebra._finite(f"{name}: grid values", grid)
+    values = None
+    if grid is not None:  # numpy would read None as NaN
+        try:
+            values = algebra._finite(f"{name}: grid values", grid)
+        except TypeError:  # numpy cannot read it as floats: an iterator, a set
+            pass
+    if values is None:
+        raise ValueError(f"{name}: grid must be a sequence of real numbers, not {type(grid).__name__}")
     if values.ndim != 1:
         raise ValueError(f"{name}: grid must be one-dimensional, got shape {values.shape}")
     if values.size == 0:

@@ -79,7 +79,8 @@ class ProtocolConfig:
     are the parties' secret rotations (all radians). Each angle must be a
     real number: a Python real, a numpy real scalar or a 0-d real array.
     Anything else raises TypeError, a NaN or infinite angle ValueError. A
-    round takes one channel: a stacked ``channel`` raises ValueError.
+    round takes one channel: a ``channel`` that is not a ``QuantumChannel``
+    raises TypeError, a stacked one ValueError.
     """
 
     xi: float
@@ -102,6 +103,8 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         _non_negative("resample_seed", self.resample_seed)
         channel = self.channel
+        if not isinstance(channel, QuantumChannel):
+            raise TypeError(f"channel must be a QuantumChannel, got {type(channel).__name__}")
         if type(channel.parameter) is not float or any(op.shape != (2, 2) for op in channel.operators):
             raise ValueError(f"channel must not be a stack, got parameter {channel.parameter!r}")
 
@@ -203,11 +206,11 @@ def _evolve(config: ProtocolConfig, rho: np.ndarray, stages, members=None) -> tu
     """
     r_alice, r_bob = rotations = algebra._rotation((config.alice_angle, config.bob_angle))
     undo_alice, undo_bob = algebra.dagger(rotations)
-    sent = algebra.conjugate_by(r_alice, rho)
+    sent = algebra.conjugate_by(r_alice, rho, _built=True)
     after_1 = channels.apply_channel(stages[0], sent if members is None else sent[members])
-    after_2 = channels.apply_channel(stages[1], algebra.conjugate_by(r_bob, after_1))
-    after_3 = channels.apply_channel(stages[2], algebra.conjugate_by(undo_alice, after_2))
-    return after_1, after_2, after_3, algebra.conjugate_by(undo_bob, after_3)
+    after_2 = channels.apply_channel(stages[1], algebra.conjugate_by(r_bob, after_1, _built=True))
+    after_3 = channels.apply_channel(stages[2], algebra.conjugate_by(undo_alice, after_2, _built=True))
+    return after_1, after_2, after_3, algebra.conjugate_by(undo_bob, after_3, _built=True)
 
 
 def run_protocol(

@@ -61,6 +61,22 @@ class TestRotation:
         with pytest.raises(ValueError):
             algebra.rotation(bad)
 
+    def test_rotations_and_their_daggers_are_unitary_by_construction(self):
+        # A round conjugates by these with no unitarity test (conjugate_by's _built).
+        rng = np.random.default_rng(16)
+        tiny = np.nextafter(0.0, 1.0)
+        angles = np.concatenate([
+            [0.0, tiny, -tiny, 1e-300, np.pi / 4, 1e15, 1e300, -1e300, np.finfo(float).max],
+            rng.uniform(-1e6, 1e6, 20000),
+            rng.uniform(-7.0, 7.0, 20000),
+        ])
+        u = algebra._rotation(angles)
+        u_dagger = algebra.dagger(u)
+        c, s = np.cos(angles), np.sin(angles)
+        np.testing.assert_array_equal(u_dagger, np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2))
+        for left, right in ((u_dagger, u), (u, u_dagger)):
+            assert np.max(np.abs(left @ right - np.eye(2))) <= 4.5e-16
+
     def test_array_of_angles_stacks_the_scalar_rotations_exactly(self):
         angles = np.random.default_rng(12).uniform(-50, 50, size=(3, 40))
         stacked = np.array([[algebra.rotation(float(t)) for t in row] for row in angles])

@@ -72,6 +72,16 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match=message):
             spec_with(**{field: grid}, include_state_average=True)
 
+    @pytest.mark.parametrize("field", ["param_grid", "xi_grid"])
+    @pytest.mark.parametrize("grid", [iter([0.1]), (x for x in [0.1]), None, {0.1}],
+                             ids=["iterator", "generator", "None", "set"])
+    def test_a_grid_that_is_not_a_sequence_is_named(self, field, grid):
+        message = f"^{field}: grid must be a sequence of real numbers, not {type(grid).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            spec_with(**{field: grid})
+        with pytest.raises(ValueError, match=message):
+            spec_with(**{field: grid}, include_state_average=True)
+
     def test_an_over_cap_sequence_is_refused_before_it_is_read(self):
         class Huge:
             def __len__(self):
@@ -269,6 +279,9 @@ class TestVerifyFormulas:
          "param_grids[pd]: grid must be one-dimensional, got shape ()"),
         ({"param_grids": {NoiseKind.PHASE_DAMPING: [0.5, 2.0]}}, "param_grids[pd]: eta must lie in [0, 1], got 2.0"),
         ({"param_grids": {NoiseKind.PHASE_DAMPING: [0.5, 0.5]}}, "param_grids[pd]: grid must be strictly increasing"),
+        ({"param_grids": {NoiseKind.AMPLITUDE_DAMPING: iter([0.1])}},
+         "param_grids[ad]: grid must be a sequence of real numbers, not list_iterator"),
+        ({"xi_grid": (x for x in [0.1])}, "xi_grid: grid must be a sequence of real numbers, not generator"),
     ])
     def test_a_bad_grid_is_rejected_before_any_oracle_is_built(self, monkeypatch, grids, message):
         def no_build(*args):

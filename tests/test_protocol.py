@@ -254,12 +254,13 @@ class TestChecksWhereValuesEnter:
         assert checks == ["validate_density", "completeness_defect", "_message_bits"]
 
     @pytest.mark.parametrize("kind", ["ad", "pd", "cd", "cr", "none"])
-    def test_a_round_s_rotations_take_only_the_scalar_unitarity_test(self, kind, monkeypatch):
-        def exact(*args):
-            raise AssertionError("a round's rotation reached the exact unitarity test")
+    def test_a_round_s_rotations_take_no_unitarity_test(self, kind, monkeypatch):
+        def checked(*args):
+            raise AssertionError("a round's rotation reached a unitarity test")
 
         channel = channels.from_kind(channels.NoiseKind(kind), 0.3)
-        monkeypatch.setattr(algebra, "_within_unitary", exact)
+        monkeypatch.setattr(algebra, "_within_unitary", checked)
+        monkeypatch.setattr(algebra, "_as_mat2", checked)
         for policy in StagePolicy:
             for bit in (0, 1):
                 protocol.run_protocol(config_with(channel, stage_policy=policy), bit, message_index=3)
@@ -706,6 +707,15 @@ class TestStackedChannel:
         config = config_with(channels.from_kind(self.AD, 0.1))
         with pytest.raises(ValueError, match="^channel must not be a stack"):
             dataclasses.replace(config, channel=stacked)
+
+    @pytest.mark.parametrize("bad", [None, "ad", channels.amplitude_damping(0.1).operators],
+                             ids=["None", "str", "operators"])
+    def test_an_object_that_is_not_a_channel_raises_type_error(self, bad):
+        message = f"^channel must be a QuantumChannel, got {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            ProtocolConfig(0.1, 0.2, 0.3, bad)
+        with pytest.raises(TypeError, match=message):
+            dataclasses.replace(config_with(channels.from_kind(self.AD, 0.1)), channel=bad)
 
 
 class TestAngleChecks:
