@@ -170,31 +170,34 @@ def density_from_pure(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def conjugate_by(u: np.ndarray, rho: np.ndarray, *, _built: bool = False) -> np.ndarray:
+def conjugate_by(u: np.ndarray, rho: np.ndarray, *, _built: np.ndarray | None = None) -> np.ndarray:
     """U rho U^dagger for unitary U, re-symmetrized; stacks of either broadcast.
 
     Raises ValueError when ``u`` (every member of a stack) is not unitary
     within 1e-10, or has a wrong shape or a non-finite entry. Every operator
     from outside the package takes that one numpy test.
 
-    ``_built=True`` is for the rotations and their daggers that a round
-    builds itself with ``_rotation``, from angles its config checked finite:
-    it takes complex arrays as they are and skips the test, because those
-    operators are unitary by construction. With c = fl(cos t) and
+    ``_built`` carries U^dagger, the undo rotation of a rotation or the
+    rotation of an undo rotation, for the ones a round builds itself with
+    ``_rotation`` from angles its config checked finite. The call then takes
+    complex arrays as they are, skips the test and forms no adjoint, because
+    those operators are unitary by construction. With c = fl(cos t) and
     s = fl(sin t), the diagonal of U^dagger U - I is c^2 + s^2 - 1, within a
     few ulp of 0; the off-diagonal c(-s) + sc is exactly 0; and ``dagger``
-    is an exact conjugate transpose.
+    is an exact conjugate transpose, so the adjoint given has the bytes and
+    the memory layout of ``u.conj().swapaxes(-1, -2)``.
     """
-    if not _built:
+    if _built is None:
         u = _as_mat2(u, "unitary")
-        if not _within_unitary(u, u.conj().swapaxes(-1, -2), UNITARY_ATOL):
+        _built = u.conj().swapaxes(-1, -2)
+        if not _within_unitary(u, _built, UNITARY_ATOL):
             raise ValueError("operator is not unitary within 1e-10")
         rho = np.asarray(rho, dtype=complex)
-    return symmetrize(_sandwich(u, rho))
+    return symmetrize(_sandwich(u, rho, _built))
 
 
-def _sandwich(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """U rho U^dagger of complex arrays, not re-symmetrized; stacks of either broadcast.
+def _sandwich(u: np.ndarray, rho: np.ndarray, u_dagger: np.ndarray) -> np.ndarray:
+    """U rho U^dagger of complex arrays, given U^dagger, not re-symmetrized; stacks broadcast.
 
     Three cases, each with the bytes of ``u @ rho @ u.conj().swapaxes(-1, -2)``:
 
@@ -203,25 +206,31 @@ def _sandwich(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
       ``@`` (same order, same transpose flags) without the matmul ufunc's
       dispatch.
     - One 2x2 ``u`` and a stack ``rho``: the left products ``u @ rho`` stay
-      one BLAS call per member, and the right products, which share
-      U^dagger, are one call on the members' rows laid end to end. numpy
-      hands BLAS the transposed row-major problem, U^dagger^T times the
-      rows as columns, so the output has two rows there at any stack size,
-      and each entry is formed from the same operands in the same order as
-      in a member's own call. The left product cannot batch the same way:
-      laying its members end to end needs ``rho^T U^T``, which hands BLAS
-      the two factors in the other order, and a complex product rounds
-      differently when its factors swap.
+      one BLAS call per member, and ``_right`` forms the right products in
+      one call. The left product cannot batch the same way: laying its
+      members end to end needs ``rho^T U^T``, which hands BLAS the two
+      factors in the other order, and a complex product rounds differently
+      when its factors swap.
     - A stacked ``u`` multiplies through ``@``.
 
     ``tests/test_round_reference.py`` pins every case against ``@``.
     """
     if u.ndim == 2 and rho.ndim == 2:
-        return u.dot(rho).dot(u.conj().T)
-    if u.ndim == 2:
-        left = u @ rho
-        return left.reshape(-1, 2).dot(u.conj().T).reshape(left.shape)
-    return u @ rho @ u.conj().swapaxes(-1, -2)
+        return u.dot(rho).dot(u_dagger)
+    return _right(u @ rho, u_dagger)
+
+
+def _right(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ right`` for a stack ``left``, with the bytes of ``@``.
+
+    A 2x2 ``right`` shared by every member multiplies the members' rows laid
+    end to end in one ``dot``: numpy hands BLAS ``right^T`` times the rows as
+    columns, so each entry is formed from the same operands in the same
+    order as in a member's own call. A stacked ``right`` goes through ``@``.
+    """
+    if right.ndim == 2:
+        return left.reshape(-1, 2).dot(right).reshape(left.shape)
+    return left @ right
 
 
 def fidelity(psi, rho) -> float:

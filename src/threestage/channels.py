@@ -277,7 +277,21 @@ def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     ``rho`` is assumed valid and ``channel`` complete, so it has a first term
     to start the sum from; both were checked where they entered, or hold by
     construction.
+
+    On a stack, every E_i meets the same state, so the rows of all k
+    operators, laid end to end at each call, shape ``(..., 2k, 2)``, form
+    every left product E_i rho in one ``@`` member per state. They share
+    the right operand rho, so numpy hands BLAS rho^T times the rows as
+    columns, and each entry has the operands and order of E_i rho alone. A
+    single 2x2 state and an unstacked channel keep one ``dot`` per operator:
+    laying two 2x2 operators end to end costs more than the ``dot`` it
+    saves. The right products, sum and symmetrization are ``conjugate_by``'s.
     """
-    rho = np.asarray(rho, dtype=complex)
-    terms = [algebra._sandwich(op, rho) for op in channel.operators]
+    rho, operators = np.asarray(rho, dtype=complex), channel.operators
+    if rho.ndim == 2 and operators[0].ndim == 2:
+        terms = [op.dot(rho).dot(op.conj().T) for op in operators]
+    else:
+        left = (np.concatenate(operators, axis=-2) if len(operators) > 1 else operators[0]) @ rho
+        terms = [algebra._right(left[..., 2 * i:2 * i + 2, :], op.conj().swapaxes(-1, -2))
+                 for i, op in enumerate(operators)]
     return algebra.symmetrize(functools.reduce(operator.add, terms))

@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -356,13 +357,19 @@ def _plain_lookup(name: str, handler, flags) -> tuple[dict, set, dict]:
 
 _PLAIN = {name: _plain_lookup(name, *command[1:]) for name, command in _COMMANDS.items()}
 
+# The dash-leading words argparse reads as values on every supported Python:
+# "-" and the negative numbers of its own pattern, since no option string
+# here looks like a negative number.
+_DASH_VALUE = re.compile(r"-|-\d+|-\d*\.\d+")
+
 
 def _parse_plain(name: str, tokens: list[str]):
     """``build_parser().parse_args([name, *tokens])`` for plain argv, else None.
 
     Plain argv is exact option strings of ``_PLAIN[name]``: a store flag
-    takes the next token, which must not start with ``-``, through its type
-    and choices; a switch takes none; a repeated flag keeps its last value;
+    takes the next token through its type and choices, and that token may
+    start with ``-`` only as ``-`` or a negative number (``_DASH_VALUE``);
+    a switch takes none; a repeated flag keeps its last value;
     every required flag is present. Anything else gives None, for
     argparse to parse with its own usage and errors. ``TestParseOnce`` pins
     what the pass relies on: a store flag takes one value, typed by ``int``,
@@ -376,9 +383,9 @@ def _parse_plain(name: str, tokens: list[str]):
         if switch:
             parsed[dest] = True
             continue
-        value = next(words, "-")  # no value left is not plain either
-        if value.startswith("-"):
-            return None
+        value = next(words, None)
+        if value is None or value.startswith("-") and not _DASH_VALUE.fullmatch(value):
+            return None  # no value left, or a word argparse may read as an option
         try:
             value = value if kind is None else kind(value)
         except ValueError:

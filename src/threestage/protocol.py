@@ -174,7 +174,8 @@ def _uniform_draws(seed: int, first: int, n: int, k: int) -> np.ndarray:
     (``advance``, O(log n) in the distance) skips the earlier draws.
     """
     generator = np.random.PCG64(seed)
-    generator.advance(k * first)
+    if first:
+        generator.advance(k * first)
     return np.random.Generator(generator).random((n, k))
 
 
@@ -206,11 +207,11 @@ def _evolve(config: ProtocolConfig, rho: np.ndarray, stages, members=None) -> tu
     """
     r_alice, r_bob = rotations = algebra._rotation((config.alice_angle, config.bob_angle))
     undo_alice, undo_bob = algebra.dagger(rotations)
-    sent = algebra.conjugate_by(r_alice, rho, _built=True)
+    sent = algebra.conjugate_by(r_alice, rho, _built=undo_alice)
     after_1 = channels.apply_channel(stages[0], sent if members is None else sent[members])
-    after_2 = channels.apply_channel(stages[1], algebra.conjugate_by(r_bob, after_1, _built=True))
-    after_3 = channels.apply_channel(stages[2], algebra.conjugate_by(undo_alice, after_2, _built=True))
-    return after_1, after_2, after_3, algebra.conjugate_by(undo_bob, after_3, _built=True)
+    after_2 = channels.apply_channel(stages[1], algebra.conjugate_by(r_bob, after_1, _built=undo_bob))
+    after_3 = channels.apply_channel(stages[2], algebra.conjugate_by(undo_alice, after_2, _built=r_alice))
+    return after_1, after_2, after_3, algebra.conjugate_by(undo_bob, after_3, _built=r_bob)
 
 
 def run_protocol(
@@ -293,15 +294,17 @@ def _message_bits(bits) -> np.ndarray:
     return values.astype(np.int8)
 
 
-def _round_p0(config: ProtocolConfig, bits: np.ndarray, first: int) -> np.ndarray:
+def _round_p0(config: ProtocolConfig, bits: np.ndarray | None, first: int) -> np.ndarray:
     """p0 of one stacked round per entry of ``bits``, bit i being round ``first + i``.
 
     Alice's rotation runs once on the two encoded states, and only p0 is
     measured; the bytes are those of a round per bit decoded in full.
+    ``bits`` None measures both encoded states in the one round ``first``.
     """
     basis = _basis(config.xi)
     encoded = basis[:, :, None] * basis[:, None, :].conj()
-    final = _evolve(config, encoded, _stage_channels(config, first, len(bits)), bits)[-1]
+    stages = _stage_channels(config, first, None if bits is None else len(bits))
+    final = _evolve(config, encoded, stages, bits)[-1]
     return _outcome_probabilities(final, basis[:1])[:, 0]
 
 
@@ -330,7 +333,7 @@ def _transmit(sent: np.ndarray, config: ProtocolConfig, seed: int) -> tuple[np.n
     """
     fixed = config.stage_policy is StagePolicy.FIXED
     if fixed:
-        p0_of_bit = _round_p0(config, np.arange(2), 0)
+        p0_of_bit = _round_p0(config, None, 0)
     decoded = np.empty_like(sent)
     for start in range(0, len(sent), MESSAGE_BLOCK_BITS):
         block = sent[start:start + MESSAGE_BLOCK_BITS]

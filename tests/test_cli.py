@@ -987,6 +987,9 @@ class TestParseOnce:
             ["run", "--noise", "ad", "--param", "nan"],
             ["sweep", "--noise", "ad", "--xi-avg", "--xi-avg", "--out", "-"],
             ["run", "--noise", "ad", "--=x"],
+            # A flag with no value left: "-" is a value, so it cannot mark the end of argv.
+            ["sweep", "--noise", "ad", "--out"],
+            ["run", "--noise", "cd", "--param", "-0.5", "--xi"],
         ]
     )
     # One plain ``--flag value`` argv per subcommand, one per subcommand that
@@ -1008,7 +1011,21 @@ class TestParseOnce:
         ["verify", "--kinds", "ad,cr", "--tolerance", "1e-3", "--resolution", "8", "--xi-points", "8"],
         ["message", "--noise", "cd", "--param", "20", "--xi", "0.5", "--alice-angle", "12",
          "--bob-angle", "70", "--bits", "10", "--seed", "4", "--degrees"],
+        # "-" and negative numbers are values to argparse: no option looks like one.
+        ["sweep", "--noise", "ad", "--grid", "0:1:3", "--xi-grid", "0:1:2", "--out", "-"],
+        ["run", "--noise", "cd", "--param", "-0.5", "--xi", "-0.25", "--alice-angle", "-1",
+         "--bob-angle", "2", "--bit", "1"],
+        ["run", "--noise", "cr", "--param", "-.5", "--xi", "-0", "--alice-angle", "-007",
+         "--bob-angle", "-12.750", "--degrees"],
+        ["message", "--noise", "pd", "--param", "-1", "--bits", "-", "--seed", "-3"],
+        ["sweep", "--noise", "cr", "--grid", "-", "--xi-grid", "-1", "--out", "-", "--seed", "-0",
+         "--rotation-points", "-8", "--xi-points", "-1"],
+        ["verify", "--kinds", "-", "--tolerance", "-0.000", "--resolution", "-2", "--xi-points", "-9"],
+        ["commutators", "--eta", "-.25", "--theta", "-3"],
     )
+    # Dash-leading words that are not "-" or a negative number by argparse's
+    # pattern: each goes to argparse, which may read it as an option.
+    DASH_LEADING = ("-1e-3", "-inf", "-nan", "-5.", "-1.5.2", "--", "-x", "-0x1", "--xi", "- 1", "-1 ", "-1\n")
 
     @staticmethod
     def parsed(capsys, parse, argv):
@@ -1049,6 +1066,13 @@ class TestParseOnce:
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
         assert [repr(cli._parse_args(argv)) for argv in self.PLAIN] == expected
+
+    @pytest.mark.parametrize("value", DASH_LEADING)
+    def test_other_dash_leading_values_are_left_to_argparse(self, capsys, monkeypatch, tmp_path, value):
+        monkeypatch.chdir(tmp_path)  # a Python whose argparse reads the value writes the sweep here
+        for argv in (["run", "--noise", "cd", "--param", value], ["sweep", "--noise", "ad", "--out", value]):
+            assert cli._parse_plain(argv[0], argv[1:]) is None, argv
+            assert self.answers(capsys, argv) == self.reference(capsys, monkeypatch, argv), argv
 
     def test_plain_argvs_set_every_declared_flag_of_every_subcommand(self):
         for name, (_, _, flags) in cli._COMMANDS.items():

@@ -558,3 +558,90 @@ def test_a_full_block_round_matches_the_matmul_reference_bit_for_bit(policy):
             assert same_bits(got, want)
         want_p0, _ = reference_decode_bit(want_states[-1], config.xi)
         assert same_bits(protocol._round_p0(config, bits, 5000), want_p0)
+
+
+def random_complete_channel(rng, count, members=None):
+    """A channel of ``count`` Kraus operators cut from a random 2*count x 2 isometry, one per member if stacked."""
+    shape = () if members is None else (members,)
+    gaussian = rng.normal(size=shape + (2 * count, 2)) + 1j * rng.normal(size=shape + (2 * count, 2))
+    isometry = np.linalg.qr(gaussian)[0]
+    operators = tuple(isometry[..., 2 * i:2 * i + 2, :] for i in range(count))
+    return channels.QuantumChannel(NoiseKind.IDENTITY, operators, 0.0)
+
+
+def kraus_channels(rng, members):
+    """Channels of 1, 2 and 3 Kraus operators, unstacked and stacked over ``members`` (3 if None).
+
+    Every named kind at both ends of its range, at 5e-324 and at 0.3, and as
+    a stack that starts with those values; random complete channels.
+    """
+    count = members or 3
+    for kind in NoiseKind:
+        lo, hi = kind.natural_range
+        for param in (lo, TINY, 0.3, hi):
+            yield channels.from_kind(kind, param)
+        yield channels.from_kind(kind, np.concatenate([[lo, TINY, 0.3, hi], rng.uniform(lo, hi, count)])[:count])
+    for operators in (1, 2, 3):
+        yield random_complete_channel(rng, operators)
+        yield random_complete_channel(rng, operators, count)
+
+
+# A single 2x2 state (None), and stacks of one to three members, an odd size
+# and a full message block and 37 more; small stacks hold the signed-zero
+# and subnormal states of ``edge_states``.
+KRAUS_STACKS = [None, 1, 2, 3, 257, protocol.MESSAGE_BLOCK_BITS + 37]
+
+
+def kraus_states(rng, members):
+    """The single edge and seeded states when ``members`` is None, else one seeded stack of them."""
+    return edge_states(rng, 2) if members is None else [seeded_stack(rng, (members,))]
+
+
+@pytest.mark.parametrize("members", KRAUS_STACKS, ids=str)
+def test_a_kraus_sum_equals_the_reference_sum_bit_for_bit(members):
+    # apply_channel forms every operator's left product in one product per
+    # state, on the operators' rows laid end to end.
+    rng = np.random.default_rng(106)
+    states = kraus_states(rng, members)
+    for built in kraus_channels(rng, members):
+        for channel in (built, with_f_ordered_operators(built)):
+            for rho in states:
+                assert same_bits(channels.apply_channel(channel, rho), reference_apply_channel(channel, rho))
+
+
+# Both zeros, both axis angles at pi and an angle whose cosine and sine are
+# far from any multiple of pi's.
+ROUND_ANGLES = [0.0, -0.0, np.pi, -np.pi, 1e300]
+ROUND_ANGLE_PAIRS = list(dict.fromkeys(list(zip(ROUND_ANGLES, ROUND_ANGLES))
+                                       + list(zip(ROUND_ANGLES, ROUND_ANGLES[::-1]))))
+
+
+@pytest.mark.parametrize("policy", list(StagePolicy))
+@pytest.mark.parametrize("kind", list(NoiseKind))
+@pytest.mark.parametrize("members", KRAUS_STACKS, ids=str)
+def test_rounds_at_edge_angles_equal_the_reference_round_bit_for_bit(members, kind, policy):
+    # Each conjugation takes the adjoint the round already holds, and each
+    # crossing one left product per state.
+    rng = np.random.default_rng(107)
+    states = kraus_states(rng, members)
+    channel = channels.from_kind(kind, 0.3)
+    for alice, bob in ROUND_ANGLE_PAIRS:
+        config = ProtocolConfig(xi=0.0, alice_angle=alice, bob_angle=bob, channel=channel,
+                                stage_policy=policy, resample_seed=108)
+        stages = protocol._stage_channels(config, 9, members)
+        for rho in states:
+            got = protocol._evolve(config, rho, stages)
+            for got_state, want in zip(got, reference_evolve(config, rho, stages, reference_apply_channel)):
+                assert same_bits(got_state, want)
+
+
+def test_a_stacked_channel_holds_only_its_fields_after_it_is_applied():
+    # The rows laid end to end are built at each call, never stored.
+    rng = np.random.default_rng(109)
+    stack = seeded_stack(rng, (5,))
+    for channel in kraus_channels(rng, 5):
+        operators = channel.operators
+        channels.apply_channel(channel, stack)
+        channels.apply_channel(channel, stack[0])
+        assert set(vars(channel)) == {"kind", "operators", "parameter"}
+        assert channel.operators is operators
