@@ -6,7 +6,9 @@ the encoding angle xi only. The closed forms presume averaging over the two
 secret rotation angles, uniformly on [0, 2pi)^2, and over the two bit values;
 ``numeric_fidelity`` and ``rotation_averaged_fidelity`` rebuild that quantity
 from the Kraus evolution itself, with no reference to the formulas, and serve
-as the independent check that keeps the formulas honest.
+as the independent check that keeps the formulas honest. The oracle needs no
+loop over the angle grid: a rotation's superoperator is linear in
+(1, cos 2t, sin 2t), so each angle's mean is a sum of three constant products.
 
 One law covers every kind. As w = z + i x, the x-z part of a Bloch vector,
 the encoded states are w = +-e^{2i xi} and a rotation R(t) multiplies w by
@@ -34,6 +36,7 @@ for every choice of angles, with no averaging needed.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +70,11 @@ class QuadratureSpec:
 
     def __post_init__(self):
         for field in ("rotation_points", "xi_points"):
-            points = getattr(self, field)
+            value = getattr(self, field)
+            try:
+                points = operator.index(value)
+            except TypeError:
+                raise TypeError(f"{field} must be an integer, got {value!r}") from None
             if not 8 <= points <= MAX_QUADRATURE_POINTS:
                 bound = ">= 8" if points < 8 else f"<= {MAX_QUADRATURE_POINTS}"
                 raise ValueError(f"{field} must be {bound}, got {points}")
@@ -220,18 +227,31 @@ ORACLE_BLOCK = 2**10
 
 # The oracle's channel-free tensors depend on one resolution alone, so each is
 # built once per resolution and kept, read-only; a process rarely uses more
-# than a couple of resolutions, and one entry is at most 4 KiB.
+# than a couple of resolutions, and one entry is at most 1.5 KiB.
 _CACHED_RESOLUTIONS = 8
+
+# R(t) = cos t I + sin t J, so L(R(t)) = V0 + cos 2t Vc + sin 2t Vs with these
+# constant lifts (V0, Vc, Vs), whose entries 0 and +-1/2 are exact.
+_I, _J = np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])
+_ROTATION_LIFTS = np.stack([
+    np.kron(_I, _I) + np.kron(_J, _J), np.kron(_I, _I) - np.kron(_J, _J), np.kron(_I, _J) + np.kron(_J, _I),
+]) / 2
 
 
 @functools.lru_cache(maxsize=_CACHED_RESOLUTIONS)
 def _rotation_moment(n: int) -> np.ndarray:
-    """M_abce = mean L(R^dag)_ab L(R)_ce over the n-point midpoint grid of angles."""
-    lift = _lift(algebra.rotation(midpoint_grid(n)))
-    lift_dag = algebra.dagger(lift)  # L(U^dag) = L(U)^dag
-    m = np.einsum("nab,nce->abce", lift_dag, lift) / n
-    m.flags.writeable = False
-    return m
+    """Factors F of M_abce = mean L(R^dag)_ab L(R)_ce = sum_r F[0, a, r, b] F[1, c, r, e].
+
+    As L(R^dag) = L(R)^T, M = sum_ij G_ij V_i^T (x) V_j with G = mean f f^T = C C^T,
+    f(t) = (1, cos 2t, sin 2t), over the n-point midpoint grid: U_r = F[0, :, r]
+    = sum_i C_ir V_i^T and V_r = F[1, :, r] = sum_i C_ir V_i.
+    """
+    t = midpoint_grid(n)
+    f = np.stack([np.ones(n), np.cos(2 * t), np.sin(2 * t)])
+    c = np.linalg.cholesky(f @ f.T / n)
+    factors = np.einsum("ir,kiab->karb", c, [_ROTATION_LIFTS.swapaxes(1, 2), _ROTATION_LIFTS]).astype(complex)
+    factors.flags.writeable = False
+    return factors
 
 
 def _encoded_vecs(xis) -> np.ndarray:
@@ -263,14 +283,15 @@ class RotationAveragedOracle:
     vec(rho) and the channel N = sum_i L(E_i), one round is the superoperator
     S = L(R_phi^dag) N L(R_theta^dag) N L(R_phi) N L(R_theta). Each secret
     angle enters S through two lifts, so the midpoint mean over the n x n grid
-    factors through one channel-free tensor M_abce = mean L(R^dag)_ab L(R)_ce:
-    the theta mean is Q_bced = mean (N L(R^dag) N)_bc (N L(R))_ed
-    = sum N_bB N_Cc N_eE M_BCEd, since N does not depend on the angle, and
-    mean S_ad = sum_bce M_abce Q_bced. M is built once per resolution per
-    process, in O(n), and so is the bit- and xi-averaged weight that
-    ``state_average`` applies; each channel then costs a few 4x4
-    contractions, independent of n. The fidelity of a pure input psi is
-    Re(vec(P)^H S vec(P)) with vec(P) = psi (x) conj(psi), exactly the
+    factors, once per angle, through one channel-free tensor
+    M_abce = mean L(R^dag)_ab L(R)_ce. A rotation's lift is linear in
+    (1, cos 2t, sin 2t), so M is a sum of three products U_r (x) V_r of
+    constant 4x4 matrices, and mean S = sum_rs U_s N U_r N V_s N V_r, whose
+    three N are the crossings 3, 2 and 1. The factors are built once per
+    resolution per process, in O(n), and so is the bit- and xi-averaged
+    weight that ``state_average`` applies; each channel then costs a few
+    products of 4x4 matrices, independent of n. The fidelity of a pure input
+    psi is Re(vec(P)^H S vec(P)) with vec(P) = psi (x) conj(psi), exactly the
     midpoint average of per-point ``numeric_fidelity`` values.
 
     A stacked channel, whose operators have shape ``stack + (2, 2)`` (as
@@ -283,34 +304,40 @@ class RotationAveragedOracle:
     def __init__(self, channel: QuantumChannel, quad: QuadratureSpec = QuadratureSpec()):
         self.channel = channel
         self.quad = quad
-        m = _rotation_moment(quad.rotation_points)
+        factors = _rotation_moment(quad.rotation_points)
         ops = np.broadcast_arrays(*channel.operators)
         stack = ops[0].shape[:-2]
         ops = [op.reshape(-1, 2, 2) for op in ops]
         form = np.empty((len(ops[0]), 4, 4), dtype=complex)
         for lo in range(0, len(form), ORACLE_BLOCK):
             block = slice(lo, lo + ORACLE_BLOCK)
-            form[block] = self._averaged_form(sum(_lift(op[block]) for op in ops), m)
+            form[block] = self._averaged_form(sum(_lift(op[block]) for op in ops), factors)
         # Row-major S_ab, so that sum_ab S_ab W_ab is one product per weight.
         self._form = form.reshape(stack + (16,))
 
     @staticmethod
-    def _averaged_form(noise, m) -> np.ndarray:
-        """mean S_ad = sum M_abce N_bB N_Cc N_eE M_BCEd for each lift N of a stack (..., 4, 4)."""
+    def _averaged_form(noise, factors) -> np.ndarray:
+        """mean S = sum_rs U_s N U_r N V_s N V_r for each lift N of a stack (..., 4, 4)."""
         shape = np.shape(noise)
         noise = np.reshape(noise, (-1, 4, 4))
         p = len(noise)
-        # One index at a time: E, then B and C member by member, then
-        # (b, c, e); the two products with M each span the whole stack.
-        y = noise.reshape(4 * p, 4) @ m.transpose(2, 0, 1, 3).reshape(4, 64)  # [p, e, B, C, d]
-        y = noise @ y.reshape(p, 4, 4, 16).transpose(0, 2, 1, 3).reshape(p, 4, 64)  # [p, b, e, C, d]
-        y = y.reshape(p, 4, 4, 4, 4).transpose(0, 1, 2, 4, 3).reshape(p, 64, 4) @ noise  # [p, b, e, d, c]
-        y = y.reshape(p, 4, 4, 4, 4).transpose(1, 4, 2, 0, 3).reshape(64, 4 * p)  # [b, c, e, p, d]
-        return (m.reshape(4, 64) @ y).reshape(4, p, 4).transpose(1, 0, 2).reshape(shape)
+        u, v = factors.reshape(2, 4, 12)  # [a, (r, b)]
+        # Crossings 2 and 1: (N V_s)(N V_r), the V products over the whole
+        # stack, then one product per member.  [p, x, s, r, d]
+        nv = noise.reshape(4 * p, 4) @ v
+        q = nv.reshape(p, 12, 4) @ nv.reshape(p, 4, 12)
+        # Crossing 3: U_s N U_r, both U products over the whole stack; U_s
+        # is real, so its left product takes the float view.  [a, s, p, r, x]
+        nu = (noise.transpose(1, 0, 2).reshape(4 * p, 4) @ u).reshape(4, 12 * p)
+        a = (u.real.reshape(12, 4) @ nu.view(float)).view(complex)
+        a = a.reshape(4, 3, p, 3, 4).transpose(2, 0, 4, 1, 3).reshape(p, 4, 36)  # [p, a, (x, s, r)]
+        return (a @ q.reshape(p, 36, 4)).reshape(shape)
 
     def fidelity_at(self, xis) -> np.ndarray:
         """Bit-averaged, rotation-averaged fidelity at each encoding angle."""
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
+        if xis.ndim != 1:
+            raise ValueError(f"xis must be an angle or a 1-D sequence of angles, got shape {xis.shape}")
         values = np.empty(self._form.shape[:-1] + xis.shape)
         for lo in range(0, len(xis), ORACLE_BLOCK):
             block = slice(lo, lo + ORACLE_BLOCK)
@@ -328,6 +355,8 @@ def rotation_averaged_fidelity(
     channel: QuantumChannel, xi: float, quad: QuadratureSpec = QuadratureSpec()
 ) -> float:
     """Numeric fidelity averaged over both secret angles and both bits."""
+    if stack := np.broadcast_shapes(*(np.shape(op)[:-2] for op in channel.operators)):
+        raise ValueError(f"channel must not be a stack, got a stack of shape {stack}")
     return float(RotationAveragedOracle(channel, quad).fidelity_at([xi])[0])
 
 

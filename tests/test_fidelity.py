@@ -567,6 +567,64 @@ class TestStackedOracle:
         assert peak < 80 * 2**20
 
 
+class TestRotationFactors:
+    """The rotation average M = sum_r U_r (x) V_r that the oracle contracts through."""
+
+    def test_a_rotation_lift_is_linear_in_cos_and_sin_of_twice_the_angle(self):
+        rng = np.random.default_rng(81)
+        t = np.concatenate([
+            rng.uniform(-10.0, 10.0, 200), rng.uniform(-1e6, 1e6, 50),
+            [0.0, -0.0, np.pi / 4, np.pi / 2, np.pi, 1e6, -1e6],
+        ])
+        v0, vc, vs = fidelity._ROTATION_LIFTS
+        expected = v0 + np.cos(2 * t)[:, None, None] * vc + np.sin(2 * t)[:, None, None] * vs
+        lift = fidelity._lift(algebra.rotation(t))
+        assert np.max(np.abs(lift - expected)) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [8, 9, 256, 4096])
+    def test_cached_factors_rebuild_the_direct_moment(self, n):
+        lift = fidelity._lift(algebra.rotation(fidelity.midpoint_grid(n)))
+        direct = np.einsum("nab,nce->abce", algebra.dagger(lift), lift) / n
+        factors = fidelity._rotation_moment(n)
+        rebuilt = np.einsum("arb,cre->abce", factors[0], factors[1])
+        assert np.max(np.abs(rebuilt - direct)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_three_different_lifts_factor_like_the_angle_grid(self, n):
+        # S = L(R_phi^dag) N3 L(R_theta^dag) N2 L(R_phi) N1 L(R_theta), each
+        # crossing its own channel, averaged over the n x n grid one point at a time.
+        lift = fidelity._lift(algebra.rotation(fidelity.midpoint_grid(n)))
+        lift_dag = algebra.dagger(lift)
+        u, v = np.moveaxis(fidelity._rotation_moment(n), 2, 1)  # U_r, V_r: (3, 4, 4) each
+        rng = np.random.default_rng(82 + n)
+        worst = 0.0
+        for _ in range(20):
+            n3, n2, n1 = (fidelity._lift(np.stack(random_channel(rng, 2).operators)).sum(axis=0) for _ in range(3))
+            direct = sum(
+                lift_dag[phi] @ n3 @ lift_dag[theta] @ n2 @ lift[phi] @ n1 @ lift[theta]
+                for phi in range(n) for theta in range(n)
+            ) / n**2
+            factored = sum(u[s] @ n3 @ u[r] @ n2 @ v[s] @ n1 @ v[r] for s in range(3) for r in range(3))
+            worst = max(worst, float(np.max(np.abs(factored - direct))))
+        assert worst <= 2e-15
+
+
+class TestOracleShapes:
+    def test_a_two_dimensional_xis_is_named_by_its_shape(self):
+        oracle = RotationAveragedOracle(channels.amplitude_damping(np.array([0.2, 0.7])), QuadratureSpec(8, 8))
+        with pytest.raises(ValueError, match=r"xis must be an angle or a 1-D sequence of angles, got shape \(2, 8\)"):
+            oracle.fidelity_at(np.zeros((2, 8)))
+
+    @pytest.mark.parametrize("params, stack", [
+        (np.array([0.1, 0.2]), "(2,)"), (np.full((2, 3), 0.4), "(2, 3)"), (np.array([0.5]), "(1,)"),
+    ])
+    def test_a_stacked_channel_is_refused_by_the_single_channel_average(self, params, stack):
+        channel = channels.amplitude_damping(params)
+        with pytest.raises(ValueError) as info:
+            fidelity.rotation_averaged_fidelity(channel, 0.3, QuadratureSpec(8, 8))
+        assert str(info.value) == f"channel must not be a stack, got a stack of shape {stack}"
+
+
 class TestCommutatorDiagnostics:
     def test_zero_when_noiseless(self):
         for index in (0, 1):
@@ -624,7 +682,7 @@ class TestResolutionCaches:
     QUAD = QuadratureSpec(rotation_points=16, xi_points=64)
 
     @pytest.mark.parametrize("build, shape", [
-        (lambda: fidelity._rotation_moment(16), (4, 4, 4, 4)),
+        (lambda: fidelity._rotation_moment(16), (2, 4, 3, 4)),
         (lambda: fidelity._state_weight(64), (16,)),
     ], ids=["rotation_moment", "state_weight"])
     def test_cached_arrays_are_read_only(self, build, shape):
@@ -690,6 +748,19 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError, match="xi_points must be <= 4096, got 4097"):
             QuadratureSpec(xi_points=4097)
         QuadratureSpec(rotation_points=4096, xi_points=4096)
+
+    @pytest.mark.parametrize("field", ["rotation_points", "xi_points"])
+    @pytest.mark.parametrize("value", [8.5, 63.5, 16.0, "16", None, [16]], ids=repr)
+    def test_a_non_integer_size_is_refused_and_named(self, field, value):
+        with pytest.raises(TypeError) as info:
+            QuadratureSpec(**{field: value})
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        quad = QuadratureSpec(rotation_points=np.int64(8), xi_points=np.int32(64))
+        value = RotationAveragedOracle(channels.amplitude_damping(0.3), quad).fidelity_at(0.3)[0]
+        closed = fidelity.closed_form_fidelity(NoiseKind.AMPLITUDE_DAMPING, 0.3, 0.3)
+        assert value == pytest.approx(closed, abs=1e-12)
 
     def test_midpoint_grid_covers_period(self):
         grid = fidelity.midpoint_grid(8)
