@@ -41,15 +41,7 @@ WORST_POINT_FLOOR = 1e-13
 
 
 class UsageError(ValueError):
-    """Bad flag value; the message names the offending flag."""
-
-
-def _usage(exc: ValueError, flags: dict[str, str]) -> UsageError:
-    """``exc`` as a usage error, each library field it names replaced by its flag."""
-    message = str(exc)
-    for field, flag in flags.items():
-        message = message.replace(field, flag)
-    return UsageError(message)
+    """Bad flag value found by the CLI itself; the message names the flag and prints as is."""
 
 
 def _radians(values, args):
@@ -108,22 +100,14 @@ def _status(passed: bool) -> str:
 
 def _protocol_config(args) -> protocol.ProtocolConfig:
     kind = NoiseKind(args.noise)
-    try:
-        channel = channels.from_kind(
-            kind, args.param if kind.is_probability else _radians(args.param, args))
-    except ValueError as exc:
-        raise UsageError(f"--param: {exc}") from exc
-    try:
-        return protocol.ProtocolConfig(
-            xi=_radians(args.xi, args),
-            alice_angle=_radians(args.alice_angle, args),
-            bob_angle=_radians(args.bob_angle, args),
-            channel=channel,
-        )
-    except ValueError as exc:
-        raise _usage(exc, {
-            "xi": "--xi:", "alice_angle": "--alice-angle:", "bob_angle": "--bob-angle:",
-        }) from exc
+    channel = channels.from_kind(
+        kind, args.param if kind.is_probability else _radians(args.param, args))
+    return protocol.ProtocolConfig(
+        xi=_radians(args.xi, args),
+        alice_angle=_radians(args.alice_angle, args),
+        bob_angle=_radians(args.bob_angle, args),
+        channel=channel,
+    )
 
 
 def _cmd_run(args, start: float) -> int:
@@ -146,26 +130,15 @@ def _cmd_sweep(args, start: float) -> int:
     xi_grid: tuple[float, ...] = ()
     if args.xi_grid is not None:
         xi_grid = _radians(_parse_grid(args.xi_grid, "--xi-grid"), args)
-    try:
-        spec = SweepSpec(
-            kind=kind,
-            param_grid=grid,
-            xi_grid=xi_grid,
-            include_state_average=args.xi_avg,
-            mode=SweepMode(args.mode),
-            quadrature=QuadratureSpec(
-                rotation_points=args.rotation_points, xi_points=args.xi_points
-            ),
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise _usage(exc, {
-            "param_grid": "--grid",
-            "xi_grid": "--xi-grid",
-            "include_state_average": "--xi-avg",
-            "rotation_points": "--rotation-points",
-            "xi_points": "--xi-points",
-        }) from exc
+    spec = SweepSpec(
+        kind=kind,
+        param_grid=grid,
+        xi_grid=xi_grid,
+        include_state_average=args.xi_avg,
+        mode=SweepMode(args.mode),
+        quadrature=QuadratureSpec(rotation_points=args.rotation_points, xi_points=args.xi_points),
+        seed=args.seed,
+    )
     table, manifest = harness.sweep(spec)
     harness.export(table, args.format, sys.stdout if args.out == "-" else args.out, manifest)
     _emit_manifest(manifest)
@@ -184,10 +157,7 @@ def _cmd_verify(args, start: float) -> int:
         if token not in known:
             raise UsageError(f"--kinds: {token!r} is not one of {', '.join(known)}")
         kinds.append(known[token])
-    try:
-        quad = QuadratureSpec(rotation_points=args.resolution, xi_points=args.xi_points)
-    except ValueError as exc:
-        raise _usage(exc, {"rotation_points": "--resolution", "xi_points": "--xi-points"}) from exc
+    quad = QuadratureSpec(rotation_points=args.resolution, xi_points=args.xi_points)
     reports = harness.verify_formulas(kinds, quad=quad)
     entries = []
     all_passed = True
@@ -224,17 +194,12 @@ def _cmd_verify(args, start: float) -> int:
 
 
 def _cmd_commutators(args, start: float) -> int:
-    try:
-        channels.check_parameter(NoiseKind.AMPLITUDE_DAMPING, args.eta)
-    except ValueError as exc:
-        raise UsageError(f"--eta: {exc}") from exc
+    # eta first, so a bad --eta is reported before a bad --theta.
+    channels.check_parameter(NoiseKind.AMPLITUDE_DAMPING, args.eta)
     theta = _radians(args.theta, args)
     entries = []
     for index in (0, 1):
-        try:
-            computed = fidelity.commutator_defect(index, args.eta, theta)
-        except ValueError as exc:
-            raise _usage(exc, {"theta": "--theta:"}) from exc
+        computed = fidelity.commutator_defect(index, args.eta, theta)
         expected = fidelity.commutator_closed_form(index, args.eta, theta)
         entries.append(
             {
@@ -275,15 +240,24 @@ _PROTOCOL_FLAGS = (
     ("--alice-angle", dict(type=float, default=0.0)),
     ("--bob-angle", dict(type=float, default=0.0)),
 )
+# The words the library's errors use for the protocol flags' values: the
+# ProtocolConfig fields and each kind's parameter symbol.
+_PROTOCOL_FIELDS = {
+    "xi": "--xi:", "alice_angle": "--alice-angle:", "bob_angle": "--bob-angle:",
+    **{symbol: f"--param: {symbol}"
+       for symbol in (kind.parameter_symbol or "parameter" for kind in NoiseKind)},
+}
 _DEGREES = ("--degrees", dict(action="store_true"))
 
-# Each subcommand once, in help order: its help, its handler and each flag's
-# add_argument keywords. The argparse parsers and _PLAIN are built from it.
+# Each subcommand once, in help order: its help, its handler, each flag's
+# add_argument keywords, and the text that names a flag in place of each word
+# a library error uses for its value. The argparse parsers and _PLAIN are
+# built from it, and main names the flags in a library error from it.
 _COMMANDS = {
     "run": ("run one protocol round", _cmd_run, _PROTOCOL_FLAGS + (
         ("--bit", dict(type=int, choices=(0, 1), default=0)),
         ("--degrees", dict(action="store_true", help="interpret angles as degrees")),
-    )),
+    ), _PROTOCOL_FIELDS),
     "sweep": ("evaluate fidelity over a grid", _cmd_sweep, (
         ("--noise", dict(required=True, choices=[k.value for k in fidelity.CLOSED_FORM_KINDS])),
         ("--grid", dict(help="parameter grid, 'lo:hi:n' or comma list "
@@ -297,7 +271,10 @@ _COMMANDS = {
         ("--rotation-points", dict(type=int, default=_QUADRATURE.rotation_points)),
         ("--xi-points", dict(type=int, default=_QUADRATURE.xi_points)),
         _DEGREES,
-    )),
+    ), {
+        "param_grid": "--grid", "xi_grid": "--xi-grid", "include_state_average": "--xi-avg",
+        "rotation_points": "--rotation-points", "xi_points": "--xi-points",
+    }),
     "verify": ("closed form vs oracle campaign", _cmd_verify, (
         ("--kinds", dict(default="ad,pd,cd,cr", help="comma-separated subset of ad,pd,cd,cr")),
         ("--tolerance", dict(type=float, default=1e-6)),
@@ -305,17 +282,17 @@ _COMMANDS = {
                               help="rotation-average quadrature points per axis")),
         ("--xi-points", dict(type=int, default=_QUADRATURE.xi_points,
                              help="state-average quadrature points")),
-    )),
+    ), {"rotation_points": "--resolution", "xi_points": "--xi-points"}),
     "commutators": ("damping Kraus operators vs rotation commutators", _cmd_commutators, (
         ("--eta", dict(type=float, required=True)),
         ("--theta", dict(type=float, required=True)),
         _DEGREES,
-    )),
+    ), {"eta": "--eta: eta", "theta": "--theta:"}),
     "message": ("transmit a bit string", _cmd_message, _PROTOCOL_FLAGS + (
         ("--bits", dict(required=True, help="message as a 0/1 string")),
         ("--seed", dict(type=int, default=0)),
         _DEGREES,
-    )),
+    ), _PROTOCOL_FIELDS),
 }
 
 
@@ -330,7 +307,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="command", required=True)
     commands = {}
-    for name, (help_text, handler, flags) in _COMMANDS.items():
+    for name, (help_text, handler, flags, _) in _COMMANDS.items():
         command = commands[name] = subparsers.add_parser(name, help=help_text)
         for flag, keywords in flags:
             command.add_argument(flag, **keywords)
@@ -355,7 +332,7 @@ def _plain_lookup(name: str, handler, flags) -> tuple[dict, set, dict]:
     return table, required, {**defaults, "handler": handler}
 
 
-_PLAIN = {name: _plain_lookup(name, *command[1:]) for name, command in _COMMANDS.items()}
+_PLAIN = {name: _plain_lookup(name, *command[1:3]) for name, command in _COMMANDS.items()}
 
 # The dash-leading words argparse reads as values on every supported Python:
 # "-" and the negative numbers of its own pattern, since no option string
@@ -421,8 +398,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except UsageError as exc:  # names its flag already, and may repeat user text
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:  # a library check: each whole word for a value becomes its flag
+        fields = _COMMANDS[args.command][3]  # in one pass: "eta" is in "--theta:"
+        words = rf"\b(?:{'|'.join(fields)})\b"
+        print(f"error: {re.sub(words, lambda word: fields[word[0]], str(exc))}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -36,6 +36,7 @@ for every choice of angles, with no averaging needed.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -105,9 +106,11 @@ def midpoint_grid(n: int) -> np.ndarray:
 
 def _assert_and_clamp(values):
     values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError("fidelity is not finite")
+    # np.max and np.min carry a NaN or an infinity through to worst; a NaN
+    # compares False, so it would slip past the range test without this one.
     worst = max(float(np.max(values, initial=1.0)) - 1.0, -float(np.min(values, initial=0.0)))
+    if not math.isfinite(worst):
+        raise ValueError("fidelity is not finite")
     if worst > CLAMP_ATOL:
         raise ValueError(f"fidelity leaves [0, 1] by {worst:.3e}, beyond {CLAMP_ATOL:g}")
     out = np.clip(values, 0.0, 1.0)

@@ -54,7 +54,9 @@ class SweepSpec:
     """Grid description for one sweep.
 
     ``xi_grid`` may be empty when ``include_state_average`` is set, in which
-    case each parameter contributes only its state-averaged row.
+    case each parameter contributes only its state-averaged row. A field
+    that chooses a code path, ``include_state_average`` (a bool, numpy's
+    included), ``mode`` or ``quadrature``, of another type raises TypeError.
     """
 
     kind: NoiseKind
@@ -68,6 +70,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in fidelity.CLOSED_FORM_KINDS:
             raise ValueError(f"kind: {self.kind!r} has no closed form to sweep")
+        for field, types, name in (("include_state_average", (bool, np.bool_), "bool"),
+                                   ("mode", SweepMode, "SweepMode"),
+                                   ("quadrature", QuadratureSpec, "QuadratureSpec")):
+            if not isinstance(getattr(self, field), types):
+                raise TypeError(f"{field} must be a {name}, got {getattr(self, field)!r}")
         try:
             rows = len(self.param_grid) * (len(self.xi_grid) + int(self.include_state_average))
         except TypeError:  # a grid with no len(): _check_grid names it
@@ -284,9 +291,11 @@ def verify_formulas(
     optionally replaces the default encoding-angle grid. Returns one report
     per kind, in canonical kind order, each carrying the worst grid point and
     the largest state-average deviation, the oracle's taken with
-    ``quad.xi_points`` cells. A kind with no closed form, or a given grid
-    that breaks a sweep's grid rules (``_check_grid``), raises ValueError
-    that names it, before any oracle is built.
+    ``quad.xi_points`` cells. A kind with no closed form, a given grid that
+    breaks a sweep's grid rules (``_check_grid``), or grids whose rows, one
+    per point and one state average per parameter, pass a sweep's cap
+    ``MAX_SWEEP_ROWS``, raise ValueError that names them, before any oracle
+    is built.
     """
     kinds = list(kinds)
     unknown = [kind for kind in kinds if kind not in fidelity.CLOSED_FORM_KINDS]
@@ -299,7 +308,12 @@ def verify_formulas(
         params, default_xis = default_verification_grids(kind)
         if param_grids is not None and kind in param_grids:
             params = _check_grid(f"param_grids[{kind.value}]", param_grids[kind], kind)
-        grids.append((kind, params, default_xis if given_xis is None else given_xis))
+        xis = default_xis if given_xis is None else given_xis
+        rows = len(params) * (len(xis) + 1)
+        if rows > MAX_SWEEP_ROWS:
+            raise ValueError(
+                f"param_grids[{kind.value}], xi_grid: {rows} rows, over the cap of {MAX_SWEEP_ROWS}")
+        grids.append((kind, params, xis))
     reports = []
     for kind, params, xis in grids:
         closed, oracle = _evaluate_grid(kind, params, xis, True, closed=True, quad=quad)

@@ -80,7 +80,8 @@ class ProtocolConfig:
     real number: a Python real, a numpy real scalar or a 0-d real array.
     Anything else raises TypeError, a NaN or infinite angle ValueError. A
     round takes one channel: a ``channel`` that is not a ``QuantumChannel``
-    raises TypeError, a stacked one ValueError.
+    raises TypeError, a stacked one ValueError. A ``stage_policy`` that is not
+    a ``StagePolicy`` raises TypeError.
     """
 
     xi: float
@@ -101,6 +102,8 @@ class ProtocolConfig:
                 finite = False
             if not finite:
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if not isinstance(self.stage_policy, StagePolicy):
+            raise TypeError(f"stage_policy must be a StagePolicy, got {self.stage_policy!r}")
         _non_negative("resample_seed", self.resample_seed)
         channel = self.channel
         if not isinstance(channel, QuantumChannel):

@@ -451,6 +451,63 @@ def test_a_library_check_names_the_flag_in_one_usage_line(capsys, flag, argv):
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag}: ")
 
 
+# The exact error line of each library word a subcommand names by its flag,
+# for every subcommand; then errors the CLI raises itself, whose user text
+# prints verbatim even where it spells a library word.
+FLAG_NAMED = [
+    ([command, *noise, *extra], line)
+    for command, extra in (("run", []), ("message", ["--bits", "01"]))
+    for noise, line in (
+        (["--noise", "ad", "--xi", "nan"], "--xi: must be finite, got nan"),
+        (["--noise", "ad", "--alice-angle", "inf"], "--alice-angle: must be finite, got inf"),
+        (["--noise", "ad", "--bob-angle", "nan"], "--bob-angle: must be finite, got nan"),
+        (["--noise", "pd", "--param", "2"], "--param: eta must lie in [0, 1], got 2.0"),
+        (["--noise", "cd", "--param", "inf"], "--param: Phi must be finite, got inf"),
+        (["--noise", "cr", "--param", "nan", "--degrees"], "--param: Theta must be finite, got nan"),
+        (["--noise", "none", "--param", "inf"], "--param: parameter must be finite, got inf"),
+        # The channel is built first, so --param is named before --xi.
+        (["--noise", "ad", "--param", "2", "--xi", "nan"], "--param: eta must lie in [0, 1], got 2.0"),
+    )
+] + [
+    (["sweep", "--noise", "ad", "--grid", "0,2", "--out", "-"],
+     "--grid: eta must lie in [0, 1], got 2.0"),
+    (["sweep", "--noise", "ad", "--grid", "0:1:1000000", "--xi-grid", "0,1", "--out", "-"],
+     "--grid, --xi-grid: 2000000 rows, over the cap of 1000000"),
+    (["sweep", "--noise", "ad", "--xi-grid", "0,inf", "--out", "-"],
+     "--xi-grid: grid values must be finite, got inf"),
+    (["sweep", "--noise", "ad", "--out", "-"], "--xi-grid: empty grid requires --xi-avg"),
+    (["sweep", "--noise", "ad", "--xi-avg", "--rotation-points", "4", "--out", "-"],
+     "--rotation-points must be >= 8, got 4"),
+    (["sweep", "--noise", "ad", "--xi-avg", "--xi-points", "5000", "--out", "-"],
+     "--xi-points must be <= 4096, got 5000"),
+    (["verify", "--resolution", "4"], "--resolution must be >= 8, got 4"),
+    (["verify", "--xi-points", "5000"], "--xi-points must be <= 4096, got 5000"),
+    (["commutators", "--eta", "2", "--theta", "0.4"], "--eta: eta must lie in [0, 1], got 2.0"),
+    (["commutators", "--eta", "0.3", "--theta", "nan"], "--theta: must be finite, got nan"),
+    (["commutators", "--eta", "0.3", "--theta=-inf", "--degrees"],
+     "--theta: must be finite, got -inf"),
+    # --eta is checked before --theta.
+    (["commutators", "--eta", "-1", "--theta", "nan"], "--eta: eta must lie in [0, 1], got -1.0"),
+    (["message", "--noise", "ad", "--bits", "eta"],
+     "--bits: must be a nonempty string of 0s and 1s, got 'eta'"),
+    (["verify", "--kinds", "xi_points"], "--kinds: 'xi_points' is not one of ad, pd, cd, cr"),
+    (["sweep", "--noise", "cd", "--grid", "eta", "--out", "-"],
+     "--grid: expected 'lo:hi:n' or comma-separated numbers, got 'eta'"),
+]
+
+
+@pytest.mark.parametrize("argv, line", FLAG_NAMED, ids=[" ".join(argv) for argv, _ in FLAG_NAMED])
+def test_a_bad_value_prints_its_exact_error_line(capsys, argv, line):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
+def test_every_declared_flag_name_has_an_error_line():
+    for name, command in cli._COMMANDS.items():
+        lines = " ".join(line for argv, line in FLAG_NAMED if argv[0] == name)
+        for flag in command[3].values():
+            assert flag in lines, (name, flag)
+
+
 class TestHugeGridValues:
     """Finite grid values near the largest double: finite rows, one usage line, no warnings."""
 
@@ -1075,7 +1132,7 @@ class TestParseOnce:
             assert self.answers(capsys, argv) == self.reference(capsys, monkeypatch, argv), argv
 
     def test_plain_argvs_set_every_declared_flag_of_every_subcommand(self):
-        for name, (_, _, flags) in cli._COMMANDS.items():
+        for name, (_, _, flags, _) in cli._COMMANDS.items():
             declared = {flag for flag, _ in flags}
             assert any(argv[0] == name and declared <= set(argv) for argv in self.PLAIN), name
 

@@ -309,6 +309,12 @@ class TestHugeAngles:
             fidelity._assert_and_clamp(bad)
         with pytest.raises(ValueError, match="not finite"):
             fidelity._assert_and_clamp(np.array([0.5, bad, 1.0]))
+        with pytest.raises(ValueError, match="^fidelity is not finite$"):
+            fidelity._assert_and_clamp(np.array([[2.0, -1.0], [0.5, bad]]))
+
+    def test_clamp_of_nothing_is_nothing(self):
+        assert fidelity._assert_and_clamp(np.empty((0, 3))).shape == (0, 3)
+        assert fidelity._assert_and_clamp([]).tolist() == []
 
     def test_cos_4_is_np_cos_below_the_limit(self):
         rng = np.random.default_rng(61)

@@ -110,6 +110,22 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match=r"^param_grid, xi_grid: 1001000 rows"):
             spec_with(param_grid=grid, xi_grid=grid, include_state_average=True)
 
+    # Each field that chooses a code path, and values that would take some path silently.
+    @pytest.mark.parametrize("field, bad, name", [
+        ("mode", "closed_form", "SweepMode"),
+        ("mode", None, "SweepMode"),
+        ("quadrature", None, "QuadratureSpec"),
+        ("include_state_average", "no", "bool"),
+        ("include_state_average", 1, "bool"),
+    ], ids=repr)
+    def test_a_field_of_another_type_raises_type_error(self, field, bad, name):
+        with pytest.raises(TypeError, match=f"^{field} must be a {name}, got {re.escape(repr(bad))}$"):
+            spec_with(**{field: bad})
+
+    def test_a_numpy_bool_is_a_bool(self):
+        spec = spec_with(xi_grid=(), include_state_average=np.bool_(True))
+        assert len(harness.sweep(spec)[0]) == 3
+
 
 class TestSweep:
     def test_row_count_and_order(self):
@@ -220,6 +236,22 @@ class TestSweep:
 
 
 class TestVerifyFormulas:
+    def test_grids_over_the_row_cap_are_refused_before_any_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oracle was built")
+
+        monkeypatch.setattr(harness, "_evaluate_grid", refuse)
+        ad = NoiseKind.AMPLITUDE_DAMPING
+        params, xis = np.linspace(0.0, 1.0, 2000), np.linspace(0.0, 6.0, 600)
+        with pytest.raises(ValueError, match=r"^param_grids\[ad\], xi_grid: 1202000 rows, "
+                                             r"over the cap of 1000000$"):
+            harness.verify_formulas([NoiseKind.PHASE_DAMPING, ad], param_grids={ad: params},
+                                    xi_grid=xis)
+        # The default parameter grid counts too: 33 x (30303 + 1) rows.
+        with pytest.raises(ValueError, match=r"^param_grids\[cd\], xi_grid: 1000032 rows"):
+            harness.verify_formulas([NoiseKind.COLLECTIVE_DEPHASING],
+                                    xi_grid=np.linspace(0.0, 6.0, 30303))
+
     def test_collective_rotation_is_pointwise_exact(self):
         reports = harness.verify_formulas(
             {NoiseKind.COLLECTIVE_ROTATION}, quad=FAST_QUAD

@@ -455,6 +455,13 @@ class TestStagePolicy:
         _, transcript = protocol.run_protocol(config, 0)
         assert transcript.stage_parameters == (0.4, 0.4, 0.4)
 
+    @pytest.mark.parametrize("bad", ["fixed", None, 0], ids=repr)
+    def test_a_policy_that_is_not_a_stage_policy_raises_type_error(self, bad):
+        # A round would take anything but StagePolicy.FIXED for RESAMPLE.
+        message = f"^stage_policy must be a StagePolicy, got {re.escape(repr(bad))}$"
+        with pytest.raises(TypeError, match=message):
+            config_with(channels.amplitude_damping(0.5), stage_policy=bad)
+
     def test_resample_policy_varies_per_stage_deterministically(self):
         config = config_with(
             channels.amplitude_damping(0.4),
