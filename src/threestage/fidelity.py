@@ -203,6 +203,17 @@ def closed_form_average_fidelity(kind: NoiseKind, param):
     return _assert_and_clamp(_coefficients(kind, param)[0])
 
 
+def _closed_form_grid(kind: NoiseKind, params, cos_4xi, average: bool) -> np.ndarray:
+    """``closed_form_fidelity`` over 1-D ``params`` x a xi grid, and the average column if ``average``.
+
+    ``cos_4xi`` is ``_cos_4`` of the checked xi grid. One ``_coefficients``
+    pass gives both the xi columns and the average, under one clamp.
+    """
+    mean, swing = _coefficients(kind, params)
+    values = mean[:, None] + swing[:, None] * cos_4xi
+    return _assert_and_clamp(np.column_stack([values, mean]) if average else values)
+
+
 def numeric_fidelity(
     channel: QuantumChannel, xi: float, theta: float, phi: float, bit: int
 ) -> float:
@@ -225,8 +236,11 @@ def _lift(u) -> np.ndarray:
 
 # The oracle contracts a channel stack this many members at a time, and
 # evaluates this many encoding angles at a time, so that its intermediates
-# stay at a few MiB however many parameters or angles a sweep holds.
-ORACLE_BLOCK = 2**10
+# stay small however many parameters or angles a sweep holds. At 128 members
+# a block's intermediates, about 1 MiB, reuse the memory the last block
+# freed; at 1024, about 8 MiB, the allocator maps them afresh for each block
+# and the page faults cost as much as the arithmetic.
+ORACLE_BLOCK = 2**7
 
 # The oracle's channel-free tensors depend on one resolution alone, so each is
 # built once per resolution and kept, read-only; a process rarely uses more
@@ -270,6 +284,28 @@ def _encoded_vecs(xis) -> np.ndarray:
     return (psi[..., :, None] * psi[..., None, :].conj()).reshape(2, len(xis), 4)
 
 
+def _xi_weight(xis) -> np.ndarray:
+    """Row-major W_ab = conj(v_a) v_b averaged over both bits, one row of 16 per xi."""
+    vecs = _encoded_vecs(xis)
+    return np.einsum("nxa,nxb->xab", vecs.conj(), vecs).reshape(-1, 16) / 2
+
+
+def _fidelities_at(oracles, xis) -> list[np.ndarray]:
+    """``oracle.fidelity_at(xis)`` of each oracle, each block's weight built once for all.
+
+    ``xis`` is a checked 1-D float array. Each block of ``ORACLE_BLOCK``
+    angles takes one ``_xi_weight``, and each oracle one product of its
+    averaged form with that weight, before one clamp per oracle.
+    """
+    values = [np.empty(oracle._form.shape[:-1] + xis.shape) for oracle in oracles]
+    for lo in range(0, len(xis), ORACLE_BLOCK):
+        block = slice(lo, lo + ORACLE_BLOCK)
+        weight = _xi_weight(xis[block]).T
+        for oracle, out in zip(oracles, values):
+            out[..., block] = np.real(oracle._form @ weight)
+    return [np.asarray(_assert_and_clamp(out)) for out in values]
+
+
 @functools.lru_cache(maxsize=_CACHED_RESOLUTIONS)
 def _state_weight(xi_points: int) -> np.ndarray:
     """Row-major W_ab = mean conj(v_a) v_b over both bits and the xi_points-cell midpoint grid."""
@@ -308,7 +344,9 @@ class RotationAveragedOracle:
         self.channel = channel
         self.quad = quad
         factors = _rotation_moment(quad.rotation_points)
-        ops = np.broadcast_arrays(*channel.operators)
+        ops = channel.operators
+        if len({op.shape for op in ops}) > 1:
+            ops = np.broadcast_arrays(*ops)
         stack = ops[0].shape[:-2]
         ops = [op.reshape(-1, 2, 2) for op in ops]
         form = np.empty((len(ops[0]), 4, 4), dtype=complex)
@@ -341,13 +379,7 @@ class RotationAveragedOracle:
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
         if xis.ndim != 1:
             raise ValueError(f"xis must be an angle or a 1-D sequence of angles, got shape {xis.shape}")
-        values = np.empty(self._form.shape[:-1] + xis.shape)
-        for lo in range(0, len(xis), ORACLE_BLOCK):
-            block = slice(lo, lo + ORACLE_BLOCK)
-            vecs = _encoded_vecs(xis[block])
-            weight = np.einsum("nxa,nxb->xab", vecs.conj(), vecs).reshape(-1, 16) / 2
-            values[..., block] = np.real(self._form @ weight.T)
-        return np.asarray(_assert_and_clamp(values))
+        return _fidelities_at([self], xis)[0]
 
     def state_average(self) -> float | np.ndarray:
         """Mean fidelity over the encoding angle on [0, 2pi), per member of a stack."""

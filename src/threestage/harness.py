@@ -210,38 +210,34 @@ def run_manifest(start: float, seed: int | None = None, quad: QuadratureSpec | N
     )
 
 
-def _evaluate_grid(kind, params, xis, average: bool, closed: bool, quad):
-    """Closed form and oracle over the params x xis grid.
+def _evaluate_grid(grids, xis, average: bool, closed: bool, quad) -> list[tuple]:
+    """Closed form and oracle over each (kind, params) of ``grids`` x the one xi grid.
 
-    Returns (closed, oracle), each of shape (len(params), len(xis) + average)
-    with the state average in the last column when ``average`` is set. The
-    closed form, when ``closed``, takes one broadcast call per grid. The
-    oracle, when ``quad`` is given, is one build on the stacked channel
-    ``channels.from_kind(kind, params)``: its rotation average is the one
-    channel-free tensor M, and each parameter's lift N enters only through
-    Q = sum N N N M (see ``RotationAveragedOracle``), contracted
-    ``fidelity.ORACLE_BLOCK`` parameters at a time; ``fidelity_at`` gives the
-    (len(params), len(xis)) block and ``state_average`` the last column. An
-    array not asked for is None.
+    Every params and xis is a float array that ``_check_grid`` or a default
+    grid has already checked, each parameter for its kind. A sweep is a
+    campaign of one. Returns one (closed, oracle) pair per grid, each of
+    shape (len(params), len(xis) + average) with the state average in the
+    last column when ``average`` is set; an array not asked for is None.
+
+    The closed form, when ``closed``, is one ``_closed_form_grid`` per kind:
+    one ``_coefficients`` pass for its xi columns and its average, with
+    cos 4xi made once for every kind. The oracle, when ``quad`` is given, is
+    one ``RotationAveragedOracle`` per kind on the stacked channel of its
+    parameters: each lift enters the rotation average through three factor
+    pairs of the rotation moment, ``fidelity.ORACLE_BLOCK`` parameters at a
+    time. Each block of encoding angles builds its bit-averaged weight once,
+    and every kind's averaged form takes one product with it (as
+    ``fidelity_at`` does for one); ``state_average`` gives the last column.
     """
-    params = np.asarray(params, dtype=float)
-    xis = np.asarray(xis, dtype=float)
-    shape = (len(params), len(xis) + int(average))
-    closed_values = oracle_values = None
+    closed_values = oracle_values = [None] * len(grids)
     if closed:
-        closed_values = np.empty(shape)
-        closed_values[:, : len(xis)] = fidelity.closed_form_fidelity(
-            kind, params[:, None], xis[None, :]
-        )
-        if average:
-            closed_values[:, -1] = fidelity.closed_form_average_fidelity(kind, params)
+        cos_4xi = fidelity._cos_4(xis)
+        closed_values = [fidelity._closed_form_grid(kind, params, cos_4xi, average) for kind, params in grids]
     if quad is not None:
-        oracle_values = np.empty(shape)
-        oracle = RotationAveragedOracle(channels.from_kind(kind, params), quad)
-        oracle_values[:, : len(xis)] = oracle.fidelity_at(xis)
-        if average:
-            oracle_values[:, -1] = oracle.state_average()
-    return closed_values, oracle_values
+        oracles = [RotationAveragedOracle(channels._build(kind, params), quad) for kind, params in grids]
+        oracle_values = [np.column_stack([at, oracle.state_average()]) if average else at
+                         for oracle, at in zip(oracles, fidelity._fidelities_at(oracles, xis))]
+    return list(zip(closed_values, oracle_values))
 
 
 def sweep(spec: SweepSpec) -> tuple[SweepTable, RunManifest]:
@@ -254,8 +250,8 @@ def sweep(spec: SweepSpec) -> tuple[SweepTable, RunManifest]:
     quad = None if spec.mode is SweepMode.CLOSED_FORM else spec.quadrature
     params = np.asarray(spec.param_grid, dtype=float)
     xis = np.asarray(spec.xi_grid, dtype=float)
-    closed, oracle = _evaluate_grid(
-        spec.kind, params, xis, spec.include_state_average,
+    [(closed, oracle)] = _evaluate_grid(
+        [(spec.kind, params)], xis, spec.include_state_average,
         closed=spec.mode is not SweepMode.ORACLE, quad=quad,
     )
     deviation = None if closed is None or oracle is None else np.abs(closed - oracle)
@@ -313,10 +309,12 @@ def verify_formulas(
         if rows > MAX_SWEEP_ROWS:
             raise ValueError(
                 f"param_grids[{kind.value}], xi_grid: {rows} rows, over the cap of {MAX_SWEEP_ROWS}")
-        grids.append((kind, params, xis))
+        grids.append((kind, params))
+    if not grids:
+        return []
+    # The default xi grid is the same for every kind, so the campaign shares one.
     reports = []
-    for kind, params, xis in grids:
-        closed, oracle = _evaluate_grid(kind, params, xis, True, closed=True, quad=quad)
+    for (kind, params), (closed, oracle) in zip(grids, _evaluate_grid(grids, xis, True, True, quad)):
         average_deviation = float(np.max(np.abs(closed[:, -1] - oracle[:, -1])))
         closed, oracle = closed[:, :-1], oracle[:, :-1]
         deviation = np.abs(closed - oracle)

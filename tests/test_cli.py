@@ -675,9 +675,9 @@ class TestVerify:
         assert err.count("below 1e-13") == 4
 
     def test_worst_point_is_named_above_the_floor(self, capsys, monkeypatch):
-        closed_form = fidelity.closed_form_fidelity
+        closed_form = fidelity._closed_form_grid
         monkeypatch.setattr(
-            fidelity, "closed_form_fidelity", lambda *a: closed_form(*a) + 1e-9
+            fidelity, "_closed_form_grid", lambda *a: closed_form(*a) + 1e-9
         )
         code, out, err = run_cli(
             capsys, "verify", "--kinds", "cr", "--resolution", "8", "--xi-points", "8",
