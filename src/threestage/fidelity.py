@@ -234,13 +234,16 @@ def _lift(u) -> np.ndarray:
     return np.einsum("...ij,...kl->...ikjl", u, u.conj()).reshape(u.shape[:-2] + (4, 4))
 
 
-# The oracle contracts a channel stack this many members at a time, and
-# evaluates this many encoding angles at a time, so that its intermediates
+# The oracle contracts a channel stack ORACLE_BLOCK members at a time, and
+# evaluates XI_BLOCK encoding angles at a time, so that its intermediates
 # stay small however many parameters or angles a sweep holds. At 128 members
 # a block's intermediates, about 1 MiB, reuse the memory the last block
 # freed; at 1024, about 8 MiB, the allocator maps them afresh for each block
-# and the page faults cost as much as the arithmetic.
+# and the page faults cost as much as the arithmetic. A block of 1024 angles
+# peaks at about 0.8 MiB, and a smaller one spends more of its time on its
+# fixed cost, building the weight, so angles go in larger blocks.
 ORACLE_BLOCK = 2**7
+XI_BLOCK = 2**10
 
 # The oracle's channel-free tensors depend on one resolution alone, so each is
 # built once per resolution and kept, read-only; a process rarely uses more
@@ -293,13 +296,13 @@ def _xi_weight(xis) -> np.ndarray:
 def _fidelities_at(oracles, xis) -> list[np.ndarray]:
     """``oracle.fidelity_at(xis)`` of each oracle, each block's weight built once for all.
 
-    ``xis`` is a checked 1-D float array. Each block of ``ORACLE_BLOCK``
+    ``xis`` is a checked 1-D float array. Each block of ``XI_BLOCK``
     angles takes one ``_xi_weight``, and each oracle one product of its
     averaged form with that weight, before one clamp per oracle.
     """
     values = [np.empty(oracle._form.shape[:-1] + xis.shape) for oracle in oracles]
-    for lo in range(0, len(xis), ORACLE_BLOCK):
-        block = slice(lo, lo + ORACLE_BLOCK)
+    for lo in range(0, len(xis), XI_BLOCK):
+        block = slice(lo, lo + XI_BLOCK)
         weight = _xi_weight(xis[block]).T
         for oracle, out in zip(oracles, values):
             out[..., block] = np.real(oracle._form @ weight)
@@ -344,9 +347,7 @@ class RotationAveragedOracle:
         self.channel = channel
         self.quad = quad
         factors = _rotation_moment(quad.rotation_points)
-        ops = channel.operators
-        if len({op.shape for op in ops}) > 1:
-            ops = np.broadcast_arrays(*ops)
+        ops = np.broadcast_arrays(*channel.operators)
         stack = ops[0].shape[:-2]
         ops = [op.reshape(-1, 2, 2) for op in ops]
         form = np.empty((len(ops[0]), 4, 4), dtype=complex)

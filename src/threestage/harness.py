@@ -225,9 +225,10 @@ def _evaluate_grid(grids, xis, average: bool, closed: bool, quad) -> list[tuple]
     one ``RotationAveragedOracle`` per kind on the stacked channel of its
     parameters: each lift enters the rotation average through three factor
     pairs of the rotation moment, ``fidelity.ORACLE_BLOCK`` parameters at a
-    time. Each block of encoding angles builds its bit-averaged weight once,
-    and every kind's averaged form takes one product with it (as
-    ``fidelity_at`` does for one); ``state_average`` gives the last column.
+    time. Each block of ``fidelity.XI_BLOCK`` encoding angles builds its
+    bit-averaged weight once, and every kind's averaged form takes one
+    product with it (as ``fidelity_at`` does for one); ``state_average``
+    gives the last column.
     """
     closed_values = oracle_values = [None] * len(grids)
     if closed:
@@ -263,16 +264,21 @@ def sweep(spec: SweepSpec) -> tuple[SweepTable, RunManifest]:
     return table, run_manifest(start, spec.seed, quad, worst)
 
 
+def _default_verification_xis() -> np.ndarray:
+    """The encoding angles of every kind's default check: [0, 2pi] in steps of pi/16."""
+    return np.linspace(0.0, 2.0 * np.pi, 33)
+
+
 def default_verification_grids(kind: NoiseKind) -> tuple[np.ndarray, np.ndarray]:
     """Grids the formula-vs-oracle check runs on when none are given.
 
     Parameters cover the kind's natural range, a probability in steps of 0.05
-    and an angle in steps of pi/16; the encoding angle covers [0, 2pi] in
-    steps of pi/16.
+    and an angle in steps of pi/16; the encoding angles are
+    ``_default_verification_xis()``, the same for every kind.
     """
     lo, hi = kind.natural_range
     params = np.linspace(lo, hi, 21 if kind.is_probability else 33)
-    return params, np.linspace(0.0, 2.0 * np.pi, 33)
+    return params, _default_verification_xis()
 
 
 def verify_formulas(
@@ -298,21 +304,17 @@ def verify_formulas(
     if unknown:
         raise ValueError(f"kinds: {unknown[0]!r} has no closed form to verify")
     # Every given grid is checked before the first oracle is built.
-    given_xis = None if xi_grid is None else _check_grid("xi_grid", xi_grid)
+    xis = _default_verification_xis() if xi_grid is None else _check_grid("xi_grid", xi_grid)
     grids = []
     for kind in (known for known in fidelity.CLOSED_FORM_KINDS if known in kinds):
-        params, default_xis = default_verification_grids(kind)
+        params, _ = default_verification_grids(kind)
         if param_grids is not None and kind in param_grids:
             params = _check_grid(f"param_grids[{kind.value}]", param_grids[kind], kind)
-        xis = default_xis if given_xis is None else given_xis
         rows = len(params) * (len(xis) + 1)
         if rows > MAX_SWEEP_ROWS:
             raise ValueError(
                 f"param_grids[{kind.value}], xi_grid: {rows} rows, over the cap of {MAX_SWEEP_ROWS}")
         grids.append((kind, params))
-    if not grids:
-        return []
-    # The default xi grid is the same for every kind, so the campaign shares one.
     reports = []
     for (kind, params), (closed, oracle) in zip(grids, _evaluate_grid(grids, xis, True, True, quad)):
         average_deviation = float(np.max(np.abs(closed[:, -1] - oracle[:, -1])))

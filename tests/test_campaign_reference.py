@@ -72,7 +72,7 @@ class TestVerifyCampaign:
 
     @pytest.mark.parametrize("quad", [QuadratureSpec(), FAST_QUAD], ids=["default", "fast"])
     def test_xi_grid_over_several_blocks(self, quad):
-        assert len(LONG_XIS) > fidelity.ORACLE_BLOCK
+        assert len(LONG_XIS) > fidelity.XI_BLOCK
         grids = {kind: np.linspace(*kind.natural_range, 2) for kind in KINDS}
         for report in harness.verify_formulas(KINDS, param_grids=grids, xi_grid=LONG_XIS, quad=quad):
             assert_report_is_the_reference(report, quad)
@@ -161,7 +161,7 @@ class TestSharedWork:
     def test_one_weight_per_xi_block_not_per_kind(self, counters):
         grids = {kind: np.linspace(*kind.natural_range, 2) for kind in KINDS}
         harness.verify_formulas(KINDS, param_grids=grids, xi_grid=LONG_XIS, quad=FAST_QUAD)
-        block = fidelity.ORACLE_BLOCK
+        block = fidelity.XI_BLOCK
         assert counters["weights"] == [block] * (len(LONG_XIS) // block) + [len(LONG_XIS) % block]
         assert counters["coefficients"] == list(KINDS)
         assert counters["oracles"] == list(KINDS)

@@ -552,10 +552,10 @@ class TestStackedOracle:
         )
 
     def test_xi_blocks_equal_one_pass(self):
-        xis = np.linspace(0.0, 2 * np.pi, 2 * fidelity.ORACLE_BLOCK + 3)
+        xis = np.linspace(0.0, 2 * np.pi, 2 * fidelity.XI_BLOCK + 3)
         oracle = RotationAveragedOracle(channels.amplitude_damping(np.array([0.2, 0.7])), self.QUAD)
         values = oracle.fidelity_at(xis)
-        for i in (0, fidelity.ORACLE_BLOCK - 1, fidelity.ORACLE_BLOCK, len(xis) - 1):
+        for i in (0, fidelity.XI_BLOCK - 1, fidelity.XI_BLOCK, len(xis) - 1):
             np.testing.assert_allclose(values[:, i], oracle.fidelity_at(xis[i])[:, 0], rtol=0, atol=1e-15)
 
     def test_memory_is_bounded_by_the_block(self):
