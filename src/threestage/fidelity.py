@@ -203,15 +203,19 @@ def closed_form_average_fidelity(kind: NoiseKind, param):
     return _assert_and_clamp(_coefficients(kind, param)[0])
 
 
-def _closed_form_grid(kind: NoiseKind, params, cos_4xi, average: bool) -> np.ndarray:
-    """``closed_form_fidelity`` over 1-D ``params`` x a xi grid, and the average column if ``average``.
+def _closed_form_table(grids, xis, average: bool) -> np.ndarray:
+    """``closed_form_fidelity`` of each (kind, checked 1-D params) of ``grids`` x checked ``xis``, as one table.
 
-    ``cos_4xi`` is ``_cos_4`` of the checked xi grid. One ``_coefficients``
-    pass gives both the xi columns and the average, under one clamp.
+    Each kind's rule runs once; one broadcast with cos 4xi fills the xi
+    columns and the mean the average column, last if ``average``; one clamp.
     """
-    mean, swing = _coefficients(kind, params)
-    values = mean[:, None] + swing[:, None] * cos_4xi
-    return _assert_and_clamp(np.column_stack([values, mean]) if average else values)
+    twice_means, betas_cubed = zip(*(_CLOSED_FORMS[kind](params) for kind, params in grids))
+    mean, swing = np.concatenate(twice_means) / 2.0, np.concatenate(betas_cubed) / 2.0
+    table = np.empty((len(mean), len(xis) + average))
+    np.add(mean[:, None], swing[:, None] * _cos_4(xis), out=table[:, :len(xis)])
+    if average:
+        table[:, -1] = mean
+    return _assert_and_clamp(table)
 
 
 def numeric_fidelity(
@@ -293,22 +297,6 @@ def _xi_weight(xis) -> np.ndarray:
     return np.einsum("nxa,nxb->xab", vecs.conj(), vecs).reshape(-1, 16) / 2
 
 
-def _fidelities_at(oracles, xis) -> list[np.ndarray]:
-    """``oracle.fidelity_at(xis)`` of each oracle, each block's weight built once for all.
-
-    ``xis`` is a checked 1-D float array. Each block of ``XI_BLOCK``
-    angles takes one ``_xi_weight``, and each oracle one product of its
-    averaged form with that weight, before one clamp per oracle.
-    """
-    values = [np.empty(oracle._form.shape[:-1] + xis.shape) for oracle in oracles]
-    for lo in range(0, len(xis), XI_BLOCK):
-        block = slice(lo, lo + XI_BLOCK)
-        weight = _xi_weight(xis[block]).T
-        for oracle, out in zip(oracles, values):
-            out[..., block] = np.real(oracle._form @ weight)
-    return [np.asarray(_assert_and_clamp(out)) for out in values]
-
-
 @functools.lru_cache(maxsize=_CACHED_RESOLUTIONS)
 def _state_weight(xi_points: int) -> np.ndarray:
     """Row-major W_ab = mean conj(v_a) v_b over both bits and the xi_points-cell midpoint grid."""
@@ -316,6 +304,21 @@ def _state_weight(xi_points: int) -> np.ndarray:
     weight = (vecs.conj().T @ vecs).reshape(16) / len(vecs)
     weight.flags.writeable = False
     return weight
+
+
+def _fidelity_table(form, xis, xi_points: int | None = None) -> np.ndarray:
+    """Fidelity of each row S of a (members, 16) ``form`` at each checked angle of ``xis``, one clamp.
+
+    Each block of ``XI_BLOCK`` angles takes one product with its bit-averaged
+    weight; given ``xi_points``, one more gives the state average, last.
+    """
+    table = np.empty((len(form), len(xis) + (xi_points is not None)))
+    for lo in range(0, len(xis), XI_BLOCK):
+        block = slice(lo, min(lo + XI_BLOCK, len(xis)))
+        table[:, block] = np.real(form @ _xi_weight(xis[block]).T)
+    if xi_points is not None:
+        table[:, -1] = np.real(form @ _state_weight(xi_points))
+    return _assert_and_clamp(table)
 
 
 class RotationAveragedOracle:
@@ -354,8 +357,8 @@ class RotationAveragedOracle:
         for lo in range(0, len(form), ORACLE_BLOCK):
             block = slice(lo, lo + ORACLE_BLOCK)
             form[block] = self._averaged_form(sum(_lift(op[block]) for op in ops), factors)
-        # Row-major S_ab, so that sum_ab S_ab W_ab is one product per weight.
-        self._form = form.reshape(stack + (16,))
+        # Row-major S_ab, one row per member, so that sum_ab S_ab W_ab is one product per weight.
+        self._stack, self._form = stack, form.reshape(-1, 16)
 
     @staticmethod
     def _averaged_form(noise, factors) -> np.ndarray:
@@ -380,11 +383,12 @@ class RotationAveragedOracle:
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
         if xis.ndim != 1:
             raise ValueError(f"xis must be an angle or a 1-D sequence of angles, got shape {xis.shape}")
-        return _fidelities_at([self], xis)[0]
+        return _fidelity_table(self._form, xis).reshape(self._stack + xis.shape)
 
     def state_average(self) -> float | np.ndarray:
         """Mean fidelity over the encoding angle on [0, 2pi), per member of a stack."""
-        return _assert_and_clamp(np.real(self._form @ _state_weight(self.quad.xi_points)))
+        average = _fidelity_table(self._form, np.empty(0), self.quad.xi_points).reshape(self._stack)
+        return float(average) if average.ndim == 0 else average
 
 
 def rotation_averaged_fidelity(

@@ -210,35 +210,29 @@ def run_manifest(start: float, seed: int | None = None, quad: QuadratureSpec | N
     )
 
 
-def _evaluate_grid(grids, xis, average: bool, closed: bool, quad) -> list[tuple]:
-    """Closed form and oracle over each (kind, params) of ``grids`` x the one xi grid.
+def _evaluate_grid(grids, xis, average: bool, closed: bool, quad) -> tuple:
+    """Closed form and oracle over each (kind, params) of ``grids`` x the one xi grid, as two tables.
 
     Every params and xis is a float array that ``_check_grid`` or a default
-    grid has already checked, each parameter for its kind. A sweep is a
-    campaign of one. Returns one (closed, oracle) pair per grid, each of
-    shape (len(params), len(xis) + average) with the state average in the
-    last column when ``average`` is set; an array not asked for is None.
+    grid has already checked, and is not checked again. A sweep is a
+    campaign of one. Each table has one row per parameter, in ``grids``
+    order, and len(xis) + average columns, the state average last; a table
+    not asked for is None, and each takes one clamp.
 
-    The closed form, when ``closed``, is one ``_closed_form_grid`` per kind:
-    one ``_coefficients`` pass for its xi columns and its average, with
-    cos 4xi made once for every kind. The oracle, when ``quad`` is given, is
-    one ``RotationAveragedOracle`` per kind on the stacked channel of its
-    parameters: each lift enters the rotation average through three factor
-    pairs of the rotation moment, ``fidelity.ORACLE_BLOCK`` parameters at a
-    time. Each block of ``fidelity.XI_BLOCK`` encoding angles builds its
-    bit-averaged weight once, and every kind's averaged form takes one
-    product with it (as ``fidelity_at`` does for one); ``state_average``
-    gives the last column.
+    The closed form runs each kind's rule once, then one broadcast with
+    cos 4xi. The oracle builds one ``RotationAveragedOracle`` per kind on the
+    stacked channel of its parameters (three factor pairs of the rotation
+    moment per lift, ``fidelity.ORACLE_BLOCK`` members at a time) and joins
+    their averaged forms into one stack for ``fidelity._fidelity_table``,
+    the product path of ``fidelity_at`` and ``state_average``.
     """
-    closed_values = oracle_values = [None] * len(grids)
-    if closed:
-        cos_4xi = fidelity._cos_4(xis)
-        closed_values = [fidelity._closed_form_grid(kind, params, cos_4xi, average) for kind, params in grids]
+    closed_table = fidelity._closed_form_table(grids, xis, average) if closed else None
+    oracle_table = None
     if quad is not None:
-        oracles = [RotationAveragedOracle(channels._build(kind, params), quad) for kind, params in grids]
-        oracle_values = [np.column_stack([at, oracle.state_average()]) if average else at
-                         for oracle, at in zip(oracles, fidelity._fidelities_at(oracles, xis))]
-    return list(zip(closed_values, oracle_values))
+        forms = [RotationAveragedOracle(channels._build(kind, params), quad)._form for kind, params in grids]
+        form = forms[0] if len(forms) == 1 else np.concatenate(forms)
+        oracle_table = fidelity._fidelity_table(form, xis, quad.xi_points if average else None)
+    return closed_table, oracle_table
 
 
 def sweep(spec: SweepSpec) -> tuple[SweepTable, RunManifest]:
@@ -251,7 +245,7 @@ def sweep(spec: SweepSpec) -> tuple[SweepTable, RunManifest]:
     quad = None if spec.mode is SweepMode.CLOSED_FORM else spec.quadrature
     params = np.asarray(spec.param_grid, dtype=float)
     xis = np.asarray(spec.xi_grid, dtype=float)
-    [(closed, oracle)] = _evaluate_grid(
+    closed, oracle = _evaluate_grid(
         [(spec.kind, params)], xis, spec.include_state_average,
         closed=spec.mode is not SweepMode.ORACLE, quad=quad,
     )
@@ -264,21 +258,22 @@ def sweep(spec: SweepSpec) -> tuple[SweepTable, RunManifest]:
     return table, run_manifest(start, spec.seed, quad, worst)
 
 
-def _default_verification_xis() -> np.ndarray:
-    """The encoding angles of every kind's default check: [0, 2pi] in steps of pi/16."""
-    return np.linspace(0.0, 2.0 * np.pi, 33)
+# The encoding angles of every kind's default check: [0, 2pi] in steps of pi/16.
+_DEFAULT_XIS = np.linspace(0.0, 2.0 * np.pi, 33)
+_DEFAULT_XIS.flags.writeable = False
 
 
+@functools.cache
 def default_verification_grids(kind: NoiseKind) -> tuple[np.ndarray, np.ndarray]:
-    """Grids the formula-vs-oracle check runs on when none are given.
+    """Grids the formula-vs-oracle check runs on when none are given: read-only, built once per process.
 
     Parameters cover the kind's natural range, a probability in steps of 0.05
-    and an angle in steps of pi/16; the encoding angles are
-    ``_default_verification_xis()``, the same for every kind.
+    and an angle in steps of pi/16; every kind shares one encoding-angle grid.
     """
     lo, hi = kind.natural_range
     params = np.linspace(lo, hi, 21 if kind.is_probability else 33)
-    return params, _default_verification_xis()
+    params.flags.writeable = False
+    return params, _DEFAULT_XIS
 
 
 def verify_formulas(
@@ -298,13 +293,16 @@ def verify_formulas(
     per point and one state average per parameter, pass a sweep's cap
     ``MAX_SWEEP_ROWS``, raise ValueError that names them, before any oracle
     is built.
+
+    One deviation table is taken between the campaign's two tables
+    (``_evaluate_grid``), and each report reads its kind's rows of the three.
     """
     kinds = list(kinds)
     unknown = [kind for kind in kinds if kind not in fidelity.CLOSED_FORM_KINDS]
     if unknown:
         raise ValueError(f"kinds: {unknown[0]!r} has no closed form to verify")
     # Every given grid is checked before the first oracle is built.
-    xis = _default_verification_xis() if xi_grid is None else _check_grid("xi_grid", xi_grid)
+    xis = _DEFAULT_XIS if xi_grid is None else _check_grid("xi_grid", xi_grid)
     grids = []
     for kind in (known for known in fidelity.CLOSED_FORM_KINDS if known in kinds):
         params, _ = default_verification_grids(kind)
@@ -315,18 +313,21 @@ def verify_formulas(
             raise ValueError(
                 f"param_grids[{kind.value}], xi_grid: {rows} rows, over the cap of {MAX_SWEEP_ROWS}")
         grids.append((kind, params))
-    reports = []
-    for (kind, params), (closed, oracle) in zip(grids, _evaluate_grid(grids, xis, True, True, quad)):
-        average_deviation = float(np.max(np.abs(closed[:, -1] - oracle[:, -1])))
-        closed, oracle = closed[:, :-1], oracle[:, :-1]
-        deviation = np.abs(closed - oracle)
-        worst_i, worst_j = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
+    if not grids:  # no table to join
+        return []
+    closed, oracle = _evaluate_grid(grids, xis, True, True, quad)
+    deviation = np.abs(closed - oracle)
+    reports, stop = [], 0
+    for kind, params in grids:
+        start, stop = stop, stop + len(params)  # the kind's rows of the three tables
+        points = deviation[start:stop, :-1]
+        worst_i, worst_j = np.unravel_index(int(np.argmax(points)), points.shape)
         reports.append(FidelityReport(
             kind=kind, param_grid=tuple(params.tolist()), xi_grid=tuple(xis.tolist()),
-            closed_form=closed, oracle=oracle,
-            max_abs_deviation=float(deviation[worst_i, worst_j]),
+            closed_form=closed[start:stop, :-1], oracle=oracle[start:stop, :-1],
+            max_abs_deviation=float(points[worst_i, worst_j]),
             worst_point=(float(params[worst_i]), float(xis[worst_j])),
-            average_deviation=average_deviation,
+            average_deviation=float(np.max(deviation[start:stop, -1])),
         ))
     return reports
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from threestage import channels, cli, fidelity, harness, protocol
-from threestage.fidelity import QuadratureSpec, RotationAveragedOracle
+from threestage.fidelity import QuadratureSpec
 
 
 def run_cli(capsys, *argv):
@@ -583,13 +583,14 @@ class TestVerify:
         fidelity._state_weight.cache_clear()
         code, cold, _ = run_cli(capsys, "verify")
         assert code == 0
-        # four oracles, one per kind, share one tensor per resolution
+        # four oracles, one per kind, share one tensor per resolution, and the
+        # campaign's one oracle table looks its state-average weight up once
         assert fidelity._rotation_moment.cache_info()[:2] == (3, 1)  # (hits, misses)
-        assert fidelity._state_weight.cache_info()[:2] == (3, 1)
+        assert fidelity._state_weight.cache_info()[:2] == (0, 1)
         code, warm, _ = run_cli(capsys, "verify")
         assert code == 0 and warm == cold
         assert fidelity._rotation_moment.cache_info()[:2] == (7, 1)
-        assert fidelity._state_weight.cache_info()[:2] == (7, 1)
+        assert fidelity._state_weight.cache_info()[:2] == (1, 1)
         fresh = fresh_process("verify")
         assert fresh.returncode == 0 and fresh.stdout == cold
 
@@ -632,11 +633,8 @@ class TestVerify:
             assert entry["max_abs_average_deviation"] < 1e-12
         assert "state average" in err
 
-    def test_state_average_miss_fails_with_exit_3(self, capsys, monkeypatch):
-        state_average = RotationAveragedOracle.state_average
-        monkeypatch.setattr(
-            RotationAveragedOracle, "state_average", lambda self: state_average(self) + 1e-3
-        )
+    def test_state_average_miss_fails_with_exit_3(self, capsys, skew_state_average):
+        skew_state_average(1e-3)
         code, out, _ = run_cli(
             capsys, "verify", "--kinds", "cr", "--resolution", "8", "--xi-points", "8",
         )
@@ -675,9 +673,9 @@ class TestVerify:
         assert err.count("below 1e-13") == 4
 
     def test_worst_point_is_named_above_the_floor(self, capsys, monkeypatch):
-        closed_form = fidelity._closed_form_grid
+        closed_form = fidelity._closed_form_table
         monkeypatch.setattr(
-            fidelity, "_closed_form_grid", lambda *a: closed_form(*a) + 1e-9
+            fidelity, "_closed_form_table", lambda *a: closed_form(*a) + 1e-9
         )
         code, out, err = run_cli(
             capsys, "verify", "--kinds", "cr", "--resolution", "8", "--xi-points", "8",

@@ -343,14 +343,11 @@ class TestVerifyFormulas:
                 single = RotationAveragedOracle(channels.from_kind(report.kind, param), FAST_QUAD)
                 np.testing.assert_allclose(row, single.fidelity_at(report.xi_grid), rtol=0, atol=1e-15)
 
-    def test_average_deviation_compares_the_state_averages(self, monkeypatch):
+    def test_average_deviation_compares_the_state_averages(self, skew_state_average):
         kind = NoiseKind.PHASE_DAMPING
         clean = harness.verify_formulas({kind}, quad=FAST_QUAD)[0]
         assert clean.average_deviation < 1e-12
-        state_average = RotationAveragedOracle.state_average
-        monkeypatch.setattr(
-            RotationAveragedOracle, "state_average", lambda self: state_average(self) + 1e-3
-        )
+        skew_state_average(1e-3)
         skewed = harness.verify_formulas({kind}, quad=FAST_QUAD)[0]
         assert skewed.average_deviation == pytest.approx(1e-3, abs=1e-12)
         assert skewed.max_abs_deviation == clean.max_abs_deviation
