@@ -36,10 +36,9 @@ from .fidelity import (
     FidelityReport,
     QuadratureSpec,
     RotationAveragedOracle,
+    channel_commutator,
     closed_form_average_fidelity,
     closed_form_fidelity,
-    commutator_closed_form,
-    commutator_defect,
     numeric_fidelity,
     rotation_averaged_fidelity,
     state_averaged_fidelity,
@@ -83,13 +82,12 @@ __all__ = [
     "Transcript",
     "amplitude_damping",
     "apply_channel",
+    "channel_commutator",
     "closed_form_average_fidelity",
     "closed_form_fidelity",
     "collective_dephasing",
     "collective_rotation",
     "commutator",
-    "commutator_closed_form",
-    "commutator_defect",
     "completeness_defect",
     "conjugate_by",
     "dagger",

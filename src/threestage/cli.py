@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: run (one protocol round), sweep (grid evaluation to csv/json),
-verify (closed form vs oracle campaign), commutators (damping-operator
-diagnostics), message (bit-sequence transmission). All angles are radians
-unless --degrees is given. Payloads go to stdout as JSON or CSV; diagnostics
+verify (closed form vs oracle campaign), commutators (a channel's commutator
+with a secret rotation), message (bit-sequence transmission). All angles are
+radians unless --degrees is given. Payloads go to stdout as JSON or CSV; diagnostics
 and the run manifest go to stderr. Exit codes: 0 success, 1 I/O failure,
 2 usage error, 3 verification failure.
 """
@@ -84,13 +84,6 @@ def _emit_manifest(manifest: RunManifest) -> None:
     _print_json({"manifest": manifest.to_dict()}, file=sys.stderr)
 
 
-def _matrix_json(matrix) -> list:
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in row]
-        for row in np.asarray(matrix, dtype=complex)
-    ]
-
-
 def _status(passed: bool) -> str:
     text = "PASS" if passed else "FAIL"
     if sys.stderr.isatty() and not os.environ.get("NO_COLOR"):
@@ -98,10 +91,14 @@ def _status(passed: bool) -> str:
     return text
 
 
-def _protocol_config(args) -> protocol.ProtocolConfig:
+def _channel(args) -> channels.QuantumChannel:
+    """The --noise channel of --param, an angle of which is in degrees under --degrees."""
     kind = NoiseKind(args.noise)
-    channel = channels.from_kind(
-        kind, args.param if kind.is_probability else _radians(args.param, args))
+    return channels.from_kind(kind, args.param if kind.is_probability else _radians(args.param, args))
+
+
+def _protocol_config(args) -> protocol.ProtocolConfig:
+    channel = _channel(args)
     return protocol.ProtocolConfig(
         xi=_radians(args.xi, args),
         alice_angle=_radians(args.alice_angle, args),
@@ -194,21 +191,11 @@ def _cmd_verify(args, start: float) -> int:
 
 
 def _cmd_commutators(args, start: float) -> int:
-    # eta first, so a bad --eta is reported before a bad --theta.
-    channels.check_parameter(NoiseKind.AMPLITUDE_DAMPING, args.eta)
+    channel = _channel(args)  # first, so a bad --param is reported before a bad --theta
     theta = _radians(args.theta, args)
-    entries = []
-    for index in (0, 1):
-        computed = fidelity.commutator_defect(index, args.eta, theta)
-        expected = fidelity.commutator_closed_form(index, args.eta, theta)
-        entries.append(
-            {
-                "kraus_index": index,
-                "commutator": _matrix_json(computed),
-                "closed_form_residual": float(np.max(np.abs(computed - expected))),
-            }
-        )
-    _print_json({"eta": args.eta, "theta": theta, "commutators": entries})
+    norm, closed_form = fidelity.channel_commutator(channel, theta)
+    _print_json({"noise": args.noise, "param": channel.parameter, "theta": theta, "norm": norm,
+                 "closed_form": closed_form, "residual": abs(norm - closed_form)})
     _emit_manifest(run_manifest(start))
     return EXIT_OK
 
@@ -240,12 +227,12 @@ _PROTOCOL_FLAGS = (
     ("--alice-angle", dict(type=float, default=0.0)),
     ("--bob-angle", dict(type=float, default=0.0)),
 )
-# The words the library's errors use for the protocol flags' values: the
-# ProtocolConfig fields and each kind's parameter symbol.
+# The words the library's errors use for the protocol flags' values: each
+# kind's parameter symbol, and the ProtocolConfig fields.
+_PARAM_FIELDS = {symbol: f"--param: {symbol}"
+                 for symbol in (kind.parameter_symbol or "parameter" for kind in NoiseKind)}
 _PROTOCOL_FIELDS = {
-    "xi": "--xi:", "alice_angle": "--alice-angle:", "bob_angle": "--bob-angle:",
-    **{symbol: f"--param: {symbol}"
-       for symbol in (kind.parameter_symbol or "parameter" for kind in NoiseKind)},
+    "xi": "--xi:", "alice_angle": "--alice-angle:", "bob_angle": "--bob-angle:", **_PARAM_FIELDS,
 }
 _DEGREES = ("--degrees", dict(action="store_true"))
 
@@ -277,17 +264,17 @@ _COMMANDS = {
     }),
     "verify": ("closed form vs oracle campaign", _cmd_verify, (
         ("--kinds", dict(default="ad,pd,cd,cr", help="comma-separated subset of ad,pd,cd,cr")),
-        ("--tolerance", dict(type=float, default=1e-6)),
+        ("--tolerance", dict(type=float, default=1e-12)),
         ("--resolution", dict(type=int, default=_QUADRATURE.rotation_points,
                               help="rotation-average quadrature points per axis")),
         ("--xi-points", dict(type=int, default=_QUADRATURE.xi_points,
                              help="state-average quadrature points")),
     ), {"rotation_points": "--resolution", "xi_points": "--xi-points"}),
-    "commutators": ("damping Kraus operators vs rotation commutators", _cmd_commutators, (
-        ("--eta", dict(type=float, required=True)),
-        ("--theta", dict(type=float, required=True)),
+    "commutators": ("a channel's commutator with a secret rotation", _cmd_commutators,
+                    _PROTOCOL_FLAGS[:2] + (
+        ("--theta", dict(type=float, required=True, help="secret rotation angle")),
         _DEGREES,
-    ), {"eta": "--eta: eta", "theta": "--theta:"}),
+    ), {**_PARAM_FIELDS, "theta": "--theta:"}),
     "message": ("transmit a bit string", _cmd_message, _PROTOCOL_FLAGS + (
         ("--bits", dict(required=True, help="message as a 0/1 string")),
         ("--seed", dict(type=int, default=0)),

@@ -401,45 +401,49 @@ def rotation_averaged_fidelity(
 
 
 def state_averaged_fidelity(
-    kind: NoiseKind, param: float, quad: QuadratureSpec = QuadratureSpec()
-) -> float:
+    kind: NoiseKind, param, quad: QuadratureSpec = QuadratureSpec()
+) -> float | np.ndarray:
     """Closed-form fidelity averaged over the encoding angle xi on [0, 2pi).
 
     The midpoint rule with ``quad.xi_points`` cells integrates it exactly; the
     oracle's counterpart is ``RotationAveragedOracle(channel, quad).state_average()``.
+    An array of parameters gives one average per parameter, as
+    ``closed_form_average_fidelity`` does; one parameter gives a float.
     """
-    values = closed_form_fidelity(kind, param, midpoint_grid(quad.xi_points))
-    return float(np.clip(np.mean(values), 0.0, 1.0))
+    values = closed_form_fidelity(kind, np.expand_dims(param, -1), midpoint_grid(quad.xi_points))
+    average = np.clip(np.mean(values, axis=-1), 0.0, 1.0)
+    return float(average) if average.ndim == 0 else average
 
 
-def commutator_closed_form(kraus_index: int, eta: float, theta: float) -> np.ndarray:
-    """Commutator of an amplitude-damping Kraus operator with R(theta).
+# Columns: the row-major vec of I, X, Y and Z. P^H P = 2 I, and every entry is exact.
+_PAULI_VECS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]]).T
 
-    Index 0 gives -(1 - sqrt(1 - eta)) sin(theta) times the exchange matrix
-    [[0, 1], [1, 0]]; index 1 gives sqrt(eta) sin(theta) times diag(1, -1).
-    Both vanish exactly when eta = 0 or sin(theta) = 0; that the damping
-    operators fail to commute with generic rotations is why the protocol's
-    rotation cancellation breaks under damping noise.
+
+def channel_commutator(channel: QuantumChannel, theta):
+    """Frobenius norm of [N, L(R(theta))], by multiplication and in closed form.
+
+    N = sum_i L(E_i) is the channel's superoperator and L(R) the lift of a
+    secret rotation, so the norm belongs to the channel, whatever Kraus
+    operators represent it; it is zero at every theta exactly when the
+    channel commutes with the secret rotations, as cr does and ad, pd and cd
+    do not. The closed form reads the Pauli transfer matrix T = P^H N P / 2,
+    whose conjugation by P / sqrt(2) keeps the norm. R(t) turns the x-z plane
+    by 2t and fixes y, so with beta as in the module docstring, s = (T_x0, T_z0)
+    the shift and c = (T_yx, T_yz, T_xy, T_zy) the y couplings,
+
+        ||[N, L(R(t))]||_F^2 = 8 |beta|^2 sin^2(2t) + 4 sin^2(t) (|s|^2 + |c|^2),
+
+    taken as 2 |sin t| sqrt(8 |beta|^2 cos^2 t + |s|^2 + |c|^2), which needs
+    no 2t and is exactly 0 at t = 0. Stacked channels and arrays of angles
+    broadcast; one channel and one angle give floats. Returns (norm, closed_form).
     """
-    if kraus_index not in (0, 1):
-        raise ValueError(f"kraus_index must be 0 or 1, got {kraus_index!r}")
-    algebra._finite("theta", theta)
-    channels.check_parameter(NoiseKind.AMPLITUDE_DAMPING, eta)
-    if kraus_index == 0:
-        scale = -(1.0 - np.sqrt(1.0 - eta)) * np.sin(theta)
-        return scale * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    scale = np.sqrt(eta) * np.sin(theta)
-    return scale * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def commutator_defect(kraus_index: int, eta: float, theta: float) -> np.ndarray:
-    """[E_k, R(theta)] for the amplitude-damping Kraus pair, by multiplication.
-
-    ``commutator_closed_form`` gives the same matrix from its formula; the
-    ``commutators`` command reports the residual between the two.
-    """
-    if kraus_index not in (0, 1):
-        raise ValueError(f"kraus_index must be 0 or 1, got {kraus_index!r}")
-    rotation = algebra._rotation(algebra._finite("theta", theta))
-    ops = channels.amplitude_damping(eta).operators
-    return algebra.commutator(ops[kraus_index], rotation)
+    theta = algebra._finite("theta", theta)
+    noise = sum(_lift(op) for op in channel.operators)
+    rotation = _lift(algebra._rotation(theta))
+    norm = np.linalg.norm(noise @ rotation - rotation @ noise, axis=(-2, -1))
+    ptm = (_PAULI_VECS.conj().T @ noise @ _PAULI_VECS).real / 2  # [i, j] with I, X, Y, Z = 0, 1, 2, 3
+    beta_squared = (np.square(ptm[..., 3, 3] - ptm[..., 1, 1])
+                    + np.square(ptm[..., 1, 3] + ptm[..., 3, 1])) / 4
+    shift_and_y = np.sum(np.square(ptm[..., [1, 3, 2, 2, 1, 3], [0, 0, 1, 3, 2, 2]]), axis=-1)
+    closed = 2 * np.abs(np.sin(theta)) * np.sqrt(8 * beta_squared * np.square(np.cos(theta)) + shift_and_y)
+    return tuple(float(value) if np.ndim(value) == 0 else value for value in (norm, closed))

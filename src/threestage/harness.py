@@ -243,8 +243,9 @@ def sweep(spec: SweepSpec) -> tuple[SweepTable, RunManifest]:
     """
     start = time.perf_counter()
     quad = None if spec.mode is SweepMode.CLOSED_FORM else spec.quadrature
-    params = np.asarray(spec.param_grid, dtype=float)
-    xis = np.asarray(spec.xi_grid, dtype=float)
+    # Copies, so that freezing the table's grids leaves the caller's arrays writeable.
+    params = np.array(spec.param_grid, dtype=float)
+    xis = np.array(spec.xi_grid, dtype=float)
     closed, oracle = _evaluate_grid(
         [(spec.kind, params)], xis, spec.include_state_average,
         closed=spec.mode is not SweepMode.ORACLE, quad=quad,

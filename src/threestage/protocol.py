@@ -246,8 +246,9 @@ def decode_bit(rho_final: np.ndarray, xi: float):
     """Outcome probabilities of the projective measurement in the encoding basis.
 
     Returns (p0, p1) with p_b = <state_b|rho|state_b>, each clamped to [0, 1]:
-    floats for one state, arrays for a stack of states. The two encoded
-    states form an orthonormal basis, so p0 + p1 = 1 up to rounding.
+    floats for one state at one angle, else arrays of the shape that a stack
+    of states and an array of angles broadcast to. The two encoded states
+    form an orthonormal basis, so p0 + p1 = 1 up to rounding.
     ``rho_final`` and ``xi`` come from the caller, so they are checked here:
     a state that is not a density matrix, or a non-finite ``xi``, raises
     ValueError. The package's own rounds decode the states they evolved with
@@ -259,9 +260,9 @@ def decode_bit(rho_final: np.ndarray, xi: float):
 
 
 def _decode(rho: np.ndarray, xi):
-    """``decode_bit`` of a complex (..., 2, 2) density matrix known to be valid, at a finite xi."""
+    """``decode_bit`` of complex (..., 2, 2) density matrices known to be valid, at finite angles."""
     p = _outcome_probabilities(rho, _basis(xi))
-    return (float(p[0]), float(p[1])) if rho.ndim == 2 else (p[..., 0], p[..., 1])
+    return (float(p[0]), float(p[1])) if p.ndim == 1 else (p[..., 0], p[..., 1])
 
 
 def _outcome_probabilities(rho: np.ndarray, states: np.ndarray) -> np.ndarray:

@@ -130,20 +130,25 @@ def test_criterion_06_phase_damping_dominates_amplitude_damping():
     _passed(6, f"PD average fidelity >= AD average fidelity on the 10^-3 grid (min gap {gap:.2e})")
 
 
-def test_criterion_07_commutator_identities_on_grid():
-    worst = 0.0
-    for eta in np.linspace(0.0, 1.0, 21):
-        for theta in np.linspace(0.0, 2.0 * np.pi, 21):
-            for index in (0, 1):
-                computed = fidelity.commutator_defect(index, eta, theta)
-                expected = fidelity.commutator_closed_form(index, eta, theta)
-                worst = max(worst, float(np.max(np.abs(computed - expected))))
-                if eta == 0.0 or theta == 0.0:
-                    assert np.all(computed == 0.0), (
-                        f"commutator not exactly zero at eta={eta}, theta={theta}"
-                    )
-    assert worst < 1e-12, f"commutator closed forms deviate by {worst:.3e}"
-    _passed(7, f"Kraus/rotation commutators match closed forms on the 21x21 grid (worst {worst:.2e})")
+def test_criterion_07_only_collective_rotation_commutes_with_the_secret_rotations():
+    thetas = np.linspace(0.0, 2.0 * np.pi, 21)[:, None]
+    worst, at_04 = 0.0, {}
+    for kind in fidelity.CLOSED_FORM_KINDS:
+        params = ETA_GRID if kind.is_probability else np.linspace(0.0, 2.0 * np.pi, 21)
+        norm, closed = fidelity.channel_commutator(channels.from_kind(kind, params), thetas)
+        worst = max(worst, float(np.max(np.abs(norm - closed))))
+        assert np.all(closed[0] == 0.0) and np.all(closed[:, 0] == 0.0), (
+            f"{kind.value}: commutator not exactly zero at theta = 0 or zero noise"
+        )
+        if kind is NoiseKind.COLLECTIVE_ROTATION:
+            assert np.all(closed == 0.0), "collective rotation fails to commute"
+        else:
+            assert np.max(closed) > 0.1, f"{kind.value} commutes with every rotation"
+        at_04[kind.value] = fidelity.channel_commutator(channels.from_kind(kind, 0.3), 0.4)[1]
+    assert worst < 1e-14, f"commutator closed form deviates from the direct norm by {worst:.3e}"
+    table = ", ".join(f"{name} {value:.4f}" for name, value in at_04.items())
+    _passed(7, f"channel commutator norms match the closed form on 21x21 grids (worst {worst:.2e}); "
+               f"at param 0.3, t = 0.4: {table}")
 
 
 def test_criterion_08_channel_contracts():

@@ -450,6 +450,15 @@ class TestStateAverage:
         closed = fidelity.closed_form_average_fidelity(NoiseKind.PHASE_DAMPING, 0.5)
         assert value == pytest.approx(closed, abs=1e-9)
 
+    @pytest.mark.parametrize("params", [[0.1, 0.2], np.array([[0.0, 0.35], [0.8, 1.0]])])
+    def test_a_stack_of_parameters_averages_each(self, params):
+        quad = QuadratureSpec(rotation_points=8, xi_points=64)
+        for kind in (NoiseKind.AMPLITUDE_DAMPING, NoiseKind.PHASE_DAMPING):
+            stacked = fidelity.state_averaged_fidelity(kind, params, quad)
+            assert stacked.shape == np.shape(params)
+            each = [fidelity.state_averaged_fidelity(kind, float(p), quad) for p in np.ravel(params)]
+            np.testing.assert_array_equal(stacked.ravel(), each)
+
     def test_zero_noise_averages_to_unity(self):
         assert fidelity.state_averaged_fidelity(NoiseKind.AMPLITUDE_DAMPING, 0.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -631,50 +640,112 @@ class TestOracleShapes:
         assert str(info.value) == f"channel must not be a stack, got a stack of shape {stack}"
 
 
-class TestCommutatorDiagnostics:
-    def test_zero_when_noiseless(self):
-        for index in (0, 1):
-            np.testing.assert_allclose(fidelity.commutator_defect(index, 0.0, 1.0), 0.0, atol=1e-15)
+NAMED_CHANNELS = [
+    (kind, param)
+    for kind, params in (
+        (NoiseKind.AMPLITUDE_DAMPING, np.linspace(0.0, 1.0, 11)),
+        (NoiseKind.PHASE_DAMPING, np.linspace(0.0, 1.0, 11)),
+        (NoiseKind.COLLECTIVE_DEPHASING, np.linspace(0.0, 2 * np.pi, 13)),
+        (NoiseKind.COLLECTIVE_ROTATION, np.linspace(0.0, 2 * np.pi, 13)),
+        (NoiseKind.IDENTITY, [0.0]),
+    )
+    for param in params
+]
+COMMUTATOR_ANGLES = np.linspace(-2 * np.pi, 2 * np.pi, 25)
 
-    def test_zero_when_rotation_trivial(self):
-        for index in (0, 1):
-            np.testing.assert_allclose(fidelity.commutator_defect(index, 0.7, 0.0), 0.0, atol=1e-15)
 
-    def test_kraus_zero_value(self):
-        # oracle: direct multiplication, 1 - sqrt(1/4) = 1/2; the exchange
-        # pattern enters with a minus sign
-        ops = channels.amplitude_damping(0.75).operators
-        direct = ops[0] @ algebra.rotation(np.pi / 2) - algebra.rotation(np.pi / 2) @ ops[0]
-        np.testing.assert_allclose(direct, [[0.0, -0.5], [-0.5, 0.0]], atol=1e-15)
-        np.testing.assert_allclose(fidelity.commutator_defect(0, 0.75, np.pi / 2), direct, atol=1e-15)
+def seeded_random_channels(count=30):
+    rng = np.random.default_rng(2039)
+    return [random_channel(rng, int(rng.integers(1, 5))) for _ in range(count)]
 
-    def test_kraus_one_value(self):
-        ops = channels.amplitude_damping(1.0).operators
-        direct = ops[1] @ algebra.rotation(np.pi / 2) - algebra.rotation(np.pi / 2) @ ops[1]
-        np.testing.assert_allclose(direct, [[1.0, 0.0], [0.0, -1.0]], atol=1e-15)
-        np.testing.assert_allclose(fidelity.commutator_defect(1, 1.0, np.pi / 2), direct, atol=1e-15)
 
-    def test_closed_form_matches_multiplication_on_grid(self):
-        for eta in np.linspace(0.0, 1.0, 11):
-            for theta in np.linspace(0.0, 2 * np.pi, 11):
-                for index in (0, 1):
-                    computed = fidelity.commutator_defect(index, eta, theta)
-                    expected = fidelity.commutator_closed_form(index, eta, theta)
-                    assert np.max(np.abs(computed - expected)) < 1e-12
+def depolarizing(p):
+    """rho -> (1 - p) rho + p I / 2 as four Kraus operators; it commutes with every unitary."""
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    weights = [np.sqrt(1 - 3 * p / 4)] + [np.sqrt(p / 4)] * 3
+    return channels.QuantumChannel(NoiseKind.IDENTITY, tuple(w * op for w, op in zip(weights, paulis)), 0.0)
 
-    def test_bad_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            fidelity.commutator_defect(2, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            fidelity.commutator_defect(0, 1.5, 1.0)
+
+class TestChannelCommutator:
+    @pytest.mark.parametrize("kind, param", NAMED_CHANNELS)
+    def test_closed_form_equals_the_direct_norm_for_every_kind(self, kind, param):
+        norm, closed = fidelity.channel_commutator(channels.from_kind(kind, param), COMMUTATOR_ANGLES)
+        assert norm.shape == closed.shape == COMMUTATOR_ANGLES.shape
+        np.testing.assert_allclose(closed, norm, rtol=0.0, atol=1e-14)
+
+    def test_closed_form_equals_the_direct_norm_on_random_channels(self):
+        for channel in seeded_random_channels():
+            norm, closed = fidelity.channel_commutator(channel, COMMUTATOR_ANGLES)
+            np.testing.assert_allclose(closed, norm, rtol=0.0, atol=1e-14)
+
+    def test_direct_norm_is_the_lifted_commutator_by_multiplication(self):
+        channel, theta = channels.amplitude_damping(0.75), np.pi / 2
+        lift = lambda u: np.kron(u, u.conj())  # noqa: E731
+        noise = sum(lift(op) for op in channel.operators)
+        rotation = lift(algebra.rotation(theta))
+        direct = np.linalg.norm(noise @ rotation - rotation @ noise)
+        assert fidelity.channel_commutator(channel, theta)[0] == pytest.approx(direct, abs=1e-15)
+
+    @pytest.mark.parametrize("kind, param, expected", [
+        (NoiseKind.AMPLITUDE_DAMPING, 0.3, 0.2717),
+        (NoiseKind.PHASE_DAMPING, 0.3, 0.1657),
+        (NoiseKind.COLLECTIVE_DEPHASING, 0.9, 0.9443),
+        (NoiseKind.COLLECTIVE_ROTATION, 0.7, 0.0),
+    ])
+    def test_the_table_at_theta_four_tenths(self, kind, param, expected):
+        norm, closed = fidelity.channel_commutator(channels.from_kind(kind, param), 0.4)
+        assert type(norm) is float and type(closed) is float
+        assert norm == pytest.approx(expected, abs=1e-4)
+        assert closed == pytest.approx(expected, abs=1e-4)
+
+    def test_collective_rotation_commutes_at_every_angle(self):
+        channel = channels.collective_rotation(np.linspace(-7.0, 7.0, 57))
+        norm, closed = fidelity.channel_commutator(channel, COMMUTATOR_ANGLES[:, None])
+        assert np.all(closed == 0.0)
+        assert np.max(norm) <= 1e-15
+
+    def test_zero_at_theta_zero_and_rounding_at_theta_pi(self):
+        named = [channels.from_kind(kind, param) for kind, param in NAMED_CHANNELS]
+        for channel in named + seeded_random_channels():
+            assert fidelity.channel_commutator(channel, 0.0) == (0.0, 0.0)
+            assert max(fidelity.channel_commutator(channel, np.pi)) <= 1e-15
+
+    def test_a_unitary_mix_of_the_kraus_pair_keeps_the_norm(self):
+        # Kraus operators are fixed only up to a unitary mix (Nielsen & Chuang,
+        # Thm 8.2); the norm belongs to the channel, so the mix leaves it.
+        channel = channels.amplitude_damping(0.3)
+        mix, _ = np.linalg.qr(np.array([[1.0, 2.0 + 1j], [0.5j, -1.0]]))
+        e0, e1 = channel.operators
+        mixed = channels.QuantumChannel(
+            NoiseKind.AMPLITUDE_DAMPING, (mix[0, 0] * e0 + mix[0, 1] * e1, mix[1, 0] * e0 + mix[1, 1] * e1), 0.3)
+        kraus_miss = [np.max(np.abs(algebra.commutator(op, algebra.rotation(0.4)))) for op in (e0, mixed.operators[0])]
+        assert kraus_miss[1] - kraus_miss[0] > 0.01
+        for got, want in zip(fidelity.channel_commutator(mixed, COMMUTATOR_ANGLES),
+                             fidelity.channel_commutator(channel, COMMUTATOR_ANGLES)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+    def test_depolarizing_commutes_though_its_kraus_operators_do_not(self):
+        channel = depolarizing(0.6)
+        assert np.max(np.abs(algebra.commutator(channel.operators[1], algebra.rotation(0.4)))) > 0.1
+        norm, closed = fidelity.channel_commutator(channel, COMMUTATOR_ANGLES)
+        assert np.max(norm) <= 1e-15
+        assert np.max(closed) <= 1e-15
+
+    def test_a_stacked_channel_equals_its_members(self):
+        params = np.array([[0.0, 0.1, 0.5], [0.7, 0.95, 1.0]])
+        thetas = np.array([0.4, -2.5, 1e3])[:, None, None]
+        for kind in (NoiseKind.AMPLITUDE_DAMPING, NoiseKind.PHASE_DAMPING, NoiseKind.COLLECTIVE_DEPHASING):
+            norm, closed = fidelity.channel_commutator(channels.from_kind(kind, params), thetas)
+            assert norm.shape == closed.shape == (3, 2, 3)
+            for index in np.ndindex(norm.shape):
+                member = channels.from_kind(kind, float(params[index[1:]]))
+                assert (norm[index], closed[index]) == fidelity.channel_commutator(member, float(thetas[index[0], 0, 0]))
 
     @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
-    def test_a_non_finite_theta_is_named_theta_by_both_forms(self, theta):
-        for index in (0, 1):
-            for form in (fidelity.commutator_defect, fidelity.commutator_closed_form):
-                with pytest.raises(ValueError) as info:
-                    form(index, 0.5, theta)
-                assert str(info.value) == f"theta must be finite, got {theta!r}"
+    def test_a_non_finite_theta_is_named(self, theta):
+        with pytest.raises(ValueError) as info:
+            fidelity.channel_commutator(channels.amplitude_damping(0.5), [0.1, theta])
+        assert str(info.value) == f"theta must be finite, got {theta!r}"
 
 
 def clear_resolution_caches():

@@ -128,6 +128,16 @@ class TestSweepSpecValidation:
 
 
 class TestSweep:
+    def test_the_callers_arrays_stay_writeable(self):
+        grid, xis = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.3])
+        table, _ = harness.sweep(SweepSpec(NoiseKind.AMPLITUDE_DAMPING, grid, xis, True))
+        assert grid.flags.writeable and xis.flags.writeable
+        assert grid.tolist() == [0.0, 0.5, 1.0] and xis.tolist() == [0.0, 0.3]
+        assert table.param_grid is not grid and table.xi_grid is not xis
+        assert not table.param_grid.flags.writeable and not table.xi_grid.flags.writeable
+        np.testing.assert_array_equal(table.param_grid, grid)
+        np.testing.assert_array_equal(table.xi_grid, xis)
+
     def test_row_count_and_order(self):
         rows, _ = harness.sweep(spec_with())
         assert len(rows) == 6

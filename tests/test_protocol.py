@@ -629,6 +629,14 @@ class TestStackedRound:
         assert all(type(p) is float for pair in members for p in pair)
         np.testing.assert_array_equal(np.stack([p0, p1], axis=1), members)
 
+    @pytest.mark.parametrize("xis", [[0.3], np.array([0.1, 0.2]), np.linspace(-7.0, 7.0, 9)])
+    def test_decode_of_one_state_at_an_array_of_angles_equals_each_angle(self, xis):
+        rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+        p0, p1 = protocol.decode_bit(rho, xis)
+        assert p0.shape == p1.shape == (len(xis),)
+        each = [protocol.decode_bit(rho, float(xi)) for xi in xis]
+        np.testing.assert_array_equal(np.stack([p0, p1], axis=1), each)
+
     def test_decode_of_a_stack_rejects_one_bad_member_as_alone(self):
         stack = np.stack([np.eye(2) / 2] * 4).astype(complex)
         stack[2] = np.diag([1.5, -0.5])
