@@ -92,7 +92,7 @@ def _status(passed: bool) -> str:
 
 
 def _channel(args) -> channels.QuantumChannel:
-    """The --noise channel of --param, an angle of which is in degrees under --degrees."""
+    """The --noise channel at --param, which --degrees reads in degrees when it is an angle."""
     kind = NoiseKind(args.noise)
     return channels.from_kind(kind, args.param if kind.is_probability else _radians(args.param, args))
 

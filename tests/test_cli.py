@@ -722,11 +722,7 @@ class TestCommutators:
         assert payload == {"noise": kind, "param": channel.parameter, "theta": 0.4, "norm": norm,
                            "closed_form": closed_form, "residual": abs(norm - closed_form)}
         assert payload["residual"] <= 1e-14
-
-    def test_collective_rotation_commutes(self, capsys):
-        code, out, _ = run_cli(capsys, "commutators", "--noise", "cr", "--param", "0.7", "--theta", "0.4")
-        assert code == 0
-        assert json.loads(out)["closed_form"] == 0.0
+        assert kind != "cr" or closed_form == 0.0
 
     def test_trivial_rotation_is_zero(self, capsys):
         code, out, _ = run_cli(capsys, "commutators", "--noise", "ad", "--param", "1", "--theta", "0")
