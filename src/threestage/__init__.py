@@ -39,6 +39,7 @@ from .fidelity import (
     channel_commutator,
     closed_form_average_fidelity,
     closed_form_fidelity,
+    law_coefficients,
     numeric_fidelity,
     rotation_averaged_fidelity,
     state_averaged_fidelity,
@@ -97,6 +98,7 @@ __all__ = [
     "export",
     "from_kind",
     "identity_channel",
+    "law_coefficients",
     "load_rows",
     "numeric_fidelity",
     "phase_damping",

@@ -6,18 +6,22 @@ the encoding angle xi only. The closed forms presume averaging over the two
 secret rotation angles, uniformly on [0, 2pi)^2, and over the two bit values;
 ``numeric_fidelity`` and ``rotation_averaged_fidelity`` rebuild that quantity
 from the Kraus evolution itself, with no reference to the formulas, and serve
-as the independent check that keeps the formulas honest. The oracle needs no
-loop over the angle grid: a rotation's superoperator is linear in
-(1, cos 2t, sin 2t), so each angle's mean is a sum of three constant products.
+as the independent check that keeps the formulas honest. The oracle works on
+real Pauli transfer matrices, where each map of a round, and the averaged
+round S, is a real 4x4 matrix. It needs no loop over the angle grid: a
+rotation's transfer matrix is linear in (1, cos 2t, sin 2t), so each angle's
+mean is a sum of three constant products. In that basis the Bloch map of the
+averaged round is S[1:, 1:] and its shift S[1:, 0].
 
 One law covers every kind. As w = z + i x, the x-z part of a Bloch vector,
 the encoded states are w = +-e^{2i xi} and a rotation R(t) multiplies w by
 e^{2it}. There a channel's Pauli transfer matrix T_ij = tr(sigma_i N(sigma_j))/2
 acts as w -> alpha w + beta conj(w), alpha = (T_xx + T_zz)/2 + i (T_xz - T_zx)/2
-and beta = (T_zz - T_xx)/2 + i (T_xz + T_zx)/2, plus terms through y and a
-shift. The bit average removes the shift, and the angle average every term
-that keeps a phase: those through y, which skip a rotation, and all
-alpha/beta products along a round but alpha^3 w and |beta|^2 beta conj(w).
+and beta = (T_zz - T_xx)/2 + i (T_xz + T_zx)/2 (``law_coefficients``), plus
+terms through y and a shift. The bit average removes the shift, and the
+angle average every term that keeps a phase: those through y, which skip a
+rotation, and all alpha/beta products along a round but alpha^3 w and
+|beta|^2 beta conj(w).
 With F = (1 + Re(conj(w0) w))/2 this leaves
 
     F(xi) = 1/2 + [Re alpha^3 + |beta|^2 Re(beta e^{-4i xi})]/2,
@@ -240,68 +244,135 @@ def _lift(u) -> np.ndarray:
 
 # The oracle contracts a channel stack ORACLE_BLOCK members at a time, and
 # evaluates XI_BLOCK encoding angles at a time, so that its intermediates
-# stay small however many parameters or angles a sweep holds. At 128 members
-# a block's intermediates, about 1 MiB, reuse the memory the last block
-# freed; at 1024, about 8 MiB, the allocator maps them afresh for each block
-# and the page faults cost as much as the arithmetic. A block of 1024 angles
-# peaks at about 0.8 MiB, and a smaller one spends more of its time on its
-# fixed cost, building the weight, so angles go in larger blocks.
-ORACLE_BLOCK = 2**7
+# stay small however many parameters or angles a sweep holds. At 256 members
+# a block's real intermediates peak at about 0.8 MiB and reuse the memory the
+# last block freed; at 1024, about 3 MiB, the allocator maps them afresh for
+# each block and the page faults cost as much as the arithmetic. In fresh
+# processes a 10^5-member oracle sweep took about 0.12 s at 256 and 512
+# members, 0.14-0.16 s at 128 and 0.18 s at 64. A block of 1024 angles peaks
+# at about 0.8 MiB, and a smaller one spends more of its time on its fixed
+# cost, building the weight, so angles go in larger blocks.
+ORACLE_BLOCK = 2**8
 XI_BLOCK = 2**10
+
+# Columns: the row-major vec of I, X, Y and Z. P^H P = 2 I, and every entry is exact.
+_PAULI_VECS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]]).T
+
+# N -> P^H N and L -> L P / 2 as maps of the row-major vec: vec(P^H N) = vec(N) kron(conj(P), I)
+# and vec(L P) = vec(L) kron(I, P). Their entries are 0, +-1, +-i and those halved, exact.
+_TRANSFER_MAPS = np.kron(_PAULI_VECS.conj(), np.eye(4)), np.kron(np.eye(4), _PAULI_VECS) / 2
+
+
+def _transfer(operators) -> np.ndarray:
+    """Pauli transfer matrix T = P^H N P / 2 of each member of a channel, shape ``stack + (4, 4)``.
+
+    N = sum_i L(E_i) is the superoperator of the Kraus operators ``operators``
+    and T_ij = tr(sigma_i N(sigma_j)) / 2 with I, X, Y, Z = 0, 1, 2, 3. A
+    channel preserves Hermiticity, so T is real. P^H and P act as two
+    products of the summed lifts with ``_TRANSFER_MAPS``, ``ORACLE_BLOCK``
+    members at a time; each entry of either sums two exact terms, one
+    rounding in any order, so a member's T depends on neither the other
+    members nor the BLAS kernel, and cancels exactly where a pair does.
+    """
+    ops = np.broadcast_arrays(*operators)
+    stack = ops[0].shape[:-2]
+    ops = [op.reshape(-1, 2, 2) for op in ops]
+    left, right = _TRANSFER_MAPS
+    transfer = np.empty((len(ops[0]), 16))
+    for lo in range(0, len(transfer), ORACLE_BLOCK):
+        noise = sum(_lift(op[lo : lo + ORACLE_BLOCK]) for op in ops)
+        transfer[lo : lo + len(noise)] = (noise.reshape(-1, 16) @ left @ right).real
+    return transfer.reshape(stack + (4, 4))
+
 
 # The oracle's channel-free tensors depend on one resolution alone, so each is
 # built once per resolution and kept, read-only; a process rarely uses more
-# than a couple of resolutions, and one entry is at most 1.5 KiB.
+# than a couple of resolutions, and one entry is at most 1 KiB.
 _CACHED_RESOLUTIONS = 8
 
-# R(t) = cos t I + sin t J, so L(R(t)) = V0 + cos 2t Vc + sin 2t Vs with these
-# constant lifts (V0, Vc, Vs), whose entries 0 and +-1/2 are exact.
-_I, _J = np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])
-_ROTATION_LIFTS = np.stack([
-    np.kron(_I, _I) + np.kron(_J, _J), np.kron(_I, _I) - np.kron(_J, _J), np.kron(_I, _J) + np.kron(_J, _I),
-]) / 2
+# R(t) turns the Bloch vector about y by 2t: x -> cos 2t x + sin 2t z and
+# z -> cos 2t z - sin 2t x. So its transfer matrix is V0 + cos 2t Vc + sin 2t Vs
+# with these constant parts (V0, Vc, Vs), whose entries 0 and +-1 are exact.
+_ROTATION_LIFTS = np.zeros((3, 4, 4))
+_ROTATION_LIFTS[0, [0, 2], [0, 2]] = 1.0
+_ROTATION_LIFTS[1, [1, 3], [1, 3]] = 1.0
+_ROTATION_LIFTS[2, [1, 3], [3, 1]] = 1.0, -1.0
+_ROTATION_LIFTS.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=_CACHED_RESOLUTIONS)
 def _rotation_moment(n: int) -> np.ndarray:
-    """Factors F of M_abce = mean L(R^dag)_ab L(R)_ce = sum_r F[0, a, r, b] F[1, c, r, e].
+    """Factors F of M_abce = mean T(R^dag)_ab T(R)_ce = sum_r F[0, a, r, b] F[1, c, r, e].
 
-    As L(R^dag) = L(R)^T, M = sum_ij G_ij V_i^T (x) V_j with G = mean f f^T = C C^T,
+    As T(R^dag) = T(R)^T, M = sum_ij G_ij V_i^T (x) V_j with G = mean f f^T = C C^T,
     f(t) = (1, cos 2t, sin 2t), over the n-point midpoint grid: U_r = F[0, :, r]
     = sum_i C_ir V_i^T and V_r = F[1, :, r] = sum_i C_ir V_i.
     """
     t = midpoint_grid(n)
     f = np.stack([np.ones(n), np.cos(2 * t), np.sin(2 * t)])
     c = np.linalg.cholesky(f @ f.T / n)
-    factors = np.einsum("ir,kiab->karb", c, [_ROTATION_LIFTS.swapaxes(1, 2), _ROTATION_LIFTS]).astype(complex)
+    factors = np.einsum("ir,kiab->karb", c, [_ROTATION_LIFTS.swapaxes(1, 2), _ROTATION_LIFTS])
     factors.flags.writeable = False
     return factors
 
 
-def _encoded_vecs(xis) -> np.ndarray:
-    """vec(psi psi^H) of the bit-0 and bit-1 states at each xi, shape (2, len(xis), 4).
+def _averaged_form(transfer, factors) -> np.ndarray:
+    """mean S = sum_rs U_s T U_r T V_s T V_r for each transfer matrix T of a stack (members, 4, 4)."""
+    p = len(transfer)
+    u, v = factors.reshape(2, 4, 3, 4)  # [a, r, b]
+    # Crossings 2 and 1: (T V_s)(T V_r), the V products over the whole
+    # stack, then one product per member.  [p, (s, x), (r, d)]
+    tv = (transfer.reshape(4 * p, 4) @ v.reshape(4, 12)).reshape(p, 4, 3, 4)  # [p, x, s, y]
+    q = tv.transpose(0, 2, 1, 3).reshape(p, 12, 4) @ tv.reshape(p, 4, 12)
+    # Crossing 3: U_s T U_r, the right U product over the whole stack, then
+    # the left one per member.  [p, a, (s, x, r)]
+    tu = (transfer.reshape(4 * p, 4) @ u.transpose(0, 2, 1).reshape(4, 12)).reshape(p, 4, 12)  # [p, b, (x, r)]
+    a = (u.reshape(12, 4) @ tu).reshape(p, 4, 36)
+    return a @ q.reshape(p, 36, 4)
 
-    Under a round superoperator S the fidelity of v is
-    Re(v^H S v) = Re sum_ab S_ab W_ab with W_ab = conj(v_a) v_b, so the bit
-    and xi averages act on the weight W alone, before S does.
+
+def _averaged_forms(transfer, n: int) -> np.ndarray:
+    """Row-major averaged round S_ab of each T of a (members, 4, 4) stack, one row of 16 per member.
+
+    The stack is contracted ``ORACLE_BLOCK`` members at a time through the
+    n-point rotation factors. Each entry of every product reads one
+    member's rows, so a row depends on its member alone, not on the stack
+    around it.
+    """
+    factors = _rotation_moment(n)
+    form = np.empty((len(transfer), 16))
+    for lo in range(0, len(transfer), ORACLE_BLOCK):
+        block = slice(lo, lo + ORACLE_BLOCK)
+        form[block] = _averaged_form(transfer[block], factors).reshape(-1, 16)
+    return form
+
+
+def _encoded_bloch(xis) -> np.ndarray:
+    """b = P^H vec(psi psi^H) = (1, x, y, z) of the bit-0 and bit-1 states at each xi, shape (2, len(xis), 4).
+
+    Under a round S in the Pauli basis the fidelity of b is b^T S b / 2 =
+    sum_ab S_ab W_ab with W_ab = b_a b_b / 2, so the bit and xi averages act
+    on the weight W alone, before S does.
     """
     # The basis rows are the bits; made contiguous, so that the products and
     # the reshape below give a C-ordered array.
     psi = np.ascontiguousarray(np.moveaxis(protocol._basis(algebra._finite("xi", xis)), -2, 0))
-    return (psi[..., :, None] * psi[..., None, :].conj()).reshape(2, len(xis), 4)
+    vecs = (psi[..., :, None] * psi[..., None, :].conj()).reshape(2, len(xis), 4)
+    # Each b_i is a sum of two of the v_a, each times 1 or +-i: exact terms.
+    return (vecs @ _PAULI_VECS.conj()).real
 
 
 def _xi_weight(xis) -> np.ndarray:
-    """Row-major W_ab = conj(v_a) v_b averaged over both bits, one row of 16 per xi."""
-    vecs = _encoded_vecs(xis)
-    return np.einsum("nxa,nxb->xab", vecs.conj(), vecs).reshape(-1, 16) / 2
+    """Row-major W_ab = b_a b_b / 2 averaged over both bits, one row of 16 per xi."""
+    bloch = _encoded_bloch(xis)
+    return np.einsum("nxa,nxb->xab", bloch, bloch).reshape(-1, 16) / 4
 
 
 @functools.lru_cache(maxsize=_CACHED_RESOLUTIONS)
 def _state_weight(xi_points: int) -> np.ndarray:
-    """Row-major W_ab = mean conj(v_a) v_b over both bits and the xi_points-cell midpoint grid."""
-    vecs = _encoded_vecs(midpoint_grid(xi_points)).reshape(-1, 4)
-    weight = (vecs.conj().T @ vecs).reshape(16) / len(vecs)
+    """Row-major W_ab = mean b_a b_b / 2 over both bits and the xi_points-cell midpoint grid."""
+    bloch = _encoded_bloch(midpoint_grid(xi_points)).reshape(-1, 4)
+    weight = (bloch.T @ bloch).reshape(16) / (2 * len(bloch))
     weight.flags.writeable = False
     return weight
 
@@ -310,73 +381,55 @@ def _fidelity_table(form, xis, xi_points: int | None = None) -> np.ndarray:
     """Fidelity of each row S of a (members, 16) ``form`` at each checked angle of ``xis``, one clamp.
 
     Each block of ``XI_BLOCK`` angles takes one product with its bit-averaged
-    weight; given ``xi_points``, one more gives the state average, last.
+    weight; given ``xi_points``, one more gives the state average, last. The
+    products are einsum's, not BLAS's, so that a row's values depend on
+    neither the other rows nor the thread count.
     """
     table = np.empty((len(form), len(xis) + (xi_points is not None)))
     for lo in range(0, len(xis), XI_BLOCK):
         block = slice(lo, min(lo + XI_BLOCK, len(xis)))
-        table[:, block] = np.real(form @ _xi_weight(xis[block]).T)
+        np.einsum("pk,xk->px", form, _xi_weight(xis[block]), out=table[:, block])
     if xi_points is not None:
-        table[:, -1] = np.real(form @ _state_weight(xi_points))
+        np.einsum("pk,k->p", form, _state_weight(xi_points), out=table[:, -1])
     return _assert_and_clamp(table)
 
 
 class RotationAveragedOracle:
     """Rotation-averaged numeric fidelity for one channel or a channel stack.
 
+    The oracle works in the Pauli basis, where every map of a round is real.
     With the lift L(U) = U (x) conj(U) of rho -> U rho U^dag on the row-major
-    vec(rho) and the channel N = sum_i L(E_i), one round is the superoperator
-    S = L(R_phi^dag) N L(R_theta^dag) N L(R_phi) N L(R_theta). Each secret
-    angle enters S through two lifts, so the midpoint mean over the n x n grid
-    factors, once per angle, through one channel-free tensor
-    M_abce = mean L(R^dag)_ab L(R)_ce. A rotation's lift is linear in
-    (1, cos 2t, sin 2t), so M is a sum of three products U_r (x) V_r of
-    constant 4x4 matrices, and mean S = sum_rs U_s N U_r N V_s N V_r, whose
-    three N are the crossings 3, 2 and 1. The factors are built once per
+    vec(rho), a channel N = sum_i L(E_i) has the transfer matrix
+    T = P^H N P / 2 (``_transfer``), P's columns the vec of I, X, Y and Z,
+    and a secret rotation R(t) the Bloch turn T(R(t)) of the x-z plane by 2t.
+    One round is S = T(R_phi^dag) T T(R_theta^dag) T T(R_phi) T T(R_theta).
+    Each secret angle enters S through two rotations, so the midpoint mean
+    over the n x n grid factors, once per angle, through one channel-free
+    tensor M_abce = mean T(R^dag)_ab T(R)_ce. A rotation's transfer matrix is
+    linear in (1, cos 2t, sin 2t), so M is a sum of three products U_r (x) V_r
+    of constant real 4x4 matrices, and mean S = sum_rs U_s T U_r T V_s T V_r,
+    whose three T are the crossings 3, 2 and 1. The factors are built once per
     resolution per process, in O(n), and so is the bit- and xi-averaged
     weight that ``state_average`` applies; each channel then costs a few
-    products of 4x4 matrices, independent of n. The fidelity of a pure input
-    psi is Re(vec(P)^H S vec(P)) with vec(P) = psi (x) conj(psi), exactly the
-    midpoint average of per-point ``numeric_fidelity`` values.
+    products of real 4x4 matrices, independent of n. The fidelity of a pure
+    input psi is b^T S b / 2 with b = P^H vec(psi psi^H) = (1, x, y, z), its
+    Bloch vector after a 1, exactly the midpoint average of per-point
+    ``numeric_fidelity`` values.
 
     A stacked channel, whose operators have shape ``stack + (2, 2)`` (as
     ``channels.from_kind`` builds for an array of parameters), gives one S
-    per member, contracted ``ORACLE_BLOCK`` members at a time; ``fidelity_at``
-    then returns shape ``stack + (len(xis),)`` and ``state_average`` shape
-    ``stack``. A single channel gives shape ``(len(xis),)`` and a float.
+    per member (``_averaged_forms``); ``fidelity_at`` then returns shape
+    ``stack + (len(xis),)`` and ``state_average`` shape ``stack``. A single
+    channel gives shape ``(len(xis),)`` and a float.
     """
 
     def __init__(self, channel: QuantumChannel, quad: QuadratureSpec = QuadratureSpec()):
         self.channel = channel
         self.quad = quad
-        factors = _rotation_moment(quad.rotation_points)
-        ops = np.broadcast_arrays(*channel.operators)
-        stack = ops[0].shape[:-2]
-        ops = [op.reshape(-1, 2, 2) for op in ops]
-        form = np.empty((len(ops[0]), 4, 4), dtype=complex)
-        for lo in range(0, len(form), ORACLE_BLOCK):
-            block = slice(lo, lo + ORACLE_BLOCK)
-            form[block] = self._averaged_form(sum(_lift(op[block]) for op in ops), factors)
+        transfer = _transfer(channel.operators)
         # Row-major S_ab, one row per member, so that sum_ab S_ab W_ab is one product per weight.
-        self._stack, self._form = stack, form.reshape(-1, 16)
-
-    @staticmethod
-    def _averaged_form(noise, factors) -> np.ndarray:
-        """mean S = sum_rs U_s N U_r N V_s N V_r for each lift N of a stack (..., 4, 4)."""
-        shape = np.shape(noise)
-        noise = np.reshape(noise, (-1, 4, 4))
-        p = len(noise)
-        u, v = factors.reshape(2, 4, 12)  # [a, (r, b)]
-        # Crossings 2 and 1: (N V_s)(N V_r), the V products over the whole
-        # stack, then one product per member.  [p, x, s, r, d]
-        nv = noise.reshape(4 * p, 4) @ v
-        q = nv.reshape(p, 12, 4) @ nv.reshape(p, 4, 12)
-        # Crossing 3: U_s N U_r, both U products over the whole stack; U_s
-        # is real, so its left product takes the float view.  [a, s, p, r, x]
-        nu = (noise.transpose(1, 0, 2).reshape(4 * p, 4) @ u).reshape(4, 12 * p)
-        a = (u.real.reshape(12, 4) @ nu.view(float)).view(complex)
-        a = a.reshape(4, 3, p, 3, 4).transpose(2, 0, 4, 1, 3).reshape(p, 4, 36)  # [p, a, (x, s, r)]
-        return (a @ q.reshape(p, 36, 4)).reshape(shape)
+        self._stack = transfer.shape[:-2]
+        self._form = _averaged_forms(transfer.reshape(-1, 4, 4), quad.rotation_points)
 
     def fidelity_at(self, xis) -> np.ndarray:
         """Bit-averaged, rotation-averaged fidelity at each encoding angle."""
@@ -415,8 +468,21 @@ def state_averaged_fidelity(
     return float(average) if average.ndim == 0 else average
 
 
-# Columns: the row-major vec of I, X, Y and Z. P^H P = 2 I, and every entry is exact.
-_PAULI_VECS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]]).T
+def law_coefficients(channel: QuantumChannel):
+    """(alpha, beta) of the channel's x-z block, read from its Pauli transfer matrix.
+
+    As w = z + i x, T acts on the x-z plane as w -> alpha w + beta conj(w)
+    plus terms through y and a shift (see the module docstring), with
+    alpha = (T_xx + T_zz)/2 + i (T_xz - T_zx)/2 and
+    beta = (T_zz - T_xx)/2 + i (T_xz + T_zx)/2. A stacked channel gives
+    arrays of its stack's shape, one pair per member; one channel gives two
+    complex numbers.
+    """
+    t = _transfer(channel.operators)
+    txx, txz, tzx, tzz = t[..., 1, 1], t[..., 1, 3], t[..., 3, 1], t[..., 3, 3]
+    alpha = (txx + tzz) / 2 + 1j * (txz - tzx) / 2
+    beta = (tzz - txx) / 2 + 1j * (txz + tzx) / 2
+    return tuple(complex(value) if value.ndim == 0 else value for value in (alpha, beta))
 
 
 def channel_commutator(channel: QuantumChannel, theta):
@@ -441,7 +507,7 @@ def channel_commutator(channel: QuantumChannel, theta):
     noise = sum(_lift(op) for op in channel.operators)
     rotation = _lift(algebra._rotation(theta))
     norm = np.linalg.norm(noise @ rotation - rotation @ noise, axis=(-2, -1))
-    ptm = (_PAULI_VECS.conj().T @ noise @ _PAULI_VECS).real / 2  # [i, j] with I, X, Y, Z = 0, 1, 2, 3
+    ptm = _transfer(channel.operators)  # [i, j] with I, X, Y, Z = 0, 1, 2, 3
     beta_squared = (np.square(ptm[..., 3, 3] - ptm[..., 1, 1])
                     + np.square(ptm[..., 1, 3] + ptm[..., 3, 1])) / 4
     shift_and_y = np.sum(np.square(ptm[..., [1, 3, 2, 2, 1, 3], [0, 0, 1, 3, 2, 2]]), axis=-1)

@@ -3,8 +3,9 @@
 ``verify_formulas`` and ``sweep`` share one evaluation: every kind's rows
 sit in one closed-form table and one oracle table. The closed form runs
 each kind's rule once on its checked grid, unchecked again; the oracle
-joins the kinds' averaged forms into one stack, which takes one product
-per block of encoding angles and one for the state average. Each table
+joins the kinds' Pauli transfer matrices into one stack, averages it once,
+and takes one product per block of encoding angles and one for the state
+average. Each table
 takes one clamp. The reference below is the public path, one kind at a
 time: ``closed_form_fidelity``, ``closed_form_average_fidelity``, and
 ``RotationAveragedOracle`` on ``channels.from_kind`` of the stacked
@@ -185,7 +186,7 @@ class Counter:
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Counters on the weights, tables, clamps, closed-form rules, parameter checks and oracles."""
+    """Counters on the weights, tables, clamps, closed-form rules, parameter checks and oracle steps."""
     counted = {
         "weights": Counter(fidelity._xi_weight, key=len),
         "tables": Counter(fidelity._fidelity_table,
@@ -193,13 +194,17 @@ def counters(monkeypatch):
         "clamps": Counter(fidelity._assert_and_clamp, key=np.shape),
         "coefficients": Counter(fidelity._coefficients, key=lambda kind, param: kind),
         "checks": Counter(channels.check_parameter, key=lambda kind, values: kind),
+        "transfers": Counter(fidelity._transfer,
+                             key=lambda operators: np.broadcast_shapes(*(np.shape(op)[:-2] for op in operators))),
+        "averagings": Counter(fidelity._averaged_forms, key=lambda transfer, n: (len(transfer), n)),
         "oracles": Counter(RotationAveragedOracle.__init__, key=lambda self, channel, quad=None: channel.kind),
         "state_averages": Counter(RotationAveragedOracle.state_average),
     }
     for module, attribute, name in ((fidelity, "_xi_weight", "weights"), (fidelity, "_fidelity_table", "tables"),
                                     (fidelity, "_assert_and_clamp", "clamps"),
                                     (fidelity, "_coefficients", "coefficients"),
-                                    (channels, "check_parameter", "checks")):
+                                    (channels, "check_parameter", "checks"), (fidelity, "_transfer", "transfers"),
+                                    (fidelity, "_averaged_forms", "averagings")):
         monkeypatch.setattr(module, attribute, counted[name])
     rules = []  # one list for every kind's rule, in call order
     for kind, rule in fidelity._CLOSED_FORMS.items():
@@ -212,19 +217,25 @@ def counters(monkeypatch):
     return {"rules": rules, **{name: counter.calls for name, counter in counted.items()}}
 
 
-def campaign_counts(members: int, xis: int, weights: list, checks=(), kinds=KINDS) -> dict:
-    """The counters of a ``FAST_QUAD`` campaign of ``kinds`` with both tables and the average column."""
+def campaign_counts(sizes: list, xis: int, weights: list, checks=(), kinds=KINDS) -> dict:
+    """The counters of a ``FAST_QUAD`` campaign of ``kinds`` of ``sizes`` parameters, both tables and the average column.
+
+    Each kind's channel stack takes one transfer, and the joined stack one
+    averaging; no ``RotationAveragedOracle`` is built.
+    """
+    members = sum(sizes)
     return {
         "rules": list(kinds), "weights": weights, "tables": [(members, xis, FAST_QUAD.xi_points)],
         "clamps": [(members, xis + 1)] * 2, "coefficients": [], "checks": list(checks),
-        "oracles": list(kinds), "state_averages": [],
+        "transfers": [(size,) for size in sizes], "averagings": [(members, FAST_QUAD.rotation_points)],
+        "oracles": [], "state_averages": [],
     }
 
 
 class TestSharedWork:
     def test_default_campaign_builds_one_weight_for_every_kind(self, counters):
         harness.verify_formulas(KINDS, quad=FAST_QUAD)
-        assert counters == campaign_counts(21 + 21 + 33 + 33, 33, [33])
+        assert counters == campaign_counts([21, 21, 33, 33], 33, [33])
 
     def test_one_weight_per_xi_block_not_per_kind(self, counters):
         grids = {kind: np.linspace(*kind.natural_range, 2) for kind in KINDS}
@@ -232,18 +243,19 @@ class TestSharedWork:
         block = fidelity.XI_BLOCK
         weights = [block] * (len(LONG_XIS) // block) + [len(LONG_XIS) % block]
         # each given grid is checked once, where it enters
-        assert counters == campaign_counts(2 * len(KINDS), len(LONG_XIS), weights, checks=KINDS)
+        assert counters == campaign_counts([2] * len(KINDS), len(LONG_XIS), weights, checks=KINDS)
 
     def test_a_sweep_is_a_campaign_of_one(self, counters):
         kind = NoiseKind.PHASE_DAMPING
         harness.sweep(SweepSpec(kind, (0.1, 0.5), (0.0, 1.0, 2.0), True, SweepMode.BOTH, FAST_QUAD))
-        assert counters == campaign_counts(2, 3, [3], checks=[kind], kinds=[kind])
+        assert counters == campaign_counts([2], 3, [3], checks=[kind], kinds=[kind])
 
     def test_closed_form_sweep_builds_no_oracle(self, counters):
         kind = NoiseKind.COLLECTIVE_DEPHASING
         harness.sweep(SweepSpec(kind, (0.1, 0.5), (0.0, 1.0), True, SweepMode.CLOSED_FORM, FAST_QUAD))
         assert counters == {"rules": [kind], "weights": [], "tables": [], "clamps": [(2, 3)],
-                            "coefficients": [], "checks": [kind], "oracles": [], "state_averages": []}
+                            "coefficients": [], "checks": [kind], "transfers": [], "averagings": [],
+                            "oracles": [], "state_averages": []}
 
     def test_parameters_are_checked_once_where_they_enter(self, counters):
         # The default grids are the package's own, so a default verify checks none.

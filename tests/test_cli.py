@@ -589,13 +589,14 @@ class TestVerify:
         fidelity._state_weight.cache_clear()
         code, cold, _ = run_cli(capsys, "verify")
         assert code == 0
-        # four oracles, one per kind, share one tensor per resolution, and the
-        # campaign's one oracle table looks its state-average weight up once
-        assert fidelity._rotation_moment.cache_info()[:2] == (3, 1)  # (hits, misses)
+        # the campaign averages every kind's transfer matrices in one stack,
+        # which looks the rotation factors up once, and its one oracle table
+        # looks its state-average weight up once
+        assert fidelity._rotation_moment.cache_info()[:2] == (0, 1)  # (hits, misses)
         assert fidelity._state_weight.cache_info()[:2] == (0, 1)
         code, warm, _ = run_cli(capsys, "verify")
         assert code == 0 and warm == cold
-        assert fidelity._rotation_moment.cache_info()[:2] == (7, 1)
+        assert fidelity._rotation_moment.cache_info()[:2] == (1, 1)
         assert fidelity._state_weight.cache_info()[:2] == (1, 1)
         fresh = fresh_process("verify")
         assert fresh.returncode == 0 and fresh.stdout == cold

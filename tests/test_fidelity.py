@@ -82,6 +82,7 @@ EXPANDED_MEANS = {
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+PAULIS = np.stack([np.eye(2), PAULI_X, np.array([[0, -1j], [1j, 0]]), PAULI_Z])
 
 
 def xz_block(channel):
@@ -471,8 +472,8 @@ def direct_averaged_form(ops, n):
     """The averaged round superoperator with the theta mean taken directly; the reference.
 
     Q_bced = mean_theta (N L(R^dag) N)_bc (N L(R))_ed over n midpoint angles,
-    each member's lift multiplied out, as the oracle computed it before M
-    was factored out of Q.
+    each member's lift multiplied out on the row-major vec(rho), in the
+    computational basis; ``to_pauli`` takes it to the oracle's basis.
     """
     lift = fidelity._lift(algebra.rotation(fidelity.midpoint_grid(n)))
     lift_dag = algebra.dagger(lift)
@@ -480,6 +481,18 @@ def direct_averaged_form(ops, n):
     m = np.einsum("nab,nce->abce", lift_dag, lift) / n
     q = np.einsum("nbc,ned->bced", noise @ lift_dag @ noise, noise @ lift) / n
     return np.einsum("abce,bced->ad", m, q)
+
+
+def to_pauli(superoperator):
+    """P^H S P / 2 of a superoperator on the row-major vec(rho), P's columns the vec of I, X, Y, Z; real."""
+    pauli = fidelity._PAULI_VECS.conj().T @ superoperator @ fidelity._PAULI_VECS / 2
+    assert np.max(np.abs(pauli.imag), initial=0.0) <= 1e-15
+    return pauli.real
+
+
+def transfer_of(channel):
+    """The channel's Pauli transfer matrix as the averaged form takes it, one member: shape (1, 4, 4)."""
+    return fidelity._transfer(channel.operators).reshape(-1, 4, 4)
 
 
 class TestStackedOracle:
@@ -491,32 +504,29 @@ class TestStackedOracle:
         worst = 0.0
         for _ in range(200):
             n = int(rng.integers(8, 301))
-            ops = random_channel(rng, int(rng.integers(1, 5))).operators
-            noise = fidelity._lift(np.stack(ops)).sum(axis=0)
-            fast = RotationAveragedOracle._averaged_form(noise, fidelity._rotation_moment(n))
-            worst = max(worst, float(np.max(np.abs(fast - direct_averaged_form(ops, n)))))
+            channel = random_channel(rng, int(rng.integers(1, 5)))
+            fast = fidelity._averaged_form(transfer_of(channel), fidelity._rotation_moment(n))[0]
+            worst = max(worst, float(np.max(np.abs(fast - to_pauli(direct_averaged_form(channel.operators, n))))))
         assert worst <= 2e-15
 
-    def test_factored_form_broadcasts_over_a_stack(self):
+    def test_each_row_of_the_averaged_forms_is_its_member_alone(self):
         rng = np.random.default_rng(46)
-        noise = np.stack([
-            fidelity._lift(np.stack(random_channel(rng, 2).operators)).sum(axis=0) for _ in range(6)
-        ]).reshape(2, 3, 4, 4)
+        transfer = np.concatenate([transfer_of(random_channel(rng, 2)) for _ in range(6)])
         m = fidelity._rotation_moment(8)
-        stacked = RotationAveragedOracle._averaged_form(noise, m)
-        assert stacked.shape == (2, 3, 4, 4)
-        for index in np.ndindex(2, 3):
-            np.testing.assert_allclose(
-                stacked[index], RotationAveragedOracle._averaged_form(noise[index], m), rtol=0, atol=1e-15
-            )
+        stacked = fidelity._averaged_forms(transfer, 8)
+        assert stacked.shape == (6, 16)
+        for index in range(6):
+            alone = fidelity._averaged_form(transfer[index : index + 1], m)
+            assert stacked[index].tobytes() == alone.tobytes()
 
     def assert_stack_equals_members(self, channel, members, indices):
         oracle = RotationAveragedOracle(channel, self.QUAD)
         values, averages = oracle.fidelity_at(self.XIS), oracle.state_average()
         for index in indices:
+            # Every step of the oracle is row by row, so a member alone equals its row bit for bit.
             single = RotationAveragedOracle(members(index), self.QUAD)
-            np.testing.assert_allclose(values[index], single.fidelity_at(self.XIS), rtol=0, atol=1e-15)
-            assert abs(averages[index] - single.state_average()) <= 1e-15
+            assert values[index].tobytes() == single.fidelity_at(self.XIS).tobytes()
+            assert averages[index] == single.state_average()
 
     @pytest.mark.parametrize("kind", fidelity.CLOSED_FORM_KINDS, ids=lambda kind: kind.value)
     def test_stack_equals_its_members(self, kind):
@@ -583,9 +593,23 @@ class TestStackedOracle:
 
 
 class TestRotationFactors:
-    """The rotation average M = sum_r U_r (x) V_r that the oracle contracts through."""
+    """The rotation average M = sum_r U_r (x) V_r that the oracle contracts through, in the Pauli basis."""
 
-    def test_a_rotation_lift_is_linear_in_cos_and_sin_of_twice_the_angle(self):
+    def test_rotation_parts_are_the_lifts_in_the_pauli_basis_bit_for_bit(self):
+        # L(R(t)) = W0 + cos 2t Wc + sin 2t Ws on the row-major vec(rho), R(t) = cos t I + sin t J.
+        i, j = np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])
+        parts = np.stack([np.kron(i, i) + np.kron(j, j), np.kron(i, i) - np.kron(j, j),
+                          np.kron(i, j) + np.kron(j, i)]) / 2
+        assert to_pauli(parts).tobytes() == fidelity._ROTATION_LIFTS.tobytes()
+        # The lift's own entries are c^2, s^2 and c s, so its transfer matrix
+        # is the parts times c^2 + s^2, c^2 - s^2 and 2 c s as they round.
+        t = fidelity.midpoint_grid(64)
+        c, s = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
+        v0, vc, vs = fidelity._ROTATION_LIFTS
+        expected = (c * c + s * s) * v0 + (c * c - s * s) * vc + (2 * c * s) * vs
+        assert to_pauli(fidelity._lift(algebra.rotation(t))).tobytes() == expected.tobytes()
+
+    def test_a_rotation_transfer_is_linear_in_cos_and_sin_of_twice_the_angle(self):
         rng = np.random.default_rng(81)
         t = np.concatenate([
             rng.uniform(-10.0, 10.0, 200), rng.uniform(-1e6, 1e6, 50),
@@ -593,33 +617,33 @@ class TestRotationFactors:
         ])
         v0, vc, vs = fidelity._ROTATION_LIFTS
         expected = v0 + np.cos(2 * t)[:, None, None] * vc + np.sin(2 * t)[:, None, None] * vs
-        lift = fidelity._lift(algebra.rotation(t))
-        assert np.max(np.abs(lift - expected)) <= 4 * np.finfo(float).eps
+        transfer = to_pauli(fidelity._lift(algebra.rotation(t)))
+        assert np.max(np.abs(transfer - expected)) <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("n", [8, 9, 256, 4096])
     def test_cached_factors_rebuild_the_direct_moment(self, n):
         lift = fidelity._lift(algebra.rotation(fidelity.midpoint_grid(n)))
-        direct = np.einsum("nab,nce->abce", algebra.dagger(lift), lift) / n
+        direct = np.einsum("nab,nce->abce", to_pauli(algebra.dagger(lift)), to_pauli(lift)) / n
         factors = fidelity._rotation_moment(n)
         rebuilt = np.einsum("arb,cre->abce", factors[0], factors[1])
         assert np.max(np.abs(rebuilt - direct)) <= 1e-15
 
     @pytest.mark.parametrize("n", [8, 16])
-    def test_three_different_lifts_factor_like_the_angle_grid(self, n):
-        # S = L(R_phi^dag) N3 L(R_theta^dag) N2 L(R_phi) N1 L(R_theta), each
+    def test_three_different_channels_factor_like_the_angle_grid(self, n):
+        # S = T(R_phi^dag) T3 T(R_theta^dag) T2 T(R_phi) T1 T(R_theta), each
         # crossing its own channel, averaged over the n x n grid one point at a time.
         lift = fidelity._lift(algebra.rotation(fidelity.midpoint_grid(n)))
-        lift_dag = algebra.dagger(lift)
+        turn, turn_dag = to_pauli(lift), to_pauli(algebra.dagger(lift))
         u, v = np.moveaxis(fidelity._rotation_moment(n), 2, 1)  # U_r, V_r: (3, 4, 4) each
         rng = np.random.default_rng(82 + n)
         worst = 0.0
         for _ in range(20):
-            n3, n2, n1 = (fidelity._lift(np.stack(random_channel(rng, 2).operators)).sum(axis=0) for _ in range(3))
+            t3, t2, t1 = (transfer_of(random_channel(rng, 2))[0] for _ in range(3))
             direct = sum(
-                lift_dag[phi] @ n3 @ lift_dag[theta] @ n2 @ lift[phi] @ n1 @ lift[theta]
+                turn_dag[phi] @ t3 @ turn_dag[theta] @ t2 @ turn[phi] @ t1 @ turn[theta]
                 for phi in range(n) for theta in range(n)
             ) / n**2
-            factored = sum(u[s] @ n3 @ u[r] @ n2 @ v[s] @ n1 @ v[r] for s in range(3) for r in range(3))
+            factored = sum(u[s] @ t3 @ u[r] @ t2 @ v[s] @ t1 @ v[r] for s in range(3) for r in range(3))
             worst = max(worst, float(np.max(np.abs(factored - direct))))
         assert worst <= 2e-15
 
@@ -748,6 +772,55 @@ class TestChannelCommutator:
         assert str(info.value) == f"theta must be finite, got {theta!r}"
 
 
+def kraus_transfer(channel):
+    """T_ij = tr(sigma_i N(sigma_j)) / 2 from the Kraus image of each Pauli matrix; one T per member of a stack."""
+    ops = np.stack(np.broadcast_arrays(*channel.operators))  # (k, ..., 2, 2)
+    images = np.sum(ops[..., None, :, :] @ PAULIS @ algebra.dagger(ops)[..., None, :, :], axis=0)  # [..., j]
+    return np.real(np.einsum("iab,...jba->...ij", PAULIS, images)) / 2
+
+
+class TestPauliTransfer:
+    @pytest.mark.parametrize("kind", fidelity.CLOSED_FORM_KINDS, ids=lambda kind: kind.value)
+    def test_transfer_is_the_kraus_image_of_each_pauli(self, kind):
+        params = law_inputs(kind)
+        channel = channels.from_kind(kind, params)
+        transfer = fidelity._transfer(channel.operators)
+        assert transfer.shape == (len(params), 4, 4) and transfer.dtype == float
+        assert np.max(np.abs(transfer - kraus_transfer(channel))) <= 1e-15
+
+    def test_transfer_of_random_channels_and_the_identity(self):
+        for channel in seeded_random_channels() + [channels.identity_channel()]:
+            transfer = fidelity._transfer(channel.operators)
+            assert transfer.shape == (4, 4)
+            assert np.max(np.abs(transfer - kraus_transfer(channel))) <= 1e-15
+
+    def test_a_stack_keeps_its_shape_and_each_member_its_bits(self):
+        params = np.array([[0.0, 0.1, 0.5], [0.7, 0.95, 1.0]])
+        for kind in (NoiseKind.AMPLITUDE_DAMPING, NoiseKind.PHASE_DAMPING):
+            transfer = fidelity._transfer(channels.from_kind(kind, params).operators)
+            assert transfer.shape == (2, 3, 4, 4)
+            for index in np.ndindex(2, 3):
+                member = fidelity._transfer(channels.from_kind(kind, float(params[index])).operators)
+                assert transfer[index].tobytes() == member.tobytes()
+
+    @pytest.mark.parametrize("kind", fidelity.CLOSED_FORM_KINDS, ids=lambda kind: kind.value)
+    def test_law_coefficients_are_the_xz_block(self, kind):
+        channel = channels.from_kind(kind, law_inputs(kind))
+        alpha, beta = fidelity.law_coefficients(channel)
+        reference = xz_block(channel)
+        assert alpha.shape == beta.shape == reference[0].shape
+        assert np.max(np.abs(alpha - reference[0])) <= 1e-15
+        assert np.max(np.abs(beta - reference[1])) <= 1e-15
+
+    def test_law_coefficients_of_random_channels(self):
+        for channel in seeded_random_channels():
+            alpha, beta = fidelity.law_coefficients(channel)
+            assert type(alpha) is complex and type(beta) is complex
+            reference_alpha, reference_beta = xz_block(channel)
+            assert abs(alpha - reference_alpha) <= 1e-15
+            assert abs(beta - reference_beta) <= 1e-15
+
+
 def clear_resolution_caches():
     fidelity._rotation_moment.cache_clear()
     fidelity._state_weight.cache_clear()
@@ -764,7 +837,7 @@ class TestResolutionCaches:
     ], ids=["rotation_moment", "state_weight"])
     def test_cached_arrays_are_read_only(self, build, shape):
         value = build()
-        assert value.shape == shape and value.dtype == complex
+        assert value.shape == shape and value.dtype == float
         assert not value.flags.writeable
         with pytest.raises(ValueError):
             value[(0,) * len(shape)] = 5.0
@@ -782,22 +855,28 @@ class TestResolutionCaches:
 
     @pytest.mark.parametrize("n", [8, 64, 1024])
     def test_state_weight_is_the_inline_weight(self, n):
-        # the weight state_average formed in line before it was cached
+        # b = P^H vec(psi psi^H) of both bits over the n-cell grid, W = mean b b^T / 2
         psi = np.stack([protocol.encode_bit(bit, fidelity.midpoint_grid(n)) for bit in (0, 1)])
         vecs = (psi[..., :, None] * psi[..., None, :].conj()).reshape(-1, 4)
-        inline = (vecs.conj().T @ vecs).reshape(16) / len(vecs)
+        bloch = (vecs @ fidelity._PAULI_VECS.conj()).real
+        inline = (bloch.T @ bloch).reshape(16) / (2 * len(bloch))
         assert fidelity._state_weight(n).tobytes() == inline.tobytes()
 
-    def test_encoded_vecs_are_bit_identical_to_encode_bit(self):
+    def test_encoded_bloch_vectors_are_bit_identical_to_encode_bit(self):
         rng = np.random.default_rng(71)
         xis = np.concatenate([
             fidelity.midpoint_grid(33), rng.uniform(-50.0, 50.0, 40), [0.0, -0.0, 2.0**51, -1e300],
         ])
         psi = np.stack([protocol.encode_bit(bit, xis) for bit in (0, 1)])
-        reference = (psi[..., :, None] * psi[..., None, :].conj()).reshape(2, len(xis), 4)
-        vecs = fidelity._encoded_vecs(xis)
-        assert vecs.shape == reference.shape and vecs.flags.c_contiguous
-        assert vecs.tobytes() == reference.tobytes()
+        vecs = (psi[..., :, None] * psi[..., None, :].conj()).reshape(2, len(xis), 4)
+        reference = (vecs @ fidelity._PAULI_VECS.conj()).real
+        bloch = fidelity._encoded_bloch(xis)
+        assert bloch.shape == reference.shape == (2, len(xis), 4)
+        assert bloch.tobytes() == reference.tobytes()
+        # (1, tr X rho, tr Y rho, tr Z rho) of rho = psi psi^H
+        rho = psi[..., :, None] * psi[..., None, :].conj()
+        traces = np.real(np.einsum("iab,nxba->nxi", PAULIS, rho))
+        np.testing.assert_allclose(bloch, traces, rtol=0, atol=1e-15)
 
     def test_oracle_values_equal_with_cold_and_warm_caches(self):
         channel = channels.from_kind(NoiseKind.AMPLITUDE_DAMPING, np.linspace(0.0, 1.0, 7))

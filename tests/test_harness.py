@@ -329,29 +329,37 @@ class TestVerifyFormulas:
         def no_build(*args):
             raise AssertionError("an oracle was built")
 
-        monkeypatch.setattr(RotationAveragedOracle, "__init__", no_build)
-        # ad comes before pd in kind order, so its oracle would be built first.
+        # An oracle's first step is the transfer matrices of its channel.
+        monkeypatch.setattr(fidelity, "_transfer", no_build)
+        # ad comes before pd in kind order, so its transfer would be built first.
         kinds = {NoiseKind.AMPLITUDE_DAMPING, NoiseKind.PHASE_DAMPING}
         with pytest.raises(ValueError) as info:
             harness.verify_formulas(kinds, quad=FAST_QUAD, **grids)
         assert str(info.value) == message
 
-    def test_one_oracle_per_kind_equals_one_per_parameter(self, monkeypatch):
-        builds = []
-        init = RotationAveragedOracle.__init__
+    def test_one_averaging_per_campaign_equals_one_oracle_per_parameter(self, monkeypatch):
+        transfers, averagings = [], []
+        transfer, averaged_forms = fidelity._transfer, fidelity._averaged_forms
 
-        def counting_init(self, channel, quad):
-            builds.append(channel.kind)
-            init(self, channel, quad)
+        def counting_transfer(operators):
+            transfers.append(np.broadcast_shapes(*(np.shape(op)[:-2] for op in operators)))
+            return transfer(operators)
 
-        monkeypatch.setattr(RotationAveragedOracle, "__init__", counting_init)
+        def counting_averaged_forms(stack, n):
+            averagings.append((len(stack), n))
+            return averaged_forms(stack, n)
+
+        monkeypatch.setattr(fidelity, "_transfer", counting_transfer)
+        monkeypatch.setattr(fidelity, "_averaged_forms", counting_averaged_forms)
         reports = harness.verify_formulas(fidelity.CLOSED_FORM_KINDS, quad=FAST_QUAD)
         monkeypatch.undo()
-        assert builds == list(fidelity.CLOSED_FORM_KINDS)
+        sizes = [len(report.param_grid) for report in reports]
+        assert transfers == [(size,) for size in sizes]
+        assert averagings == [(sum(sizes), FAST_QUAD.rotation_points)]
         for report in reports:
             for row, param in zip(report.oracle, report.param_grid):
                 single = RotationAveragedOracle(channels.from_kind(report.kind, param), FAST_QUAD)
-                np.testing.assert_allclose(row, single.fidelity_at(report.xi_grid), rtol=0, atol=1e-15)
+                assert row.tobytes() == single.fidelity_at(report.xi_grid).tobytes()
 
     def test_average_deviation_compares_the_state_averages(self, skew_state_average):
         kind = NoiseKind.PHASE_DAMPING
